@@ -34,7 +34,7 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 const (
 	diffTrials  = 2000
 	diffSeed    = 12345
-	diffWorkers = 4
+	diffWorkers = 1
 	diffTSVFIT  = 1430
 )
 
