@@ -2,11 +2,10 @@ package faultsim
 
 import (
 	"context"
-	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/fault"
+	"repro/internal/stack"
 	"repro/internal/tsv"
 )
 
@@ -88,115 +87,105 @@ func RunCensus(opt Options, useTSVSwap bool) Census {
 	return RunCensusContext(context.Background(), opt, useTSVSwap)
 }
 
-// RunCensusContext is RunCensus under a context: workers check ctx
+// RunCensusContext is RunCensus under a context: the executor checks ctx
 // between trial batches and a cancelled run returns the tallies gathered
 // so far, marked Partial.
 func RunCensusContext(ctx context.Context, opt Options, useTSVSwap bool) Census {
-	opt = opt.withDefaults()
 	c := Census{
 		RowsHistogram:        make(map[int]int),
 		FailedBanksPerSystem: make(map[int]int),
 		FailedBankThreshold:  4,
 	}
-	mRunsActive.Inc()
-	defer mRunsActive.Dec()
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
+	lanes, trials, _, err := execute(ctx, opt, "census", func(int, Arrivals) *censusLane {
+		l := &censusLane{
+			cfg:        opt.Config,
+			threshold:  c.FailedBankThreshold,
+			perBank:    map[int]int{},
+			rowsHist:   map[int]int{},
+			failedHist: map[int]int{},
 		}
-		if lo >= hi {
-			break
+		if useTSVSwap {
+			l.swapper = tsv.NewSwapper(opt.Config)
 		}
-		wg.Add(1)
-		go func(worker, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-			sampler := fault.NewSampler(opt.Config, opt.Rates)
-			rowsHist := make(map[int]int)
-			failedHist := make(map[int]int)
-			done := 0
-			withFailure := 0
-			dies := opt.Config.DataDies + opt.Config.ECCDies
-			// Per-worker pools, reset per trial (same allocation discipline
-			// as the lifetime engine's trialState).
-			var swapper *tsv.Swapper
-			if useTSVSwap {
-				swapper = tsv.NewSwapper(opt.Config)
-			}
-			var trialBuf []fault.Fault
-			// rows needed per bank, keyed by dense bank id incl. the
-			// metadata die.
-			perBank := map[int]int{}
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 && ctx.Err() != nil {
-					break
-				}
-				done++
-				trialBuf = sampler.AppendLifetime(rng, opt.LifetimeHours, trialBuf[:0])
-				fs := trialBuf
-				if swapper != nil {
-					swapper.Reset()
-				}
-				clear(perBank)
-				for _, f := range fs {
-					if f.Persistence != fault.Permanent {
-						continue
-					}
-					if swapper != nil && f.Class.IsTSV() {
-						if _, repaired := swapper.Apply(f); repaired {
-							continue
-						}
-					}
-					rows := f.RowsNeedingSparing(opt.Config)
-					for die := 0; die < dies; die++ {
-						if !f.Region.Die.Contains(uint32(die)) {
-							continue
-						}
-						for bank := 0; bank < opt.Config.BanksPerDie; bank++ {
-							if !f.Region.Bank.Contains(uint32(bank)) {
-								continue
-							}
-							id := (f.Region.Stack*dies+die)*opt.Config.BanksPerDie + bank
-							perBank[id] += rows
-							if perBank[id] > opt.Config.RowsPerBank {
-								perBank[id] = opt.Config.RowsPerBank
-							}
-						}
-					}
-				}
-				failed := 0
-				for _, rows := range perBank {
-					rowsHist[rows]++
-					if rows > c.FailedBankThreshold {
-						failed++
-					}
-				}
-				if failed > 0 {
-					withFailure++
-					failedHist[failed]++
-				}
-			}
-			mTrials.Add(int64(done))
-			mu.Lock()
-			c.Trials += done
-			for k, v := range rowsHist {
-				c.RowsHistogram[k] += v
-			}
-			for k, v := range failedHist {
-				c.FailedBanksPerSystem[k] += v
-			}
-			c.TrialsWithBankFailure += withFailure
-			mu.Unlock()
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	if ctx.Err() != nil && c.Trials < opt.Trials {
-		c.Partial = true
+		return l
+	})
+	c.Trials = trials
+	c.Partial = err != nil
+	for _, l := range lanes {
+		for k, v := range l.rowsHist {
+			c.RowsHistogram[k] += v
+		}
+		for k, v := range l.failedHist {
+			c.FailedBanksPerSystem[k] += v
+		}
+		c.TrialsWithBankFailure += l.withFailure
 	}
 	return c
 }
+
+// censusLane is RunCensusContext's per-worker trial body. Its pools are
+// reset per trial, the same allocation discipline as trialState.
+type censusLane struct {
+	cfg       stack.Config
+	threshold int
+	swapper   *tsv.Swapper // nil without TSV-SWAP
+	// perBank holds the rows needed per bank in the current trial, keyed
+	// by dense bank id incl. the metadata die.
+	perBank     map[int]int
+	rowsHist    map[int]int
+	failedHist  map[int]int
+	withFailure int
+}
+
+// trial tallies one lifetime's permanent-fault anatomy; a census never
+// fails a trial.
+func (l *censusLane) trial(_ int, fs []fault.Fault) bool {
+	cfg := l.cfg
+	dies := cfg.DataDies + cfg.ECCDies
+	if l.swapper != nil {
+		l.swapper.Reset()
+	}
+	clear(l.perBank)
+	for _, f := range fs {
+		if f.Persistence != fault.Permanent {
+			continue
+		}
+		if l.swapper != nil && f.Class.IsTSV() {
+			if _, repaired := l.swapper.Apply(f); repaired {
+				continue
+			}
+		}
+		rows := f.RowsNeedingSparing(cfg)
+		for die := 0; die < dies; die++ {
+			if !f.Region.Die.Contains(uint32(die)) {
+				continue
+			}
+			for bank := 0; bank < cfg.BanksPerDie; bank++ {
+				if !f.Region.Bank.Contains(uint32(bank)) {
+					continue
+				}
+				id := (f.Region.Stack*dies+die)*cfg.BanksPerDie + bank
+				l.perBank[id] += rows
+				if l.perBank[id] > cfg.RowsPerBank {
+					l.perBank[id] = cfg.RowsPerBank
+				}
+			}
+		}
+	}
+	failed := 0
+	for _, rows := range l.perBank {
+		l.rowsHist[rows]++
+		if rows > l.threshold {
+			failed++
+		}
+	}
+	if failed > 0 {
+		l.withFailure++
+		l.failedHist[failed]++
+	}
+	return false
+}
+
+func (*censusLane) scrubs() int64 { return 0 }
+
+func (*censusLane) finish() {}

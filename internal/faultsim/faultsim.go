@@ -15,8 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ecc"
@@ -60,6 +58,17 @@ type Arrivals interface {
 // order, keeping the merged floats deterministic.
 type ArrivalStats interface {
 	FlushStats(dst map[string]float64)
+}
+
+// ArrivalWeights is optionally implemented by Arrivals sources that draw
+// lifetimes under a biased measure — importance sampling (internal/rare)
+// is such a source wrapped around the Poisson sampler. LogWeight returns
+// the log-likelihood ratio, nominal over biased density, of the lifetime
+// AppendLifetime returned last. A run over such a source is Weighted:
+// each failing trial counts with weight exp(LogWeight()), and the float
+// tallies fold in worker order like ScenarioStats.
+type ArrivalWeights interface {
+	LogWeight() float64
 }
 
 // Observer watches applied fault arrivals of one worker's trials —
@@ -626,260 +635,178 @@ func Run(opt Options, pol Policy) Result {
 // RunContext estimates the failure probability of a policy. Worker
 // goroutines check ctx between trial batches (cancelCheckInterval); on
 // cancellation the completed trials are merged into a Result marked
-// Partial rather than discarded.
+// Partial rather than discarded. An arrival source implementing
+// ArrivalWeights makes the Result Weighted.
 func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 	opt = opt.withDefaults()
 	years := int(math.Ceil(opt.LifetimeHours / fault.HoursPerYear))
+	lanes, trials, failures, err := execute(ctx, opt, pol.name(), func(worker int, src Arrivals) *runLane {
+		return newRunLane(&opt, pol, worker, src, years)
+	})
 	res := Result{
 		Policy:         pol.name(),
+		Trials:         trials,
+		Failures:       failures,
 		FailuresByYear: make([]int, years),
 		CauseCounts:    make(map[string]int),
+		Partial:        err != nil,
+		Err:            err,
 	}
 	if opt.Forensics {
 		res.Breakdown = make(map[string]int)
 	}
-	mRunsActive.Inc()
-	defer mRunsActive.Dec()
-	tr := opt.Trace
-	runStart := tr.Now()
-	// Live counters: workers flush local tallies here every
-	// cancelCheckInterval trials so the progress reporter and the global
-	// metrics see the run move without per-trial atomics.
-	var progTrials, progFailures, progScrubs atomic.Int64
-	start := time.Now()
-	snapshot := func(done bool) Progress {
-		return Progress{
-			Policy:       pol.name(),
-			RunID:        opt.RunID,
-			TrialsDone:   int(progTrials.Load()),
-			TrialsTarget: opt.Trials,
-			Failures:     int(progFailures.Load()),
-			ScrubPasses:  progScrubs.Load(),
-			Elapsed:      time.Since(start),
-			Done:         done,
+	// Fold in worker order: float addition is not associative, so the
+	// weighted tallies and scenario stats stay bit-identical across repeat
+	// runs only under a fixed order, and the exemplars come out sorted by
+	// (Worker, Trial). Scenario stats stay nil when no worker produced
+	// any, so plain runs keep a nil map.
+	for _, l := range lanes {
+		for i, v := range l.byYear {
+			res.FailuresByYear[i] += v
 		}
-	}
-	stopProg := make(chan struct{})
-	progDone := make(chan struct{})
-	if opt.Progress != nil {
-		interval := opt.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
+		for k, v := range l.causes {
+			res.CauseCounts[k] += v
 		}
-		go func() {
-			defer close(progDone)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-tick.C:
-					opt.Progress(snapshot(false))
-				}
-			}
-		}()
-	} else {
-		close(progDone)
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	// Scenario counters are floats, and float addition is not associative,
-	// so workers park their stats here and the fold below runs in worker
-	// order — keeping ScenarioStats bit-identical across repeat runs
-	// regardless of goroutine completion order.
-	statsByWorker := make([]map[string]float64, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
+		for k, v := range l.breakdown {
+			res.Breakdown[k] += v
 		}
-		if lo >= hi {
-			break
+		res.Exemplars = append(res.Exemplars, l.exemplars...)
+		if l.weights != nil {
+			if !res.Weighted {
+				res.Weighted = true
+				res.FailWeightByYear = make([]float64, years)
+			}
+			res.FailWeight += l.failW
+			res.FailWeightSq += l.failWSq
+			for i, v := range l.wByYear {
+				res.FailWeightByYear[i] += v
+			}
 		}
-		wg.Add(1)
-		go func(worker, n int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-			var src Arrivals
-			if opt.NewArrivals != nil {
-				src = opt.NewArrivals()
-			} else {
-				src = fault.NewSampler(opt.Config, opt.Rates)
+		for k, v := range l.stats {
+			if res.ScenarioStats == nil {
+				res.ScenarioStats = make(map[string]float64, len(l.stats))
 			}
-			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental)
-			var trialBuf []fault.Fault
-			done := 0
-			failures := 0
-			byYear := make([]int, years)
-			causes := make(map[string]int)
-			var breakdown map[string]int
-			var exemplars []Forensic
-			if opt.Forensics {
-				breakdown = make(map[string]int)
-			}
-			traceOn := tr.Enabled()
-			var flushedDone, flushedFailures, flushedScrubs int64
-			flush := func() {
-				progTrials.Add(int64(done) - flushedDone)
-				progFailures.Add(int64(failures) - flushedFailures)
-				progScrubs.Add(ts.scrubs - flushedScrubs)
-				mTrials.Add(int64(done) - flushedDone)
-				mFailures.Add(int64(failures) - flushedFailures)
-				mScrubs.Add(ts.scrubs - flushedScrubs)
-				flushedDone, flushedFailures, flushedScrubs = int64(done), int64(failures), ts.scrubs
-			}
-			defer flush()
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 {
-					flush()
-					if ctx.Err() != nil {
-						break
-					}
-				}
-				done++
-				trialBuf = src.AppendLifetime(rng, opt.LifetimeHours, trialBuf[:0])
-				fs := trialBuf
-				if len(fs) == 0 {
-					continue
-				}
-				var when float64
-				var cause fault.Class
-				sampled := traceOn && tr.ShouldSample(uint64(worker)<<32|uint64(t))
-				var spanStart float64
-				if sampled {
-					spanStart = tr.Now()
-				}
-				if len(fs) == 1 {
-					when, cause = ts.runSingle(fs[0])
-				} else {
-					when, cause = ts.run(fs)
-				}
-				if sampled {
-					ev := trace.Event{
-						Name: "trial", Cat: "faultsim", Phase: trace.PhaseComplete,
-						TS: spanStart, Dur: tr.Now() - spanStart, TID: int64(worker),
-					}
-					ev.Args[0] = trace.Arg{Key: "trial", Val: float64(t)}
-					ev.Args[1] = trace.Arg{Key: "faults", Val: float64(len(fs))}
-					if when >= 0 {
-						ev.Args[2] = trace.Arg{Key: "failed", Val: 1}
-					}
-					ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
-					tr.Emit(ev)
-				}
-				if when >= 0 {
-					failures++
-					causes[cause.String()]++
-					y := int(when / fault.HoursPerYear)
-					if y >= years {
-						y = years - 1
-					}
-					for i := y; i < years; i++ {
-						byYear[i]++
-					}
-					if traceOn {
-						ev := trace.Event{
-							Name: "uncorrectable", Cat: "faultsim", Phase: trace.PhaseInstant,
-							TS: tr.Now(), TID: int64(worker),
-						}
-						ev.Args[0] = trace.Arg{Key: "trial", Val: float64(t)}
-						ev.Args[1] = trace.Arg{Key: "hours", Val: when}
-						ev.Args[2] = trace.Arg{Key: "cause", Str: cause.String()}
-						ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
-						tr.Emit(ev)
-					}
-					if opt.Forensics {
-						// The live set at failure: the single drawn fault on
-						// the fast path, otherwise the trial state's live
-						// permanent+transient faults.
-						live := fs
-						if len(fs) > 1 {
-							live = ts.liveFaults()
-						}
-						breakdown[modeKey(live)]++
-						if len(exemplars) < opt.MaxExemplars {
-							exemplars = append(exemplars,
-								captureForensic(opt, pol, ts, worker, t, live, when, cause))
-						}
-					}
-				}
-			}
-			var stats map[string]float64
-			if so, ok := src.(ArrivalStats); ok {
-				stats = make(map[string]float64)
-				so.FlushStats(stats)
-			}
-			if ts.obs != nil {
-				if stats == nil {
-					stats = make(map[string]float64)
-				}
-				ts.obs.FlushStats(stats)
-			}
-			statsByWorker[worker] = stats
-			mu.Lock()
-			res.Trials += done
-			res.Failures += failures
-			for i := range byYear {
-				res.FailuresByYear[i] += byYear[i]
-			}
-			for k, v := range causes {
-				res.CauseCounts[k] += v
-			}
-			for k, v := range breakdown {
-				res.Breakdown[k] += v
-			}
-			res.Exemplars = append(res.Exemplars, exemplars...)
-			mu.Unlock()
-		}(w, hi-lo)
-	}
-	wg.Wait()
-	close(stopProg)
-	<-progDone
-	// Fold scenario stats in worker order (float addition order matters
-	// for bit-identical repeats). Nil when no worker produced any, so
-	// plain runs keep a nil map.
-	for _, stats := range statsByWorker {
-		if len(stats) == 0 {
-			continue
-		}
-		if res.ScenarioStats == nil {
-			res.ScenarioStats = make(map[string]float64, len(stats))
-		}
-		for k, v := range stats {
 			res.ScenarioStats[k] += v
 		}
 	}
-	if err := ctx.Err(); err != nil && res.Trials < opt.Trials {
-		res.Partial = true
-		res.Err = err
-	}
-	if len(res.Exemplars) > 0 {
-		// Workers each kept up to MaxExemplars; order deterministically and
-		// keep the global first K so the exemplar set is independent of
-		// goroutine scheduling.
-		sortExemplars(res.Exemplars)
-		if len(res.Exemplars) > opt.MaxExemplars {
-			res.Exemplars = res.Exemplars[:opt.MaxExemplars]
-		}
-	}
-	if tr.Enabled() {
-		ev := trace.Event{
-			Name: "run", Cat: "faultsim", Phase: trace.PhaseComplete,
-			TS: runStart, Dur: tr.Now() - runStart, TID: -1,
-		}
-		ev.Args[0] = trace.Arg{Key: "policy", Str: pol.name()}
-		ev.Args[1] = trace.Arg{Key: "trials", Val: float64(res.Trials)}
-		ev.Args[2] = trace.Arg{Key: "failures", Val: float64(res.Failures)}
-		ev.Args[3] = trace.Arg{Key: "runId", Str: opt.RunID}
-		tr.Emit(ev)
-	}
-	if opt.Progress != nil {
-		opt.Progress(snapshot(true))
+	if len(res.Exemplars) > opt.MaxExemplars {
+		res.Exemplars = res.Exemplars[:opt.MaxExemplars]
 	}
 	return res
+}
+
+// runLane is RunContext's per-worker trial body: the pooled trial state
+// machine plus the worker's failure tallies.
+type runLane struct {
+	opt    *Options
+	pol    Policy
+	worker int
+	src    Arrivals
+	ts     *trialState
+	byYear []int
+	causes map[string]int
+	// weights is src's likelihood-ratio view under importance sampling,
+	// nil for plain sampling; failW, failWSq and wByYear accumulate the
+	// failing trials' weights.
+	weights        ArrivalWeights
+	failW, failWSq float64
+	wByYear        []float64
+	breakdown      map[string]int
+	exemplars      []Forensic
+	stats          map[string]float64
+}
+
+func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *runLane {
+	l := &runLane{
+		opt:    opt,
+		pol:    pol,
+		worker: worker,
+		src:    src,
+		ts:     newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental),
+		byYear: make([]int, years),
+		causes: make(map[string]int),
+	}
+	if w, ok := src.(ArrivalWeights); ok {
+		l.weights = w
+		l.wByYear = make([]float64, years)
+	}
+	if opt.Forensics {
+		l.breakdown = make(map[string]int)
+	}
+	return l
+}
+
+func (l *runLane) trial(t int, fs []fault.Fault) bool {
+	var when float64
+	var cause fault.Class
+	if len(fs) == 1 {
+		when, cause = l.ts.runSingle(fs[0])
+	} else {
+		when, cause = l.ts.run(fs)
+	}
+	if when < 0 {
+		return false
+	}
+	l.causes[cause.String()]++
+	years := len(l.byYear)
+	y := int(when / fault.HoursPerYear)
+	if y >= years {
+		y = years - 1
+	}
+	var w float64
+	if l.weights != nil {
+		w = math.Exp(l.weights.LogWeight())
+		l.failW += w
+		l.failWSq += w * w
+	}
+	for i := y; i < years; i++ {
+		l.byYear[i]++
+		if l.weights != nil {
+			l.wByYear[i] += w
+		}
+	}
+	if tr := l.opt.Trace; tr.Enabled() {
+		ev := trace.Event{
+			Name: "uncorrectable", Cat: "faultsim", Phase: trace.PhaseInstant,
+			TS: tr.Now(), TID: int64(l.worker),
+		}
+		ev.Args[0] = trace.Arg{Key: "trial", Val: float64(t)}
+		ev.Args[1] = trace.Arg{Key: "hours", Val: when}
+		ev.Args[2] = trace.Arg{Key: "cause", Str: cause.String()}
+		ev.Args[3] = trace.Arg{Key: "runId", Str: l.opt.RunID}
+		tr.Emit(ev)
+	}
+	if l.opt.Forensics {
+		// The live set at failure: the single drawn fault on the fast
+		// path, otherwise the trial state's live permanent+transient faults.
+		live := fs
+		if len(fs) > 1 {
+			live = l.ts.liveFaults()
+		}
+		l.breakdown[modeKey(live)]++
+		if len(l.exemplars) < l.opt.MaxExemplars {
+			l.exemplars = append(l.exemplars,
+				captureForensic(*l.opt, l.pol, l.ts, l.worker, t, live, when, cause))
+		}
+	}
+	return true
+}
+
+func (l *runLane) scrubs() int64 { return l.ts.scrubs }
+
+// finish collects the worker's scenario counters from its arrival source
+// and observer.
+func (l *runLane) finish() {
+	if s, ok := l.src.(ArrivalStats); ok {
+		l.stats = make(map[string]float64)
+		s.FlushStats(l.stats)
+	}
+	if l.ts.obs != nil {
+		if l.stats == nil {
+			l.stats = make(map[string]float64)
+		}
+		l.ts.obs.FlushStats(l.stats)
+	}
 }
 
 // RunAll evaluates several policies under the same options. Each policy

@@ -3,7 +3,6 @@ package faultsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"repro/internal/ecc"
@@ -137,33 +136,21 @@ func captureForensic(opt Options, pol Policy, ts *trialState, worker, trial int,
 	return fx
 }
 
-// sortExemplars orders forensic records deterministically — by (Worker,
-// Trial) — so "the first K exemplars" does not depend on goroutine
-// scheduling.
-func sortExemplars(ex []Forensic) {
-	sort.Slice(ex, func(i, j int) bool {
-		if ex[i].Worker != ex[j].Worker {
-			return ex[i].Worker < ex[j].Worker
-		}
-		return ex[i].Trial < ex[j].Trial
-	})
-}
-
 // ReplayTrial re-executes trial `trial` of worker `worker`'s RNG stream
 // under opt and pol, and returns its forensic record. ok is false when the
 // replayed trial does not fail (wrong seed/worker/trial coordinates, or
 // changed options). Replay is exact because a worker's trials consume its
 // stream in order: re-seeding the stream and re-drawing trials 0..trial-1
-// reproduces the identical fault sequence.
+// through a fresh arrival source (opt.NewArrivals, or the Poisson
+// sampler) reproduces the identical fault sequence.
 func ReplayTrial(opt Options, pol Policy, worker, trial int) (Forensic, bool) {
 	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-	sampler := fault.NewSampler(opt.Config, opt.Rates)
+	src := opt.arrivals()
 	var buf []fault.Fault
-	for t := 0; t < trial; t++ {
-		buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
+	for t := 0; t <= trial; t++ {
+		buf = src.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
 	}
-	buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
 	if len(buf) == 0 {
 		return Forensic{}, false
 	}

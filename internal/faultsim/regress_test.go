@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -95,6 +96,19 @@ func TestDeriveSeedDecorrelatesNearbyBases(t *testing.T) {
 		d := deriveSeed(base, 0) - deriveSeed(base+1, 0)
 		if d == 1 || d == -1 {
 			t.Errorf("bases %d and %d derive adjacent seeds", base, base+1)
+		}
+	}
+}
+
+// TestRareSeedShiftReproducesStreams pins the identity that lets the
+// importance sampler run on the plain executor: worker w of a run seeded
+// RareSeed(s) draws from the rare stream deriveSeed(s, rareStreamBase+w).
+func TestRareSeedShiftReproducesStreams(t *testing.T) {
+	for _, base := range []int64{0, 1, -1, 7, 42, math.MaxInt64, math.MinInt64} {
+		for w := uint64(0); w < 64; w++ {
+			if got, want := deriveSeed(RareSeed(base), w), deriveSeed(base, rareStreamBase+w); got != want {
+				t.Fatalf("base %d worker %d: shifted seed derives %d, rare stream is %d", base, w, got, want)
+			}
 		}
 	}
 }

@@ -20,12 +20,15 @@ const (
 	splitStreamBase uint64 = 1 << 43
 )
 
+// streamStep is the splitmix64 increment (the 64-bit golden ratio).
+const streamStep uint64 = 0x9e3779b97f4a7c15
+
 // deriveSeed maps (base seed, stream index) to an RNG seed using the
 // splitmix64 finalizer (Steele, Lea & Flood, OOPSLA 2014). Equal inputs
 // give equal outputs, keeping seeded runs reproducible; distinct streams
 // are decorrelated whatever their numeric distance.
 func deriveSeed(base int64, stream uint64) int64 {
-	z := uint64(base) + 0x9e3779b97f4a7c15*(stream+1)
+	z := uint64(base) + streamStep*(stream+1)
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -44,12 +47,14 @@ func ChunkSeed(base int64, chunk int) int64 {
 	return deriveSeed(base, chunkStreamBase+uint64(chunk))
 }
 
-// RareStreamSeed derives the per-worker RNG seed of the importance
-// sampling engine (internal/rare). The space is disjoint from the plain
-// engine's worker streams so a biased and a naive run sharing a base
-// seed draw decorrelated fault histories.
-func RareStreamSeed(base int64, worker int) int64 {
-	return deriveSeed(base, rareStreamBase+uint64(worker))
+// RareSeed shifts a base seed into the importance-sampling stream space
+// (internal/rare): deriveSeed is affine in its base, so worker w of a run
+// seeded RareSeed(s) draws from deriveSeed(s, rareStreamBase+w) — disjoint
+// from the plain engine's worker streams, so a biased and a naive run
+// sharing a base seed draw decorrelated fault histories.
+func RareSeed(base int64) int64 {
+	step := streamStep
+	return int64(uint64(base) + step*rareStreamBase)
 }
 
 // SplitStreamSeed derives the RNG seed of one multilevel-splitting stage

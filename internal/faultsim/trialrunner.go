@@ -57,10 +57,6 @@ func (t *TrialRunner) RunToLevel(faults []fault.Fault, level int) (crossIdx int,
 	return t.ts.runToLevel(faults, level)
 }
 
-// Scrubs returns the cumulative scrubber invocations across every trial
-// run on this runner, for progress accounting.
-func (t *TrialRunner) Scrubs() int64 { return t.ts.scrubs }
-
 // runToLevel mirrors run's arrival loop but stops at the first
 // live-count crossing. Kept separate rather than folded into run so the
 // hot Monte Carlo loop pays nothing for the observation; the two bodies

@@ -2,15 +2,8 @@ package rare
 
 import "repro/internal/obs"
 
-// Rare-event engine metrics, exposed by cmd/citadel-server at
-// GET /metrics alongside the plain engine's citadel_faultsim_* family.
-var (
-	mRareTrials = obs.Default().Counter("citadel_rare_trials_total",
-		"Importance-sampled trials completed across all rare-event runs.")
-	mRareFailures = obs.Default().Counter("citadel_rare_failures_total",
-		"Importance-sampled trials that ended in uncorrectable failure (unweighted count).")
-	mRareRunsActive = obs.Default().Gauge("citadel_rare_runs_active",
-		"Rare-event estimator runs currently executing.")
-	mSplitStages = obs.Default().Counter("citadel_rare_split_stages_total",
-		"Multilevel-splitting stages completed.")
-)
+// Multilevel-splitting metrics, exposed by cmd/citadel-server at
+// GET /metrics. Importance-sampled trials run on the faultsim executor and
+// count in its citadel_faultsim_* family.
+var mSplitStages = obs.Default().Counter("citadel_rare_split_stages_total",
+	"Multilevel-splitting stages completed.")

@@ -30,10 +30,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
@@ -46,13 +42,15 @@ import (
 // variance-optimal bias across the paper's configurations.
 const DefaultBiasFactor = 16
 
-// cancelCheckInterval matches the plain engine: workers poll ctx every
-// this many trials.
+// cancelCheckInterval matches the plain engine: the splitting estimator
+// polls ctx every this many trials.
 const cancelCheckInterval = 256
 
 // Options configures an importance-sampled run. The embedded
 // faultsim.Options keep their meaning; Rates are the *physical* rates —
 // the engine applies the bias internally and reports unbiased estimates.
+// NewArrivals is replaced by the biased Poisson source: the likelihood
+// ratio below holds only for Poisson arrivals.
 type Options struct {
 	faultsim.Options
 	// BiasFactor multiplies every large-granularity FIT rate during
@@ -61,25 +59,57 @@ type Options struct {
 	BiasFactor float64
 }
 
-// withDefaults mirrors faultsim's effective defaults (trials, lifetime,
-// scrub interval, worker clamp) and fills the bias factor.
-func (o Options) withDefaults() Options {
-	if o.LifetimeHours == 0 {
-		o.LifetimeHours = fault.LifetimeHours
+// Engine returns the faultsim options that run o as an importance-sampled
+// study: NewArrivals draws Poisson lifetimes at the biased rates and
+// reports each one's likelihood ratio (faultsim.ArrivalWeights), and Seed
+// moves into the rare stream space (faultsim.RareSeed), so an IS run and
+// a naive run sharing a base seed are statistically independent. Any
+// faultsim entry point — fixed-budget, adaptive, forensic replay — then
+// runs the estimator, with the plain engine's determinism contract.
+func (o Options) Engine() faultsim.Options {
+	eo := o.Options
+	if eo.LifetimeHours == 0 {
+		eo.LifetimeHours = fault.LifetimeHours
 	}
-	if o.ScrubIntervalHours == 0 {
-		o.ScrubIntervalHours = faultsim.DefaultScrubIntervalHours
+	bias := o.BiasFactor
+	if bias == 0 {
+		bias = DefaultBiasFactor
 	}
-	if o.Trials == 0 {
-		o.Trials = 100000
+	cfg, biased := o.Config, o.Rates.BiasLarge(bias)
+	// Likelihood-ratio constants: log w = delta − n·lnB per trial.
+	delta := (bias - 1) * o.Rates.LargeLambda(cfg, eo.LifetimeHours)
+	lnB := math.Log(bias)
+	eo.NewArrivals = func() faultsim.Arrivals {
+		return &biasedArrivals{sampler: fault.NewSampler(cfg, biased), delta: delta, lnB: lnB}
 	}
-	if max := runtime.GOMAXPROCS(0); o.Workers <= 0 || o.Workers > max {
-		o.Workers = max
+	eo.Seed = faultsim.RareSeed(o.Seed)
+	return eo
+}
+
+// biasedArrivals draws Poisson lifetimes at the biased rates and reports
+// the likelihood ratio of the lifetime drawn last.
+type biasedArrivals struct {
+	sampler    *fault.Sampler
+	delta, lnB float64
+	last       []fault.Fault
+}
+
+func (b *biasedArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
+	out := b.sampler.AppendLifetime(rng, hours, dst)
+	b.last = out[len(dst):]
+	return out
+}
+
+// LogWeight counts the large-granularity events of the last lifetime; the
+// engine asks only for failing trials.
+func (b *biasedArrivals) LogWeight() float64 {
+	n := 0
+	for _, f := range b.last {
+		if f.Class.LargeGranularity() {
+			n++
+		}
 	}
-	if o.BiasFactor == 0 {
-		o.BiasFactor = DefaultBiasFactor
-	}
-	return o
+	return b.delta - float64(n)*b.lnB
 }
 
 // policyName mirrors faultsim's effective policy naming.
@@ -90,188 +120,17 @@ func policyName(pol faultsim.Policy) string {
 	return pol.Predicate.Name()
 }
 
-// isPartial is one worker's tallies. Workers never share accumulators;
-// the fold happens once, in worker order, so the float sums are a pure
-// function of (seed, trial layout, worker count) — the determinism
-// contract checkpointed campaigns rely on.
-type isPartial struct {
-	done, failures int
-	failW, failWSq float64
-	byYear         []int
-	wByYear        []float64
-	causes         map[string]int
-}
-
 // RunIS estimates failure probability with importance sampling; it
 // cannot be interrupted (see RunISContext).
 func RunIS(opt Options, pol faultsim.Policy) faultsim.Result {
 	return RunISContext(context.Background(), opt, pol)
 }
 
-// RunISContext runs the importance-sampled estimator. Worker goroutines
-// draw fault histories under the biased rates and weight every failing
-// trial by its likelihood ratio; the returned Result is Weighted, and
-// its Probability/CI95/ESS report the unbiased estimate. Cancellation
-// mirrors the plain engine: completed trials are kept and the Result is
-// marked Partial.
-//
-// Per-worker RNG streams come from faultsim.RareStreamSeed, a seed space
-// disjoint from the plain engine's, so an IS run and a naive run sharing
-// a base seed are statistically independent. As with the plain engine,
-// seeded results are reproducible only for equal worker counts.
+// RunISContext runs the importance-sampled estimator: faultsim.RunContext
+// over opt.Engine(). Failing trials carry their likelihood ratio, so the
+// returned Result is Weighted and its Probability/CI95/ESS report the
+// unbiased estimate. Cancellation keeps the completed trials and marks
+// the Result Partial, as in the plain engine.
 func RunISContext(ctx context.Context, opt Options, pol faultsim.Policy) faultsim.Result {
-	opt = opt.withDefaults()
-	years := int(math.Ceil(opt.LifetimeHours / fault.HoursPerYear))
-	res := faultsim.Result{
-		Policy:           policyName(pol),
-		Weighted:         true,
-		FailuresByYear:   make([]int, years),
-		FailWeightByYear: make([]float64, years),
-		CauseCounts:      make(map[string]int),
-	}
-	biased := opt.Rates.BiasLarge(opt.BiasFactor)
-	// Likelihood-ratio constants: log w = delta − n·lnB per trial.
-	delta := (opt.BiasFactor - 1) * opt.Rates.LargeLambda(opt.Config, opt.LifetimeHours)
-	lnB := math.Log(opt.BiasFactor)
-
-	mRareRunsActive.Inc()
-	defer mRareRunsActive.Dec()
-	var progTrials, progFailures, progScrubs atomic.Int64
-	start := time.Now()
-	snapshot := func(done bool) faultsim.Progress {
-		return faultsim.Progress{
-			Policy:       policyName(pol),
-			RunID:        opt.RunID,
-			TrialsDone:   int(progTrials.Load()),
-			TrialsTarget: opt.Trials,
-			Failures:     int(progFailures.Load()),
-			ScrubPasses:  progScrubs.Load(),
-			Elapsed:      time.Since(start),
-			Done:         done,
-		}
-	}
-	stopProg := make(chan struct{})
-	progDone := make(chan struct{})
-	if opt.Progress != nil {
-		interval := opt.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		go func() {
-			defer close(progDone)
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProg:
-					return
-				case <-tick.C:
-					opt.Progress(snapshot(false))
-				}
-			}
-		}()
-	} else {
-		close(progDone)
-	}
-
-	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	parts := make([]*isPartial, 0, opt.Workers)
-	for w := 0; w < opt.Workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > opt.Trials {
-			hi = opt.Trials
-		}
-		if lo >= hi {
-			break
-		}
-		p := &isPartial{
-			byYear:  make([]int, years),
-			wByYear: make([]float64, years),
-			causes:  make(map[string]int),
-		}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(worker, n int, p *isPartial) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(faultsim.RareStreamSeed(opt.Seed, worker)))
-			sampler := fault.NewSampler(opt.Config, biased)
-			runner := faultsim.NewTrialRunner(opt.Config, pol, opt.ScrubIntervalHours)
-			var buf []fault.Fault
-			var flushedDone, flushedFailures, flushedScrubs int64
-			flush := func() {
-				progTrials.Add(int64(p.done) - flushedDone)
-				progFailures.Add(int64(p.failures) - flushedFailures)
-				progScrubs.Add(runner.Scrubs() - flushedScrubs)
-				mRareTrials.Add(int64(p.done) - flushedDone)
-				mRareFailures.Add(int64(p.failures) - flushedFailures)
-				flushedDone, flushedFailures, flushedScrubs = int64(p.done), int64(p.failures), runner.Scrubs()
-			}
-			defer flush()
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 {
-					flush()
-					if ctx.Err() != nil {
-						break
-					}
-				}
-				p.done++
-				buf = sampler.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
-				if len(buf) == 0 {
-					continue
-				}
-				when, cause := runner.Run(buf)
-				if when < 0 {
-					continue
-				}
-				nBig := 0
-				for _, f := range buf {
-					if f.Class.LargeGranularity() {
-						nBig++
-					}
-				}
-				lw := math.Exp(delta - float64(nBig)*lnB)
-				p.failures++
-				p.failW += lw
-				p.failWSq += lw * lw
-				p.causes[cause.String()]++
-				y := int(when / fault.HoursPerYear)
-				if y >= years {
-					y = years - 1
-				}
-				for i := y; i < years; i++ {
-					p.byYear[i]++
-					p.wByYear[i] += lw
-				}
-			}
-		}(w, hi-lo, p)
-	}
-	wg.Wait()
-	close(stopProg)
-	<-progDone
-	// Fold partials in worker order: float accumulation must follow a
-	// fixed order to stay bit-identical across runs (the plain engine's
-	// any-order merge is fine only because its tallies are integers).
-	for _, p := range parts {
-		res.Trials += p.done
-		res.Failures += p.failures
-		res.FailWeight += p.failW
-		res.FailWeightSq += p.failWSq
-		for i := range p.byYear {
-			res.FailuresByYear[i] += p.byYear[i]
-			res.FailWeightByYear[i] += p.wByYear[i]
-		}
-		for k, v := range p.causes {
-			res.CauseCounts[k] += v
-		}
-	}
-	if err := ctx.Err(); err != nil && res.Trials < opt.Trials {
-		res.Partial = true
-		res.Err = err
-	}
-	if opt.Progress != nil {
-		opt.Progress(snapshot(true))
-	}
-	return res
+	return faultsim.RunContext(ctx, opt.Engine(), pol)
 }
