@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ecc"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/obs/trace"
@@ -65,79 +64,52 @@ type FITRates = fault.Rates
 // use WithTSV for the sensitivity sweep).
 func Table1Rates() FITRates { return fault.Table1() }
 
-// Scheme enumerates the protection schemes the paper evaluates.
-type Scheme int
+// Scheme names a protection scheme in the scenario registry
+// (internal/scenario). The constants are the paper's schemes under the
+// names its figures print; any other registered name, such as
+// "two-tier-replication", is a Scheme too.
+type Scheme string
 
 const (
 	// SchemeNone is the unprotected baseline.
-	SchemeNone Scheme = iota
+	SchemeNone Scheme = "None"
 	// SchemeSymbol8SameBank: strong 8-bit symbol code, line in one bank.
-	SchemeSymbol8SameBank
+	SchemeSymbol8SameBank Scheme = "Symbol8/Same-Bank"
 	// SchemeSymbol8AcrossBanks: symbol code, line striped across the banks
 	// of one channel.
-	SchemeSymbol8AcrossBanks
+	SchemeSymbol8AcrossBanks Scheme = "Symbol8/Across-Banks"
 	// SchemeSymbol8AcrossChannels: symbol code, line striped across
 	// channels (the ChipKill-like baseline of Figures 14/18).
-	SchemeSymbol8AcrossChannels
+	SchemeSymbol8AcrossChannels Scheme = "Symbol8/Across-Channels"
 	// Scheme1DP: parity bank only.
-	Scheme1DP
+	Scheme1DP Scheme = "1DP"
 	// Scheme2DP: Dimensions 1+2.
-	Scheme2DP
+	Scheme2DP Scheme = "2DP"
 	// Scheme3DP: full Tri-Dimensional Parity.
-	Scheme3DP
+	Scheme3DP Scheme = "3DP"
 	// Scheme3DPDDS: 3DP plus Dynamic Dual-granularity Sparing.
-	Scheme3DPDDS
+	Scheme3DPDDS Scheme = "3DP+DDS"
 	// SchemeCitadel: TSV-SWAP + 3DP + DDS (the full proposal).
-	SchemeCitadel
+	SchemeCitadel Scheme = "Citadel"
 	// SchemeBCH6EC7ED: 6-bit-correct/7-bit-detect BCH per line (§VIII-F).
-	SchemeBCH6EC7ED
+	SchemeBCH6EC7ED Scheme = "BCH-6EC7ED"
 	// SchemeRAID5: RAID-5-style parity across channels (§VIII-F).
-	SchemeRAID5
+	SchemeRAID5 Scheme = "RAID-5"
 	// Scheme2DECC: prior-work 2D error coding over 32x32 cell tiles
 	// (§VIII-E); small-granularity protection only.
-	Scheme2DECC
-	numSchemes
+	Scheme2DECC Scheme = "2D-ECC"
 )
 
-// String names the scheme as in the paper's figures.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeNone:
-		return "None"
-	case SchemeSymbol8SameBank:
-		return "Symbol8/Same-Bank"
-	case SchemeSymbol8AcrossBanks:
-		return "Symbol8/Across-Banks"
-	case SchemeSymbol8AcrossChannels:
-		return "Symbol8/Across-Channels"
-	case Scheme1DP:
-		return "1DP"
-	case Scheme2DP:
-		return "2DP"
-	case Scheme3DP:
-		return "3DP"
-	case Scheme3DPDDS:
-		return "3DP+DDS"
-	case SchemeCitadel:
-		return "Citadel"
-	case SchemeBCH6EC7ED:
-		return "BCH-6EC7ED"
-	case SchemeRAID5:
-		return "RAID-5"
-	case Scheme2DECC:
-		return "2D-ECC"
-	default:
-		return fmt.Sprintf("Scheme(%d)", int(s))
-	}
-}
+// String returns the registry name.
+func (s Scheme) String() string { return string(s) }
 
-// Schemes lists every scheme.
+// Schemes lists the paper's schemes in figure order.
 func Schemes() []Scheme {
-	out := make([]Scheme, 0, int(numSchemes))
-	for s := SchemeNone; s < numSchemes; s++ {
-		out = append(out, s)
+	return []Scheme{
+		SchemeNone, SchemeSymbol8SameBank, SchemeSymbol8AcrossBanks, SchemeSymbol8AcrossChannels,
+		Scheme1DP, Scheme2DP, Scheme3DP, Scheme3DPDDS, SchemeCitadel,
+		SchemeBCH6EC7ED, SchemeRAID5, Scheme2DECC,
 	}
-	return out
 }
 
 // buildPolicy constructs the engine policy of a named scheme through the
@@ -159,21 +131,6 @@ func buildPolicy(name string, cfg Config, params scenario.Params, tsvSwap bool) 
 		p.Name += "+TSV-Swap"
 	}
 	return p, nil
-}
-
-// policy translates a Scheme into an engine policy via the registry.
-func (s Scheme) policy(cfg Config, tsvSwap bool) faultsim.Policy {
-	p, err := buildPolicy(s.String(), cfg, nil, tsvSwap)
-	if err != nil {
-		// Out-of-range enum values keep the historical fallback: an
-		// unprotected baseline reported under the enum's name.
-		p = faultsim.Policy{Predicate: ecc.NoProtection{}, Name: s.String()}
-		if tsvSwap {
-			p.UseTSVSwap = true
-			p.Name += "+TSV-Swap"
-		}
-	}
-	return p
 }
 
 // ReliabilityOptions configures a Monte Carlo reliability study.
@@ -216,21 +173,25 @@ type ReliabilityOptions struct {
 	// Trace, when non-nil, records sampled per-trial spans and failure
 	// instants into the flight recorder.
 	Trace *trace.Recorder
-	// RareEvent switches the run to the importance-sampled rare-event
-	// engine (internal/rare): fault arrivals are biased toward
-	// large-granularity classes and unbiased by likelihood ratios, so
+	// RareEvent importance-samples the run (internal/rare): the Poisson
+	// arrival source is biased toward large-granularity classes and each
+	// failing trial is unbiased by its likelihood ratio, so
 	// ~1e-6-and-below tails resolve in orders of magnitude fewer trials.
-	// The returned Result is Weighted. Incompatible with Forensics and
-	// Trace (the rare engine does not capture exemplars or spans).
+	// The returned Result is Weighted. It runs on the same executor as a
+	// plain run, so Forensics (replayable exemplars), Trace and adaptive
+	// targets compose with it; only non-Poisson fault models are rejected
+	// (see Validate).
 	RareEvent bool
 	// BiasFactor is the rare-event rate inflation (>= 1; 0 selects
 	// DefaultBiasFactor). Only meaningful with RareEvent.
 	BiasFactor float64
 	// FaultModel names the registered arrival-process plugin ("" selects
 	// scenario.DefaultFaultModel, the Poisson FIT-rate process — bit-
-	// identical to runs predating the field). Non-default models are
-	// incompatible with RareEvent: the importance-sampled engine biases
-	// Poisson rates and cannot reweight an arbitrary arrival process.
+	// identical to runs predating the field). Every engine path, forensic
+	// replay included, draws from it. Only the Poisson-only estimators
+	// reject other models: importance sampling (RareEvent) biases Poisson
+	// rates, and multilevel splitting resamples memoryless Poisson
+	// suffixes.
 	FaultModel string
 	// ScenarioParams are plugin knobs shared by the scheme and fault-model
 	// plugins (flat namespace; keys validated against the union of both
@@ -291,37 +252,61 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 	}
 }
 
-// scenarioSetup validates the scenario selection and builds the policy
-// and engine options for a named scheme, routing the arrival process
-// through the fault-model registry. opts must already have defaults
-// applied.
-func (o ReliabilityOptions) scenarioSetup(schemeName string) (faultsim.Policy, faultsim.Options, error) {
+// Validate reports why a run of scheme under o cannot execute, or nil.
+// It is the one home of every rejected feature combination:
+//   - an unknown scheme, fault model or scenario parameter, or a parameter
+//     value the scheme or fault-model plugin refuses;
+//   - a BiasFactor without RareEvent, or below 1;
+//   - a Poisson-only estimator over another fault model: importance
+//     sampling (RareEvent) biases Poisson rates, and multilevel splitting
+//     (split) resamples memoryless Poisson suffixes.
+//
+// citadel-sim, POST /api/v1/reliability and submitted jobs call it before
+// running, and every Simulate entry point applies it too. Forensics,
+// Trace and adaptive targets compose with every engine.
+func (o ReliabilityOptions) Validate(scheme Scheme, split bool) error {
+	_, _, err := o.withDefaults().setup(scheme, split)
+	return err
+}
+
+// setup validates a run (see Validate) and assembles it: the scheme
+// plugin builds the policy, the fault-model plugin the arrival process,
+// and RareEvent swaps in the importance-sampled source of rare.Options.
+// opts must already have defaults applied.
+func (o ReliabilityOptions) setup(scheme Scheme, split bool) (pol faultsim.Policy, eo faultsim.Options, err error) {
 	params := scenario.Params(o.ScenarioParams)
-	if err := scenario.ValidateParams(schemeName, o.FaultModel, params); err != nil {
-		return faultsim.Policy{}, faultsim.Options{}, err
+	if err = scenario.ValidateParams(string(scheme), o.FaultModel, params); err != nil {
+		return pol, eo, err
 	}
-	pol, err := buildPolicy(schemeName, o.Config, params, o.TSVSwap)
-	if err != nil {
-		return faultsim.Policy{}, faultsim.Options{}, err
+	switch {
+	case o.BiasFactor != 0 && !o.RareEvent:
+		return pol, eo, fmt.Errorf("citadel: biasFactor requires rareEvent")
+	case o.BiasFactor != 0 && o.BiasFactor < 1:
+		return pol, eo, fmt.Errorf("citadel: biasFactor must be >= 1, got %g", o.BiasFactor)
+	case (o.RareEvent || split) && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel:
+		return pol, eo, fmt.Errorf("citadel: rare-event sampling and splitting support only the %q fault model, not %q",
+			scenario.DefaultFaultModel, o.FaultModel)
 	}
-	arrivals, err := scenario.BuildFaultModel(o.FaultModel, o.Config, o.Rates, params)
-	if err != nil {
-		return faultsim.Policy{}, faultsim.Options{}, err
+	if pol, err = buildPolicy(string(scheme), o.Config, params, o.TSVSwap); err != nil {
+		return pol, eo, err
 	}
-	eo := o.engineOptions()
-	eo.NewArrivals = arrivals
+	eo = o.engineOptions()
+	if eo.NewArrivals, err = scenario.BuildFaultModel(o.FaultModel, o.Config, o.Rates, params); err != nil {
+		return pol, eo, err
+	}
+	if o.RareEvent && !split {
+		eo = rare.Options{Options: eo, BiasFactor: o.BiasFactor}.Engine()
+	}
 	return pol, eo, nil
 }
 
-// rareEventCompatible rejects scenario selections the importance-sampled
-// engine cannot honor: it builds its own biased Poisson sampler, so any
-// other arrival process would be silently ignored.
-func (o ReliabilityOptions) rareEventCompatible() error {
-	if o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel {
-		return fmt.Errorf("citadel: rare-event engine supports only the %q fault model, not %q",
-			scenario.DefaultFaultModel, o.FaultModel)
+// resultOrErr folds a configuration error into a zero-trial Result for
+// the Scheme-typed entry points, whose signatures predate error returns.
+func resultOrErr(scheme Scheme, res Result, err error) Result {
+	if err != nil {
+		return Result{Policy: string(scheme), Err: err, Partial: true}
 	}
-	return nil
+	return res
 }
 
 // SimulateScenarioReliability runs a reliability study for a registered
@@ -331,32 +316,14 @@ func SimulateScenarioReliability(opts ReliabilityOptions, schemeName string) (Re
 	return SimulateScenarioReliabilityContext(context.Background(), opts, schemeName)
 }
 
-// SimulateScenarioReliabilityContext is the name-based core every
-// reliability path runs through: the scheme plugin builds the policy,
-// the fault-model plugin builds the arrival process, and the engine
-// simulates them. For registered enum schemes under the default fault
-// model it is bit-identical to SimulateReliabilityContext. Errors are
-// configuration errors (unknown plugin, bad parameters); a cancelled
-// context still returns a partial Result with a nil error.
+// SimulateScenarioReliabilityContext is the core every reliability path
+// runs through: the scheme plugin builds the policy, the fault-model
+// plugin builds the arrival process, and the engine simulates them —
+// importance-sampled when opts.RareEvent is set. Errors are configuration
+// errors (see Validate); a cancelled context still returns a partial
+// Result with a nil error.
 func SimulateScenarioReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemeName string) (Result, error) {
-	opts = opts.withDefaults()
-	if opts.RareEvent {
-		if err := opts.rareEventCompatible(); err != nil {
-			return Result{}, err
-		}
-		if err := scenario.ValidateParams(schemeName, opts.FaultModel, scenario.Params(opts.ScenarioParams)); err != nil {
-			return Result{}, err
-		}
-		pol, err := buildPolicy(schemeName, opts.Config, scenario.Params(opts.ScenarioParams), opts.TSVSwap)
-		if err != nil {
-			return Result{}, err
-		}
-		return rare.RunISContext(ctx, rare.Options{
-			Options:    opts.engineOptions(),
-			BiasFactor: opts.BiasFactor,
-		}, pol), nil
-	}
-	pol, eo, err := opts.scenarioSetup(schemeName)
+	pol, eo, err := opts.withDefaults().setup(Scheme(schemeName), false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -371,12 +338,11 @@ func SimulateScenarioReliabilityAdaptive(opts ReliabilityOptions, schemeName str
 
 // SimulateScenarioReliabilityAdaptiveContext adds trials in batches until
 // targetFailures or maxTrials, with the scheme and arrival process
-// resolved through the scenario registry. Like the enum-based adaptive
-// path it always uses the plain Monte Carlo engine (RareEvent is
-// ignored).
+// resolved through the scenario registry. With opts.RareEvent every batch
+// is importance-sampled and the Result is Weighted; the target counts
+// failing trials.
 func SimulateScenarioReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
-	opts = opts.withDefaults()
-	pol, eo, err := opts.scenarioSetup(schemeName)
+	pol, eo, err := opts.withDefaults().setup(Scheme(schemeName), false)
 	if err != nil {
 		return Result{}, err
 	}
@@ -399,33 +365,11 @@ func SimulateReliability(opts ReliabilityOptions, scheme Scheme) Result {
 // one trial batch; the completed trials are returned as a Result marked
 // Partial (the estimate stays unbiased, just wider). With
 // opts.RareEvent the trial budget runs through the importance-sampled
-// engine instead and the Result comes back Weighted.
+// engine instead and the Result comes back Weighted. A configuration
+// error (see Validate) comes back as a zero-trial Result carrying it.
 func SimulateReliabilityContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme) Result {
-	opts = opts.withDefaults()
-	return runOne(ctx, opts, scheme)
-}
-
-// runOne dispatches one scheme to the name-based core. Out-of-range enum
-// values (not in the registry) keep the historical unprotected-baseline
-// fallback; other configuration errors (an unknown fault model, bad
-// scenario parameters) surface as a zero-trial Result carrying the error,
-// since the enum signatures predate error returns.
-func runOne(ctx context.Context, opts ReliabilityOptions, scheme Scheme) Result {
-	if _, ok := scenario.SchemeByName(scheme.String()); !ok {
-		pol := scheme.policy(opts.Config, opts.TSVSwap)
-		if opts.RareEvent {
-			return rare.RunISContext(ctx, rare.Options{
-				Options:    opts.engineOptions(),
-				BiasFactor: opts.BiasFactor,
-			}, pol)
-		}
-		return faultsim.RunContext(ctx, opts.engineOptions(), pol)
-	}
-	res, err := SimulateScenarioReliabilityContext(ctx, opts, scheme.String())
-	if err != nil {
-		return Result{Policy: scheme.String(), Err: err, Partial: true}
-	}
-	return res
+	res, err := SimulateScenarioReliabilityContext(ctx, opts, string(scheme))
+	return resultOrErr(scheme, res, err)
 }
 
 // CompareReliability runs several schemes under identical options.
@@ -438,10 +382,9 @@ func CompareReliability(opts ReliabilityOptions, schemes ...Scheme) []Result {
 // and the remaining schemes return immediately with zero trials, all
 // marked Partial.
 func CompareReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemes ...Scheme) []Result {
-	opts = opts.withDefaults()
 	out := make([]Result, len(schemes))
 	for i, s := range schemes {
-		out[i] = runOne(ctx, opts, s)
+		out[i] = SimulateReliabilityContext(ctx, opts, s)
 	}
 	return out
 }
@@ -458,19 +401,8 @@ func SimulateReliabilityAdaptive(opts ReliabilityOptions, scheme Scheme, targetF
 // a context: cancellation stops the batch loop and returns the trials
 // accumulated so far as a Result marked Partial.
 func SimulateReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, targetFailures, maxTrials int) Result {
-	opts = opts.withDefaults()
-	if _, ok := scenario.SchemeByName(scheme.String()); ok {
-		res, err := SimulateScenarioReliabilityAdaptiveContext(ctx, opts, scheme.String(), targetFailures, maxTrials)
-		if err != nil {
-			return Result{Policy: scheme.String(), Err: err, Partial: true}
-		}
-		return res
-	}
-	return faultsim.RunAdaptiveContext(ctx, faultsim.AdaptiveOptions{
-		Options:        opts.engineOptions(),
-		TargetFailures: targetFailures,
-		MaxTrials:      maxTrials,
-	}, scheme.policy(opts.Config, opts.TSVSwap))
+	res, err := SimulateScenarioReliabilityAdaptiveContext(ctx, opts, string(scheme), targetFailures, maxTrials)
+	return resultOrErr(scheme, res, err)
 }
 
 // SplitResult is a multilevel-splitting reliability estimate — the
@@ -489,13 +421,14 @@ func SimulateReliabilitySplit(opts ReliabilityOptions, scheme Scheme, levels []i
 
 // SimulateReliabilitySplitContext is SimulateReliabilitySplit under a
 // context: cancellation abandons the run and returns a SplitResult
-// marked Partial.
+// marked Partial, as does a configuration error (see Validate).
+// RareEvent and BiasFactor do not apply to splitting.
 func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, levels []int) SplitResult {
-	opts = opts.withDefaults()
-	return rare.RunSplitContext(ctx, rare.SplitOptions{
-		Options: opts.engineOptions(),
-		Levels:  levels,
-	}, scheme.policy(opts.Config, opts.TSVSwap))
+	pol, eo, err := opts.withDefaults().setup(scheme, true)
+	if err != nil {
+		return SplitResult{Policy: string(scheme), Err: err, Partial: true}
+	}
+	return rare.RunSplitContext(ctx, rare.SplitOptions{Options: eo, Levels: levels}, pol)
 }
 
 // FaultCensus tallies permanent-fault anatomy over lifetimes: the bimodal

@@ -18,9 +18,6 @@ func TestSchemeNames(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if Scheme(99).String() != "Scheme(99)" {
-		t.Error("unknown scheme name wrong")
-	}
 	if len(Schemes()) != 12 {
 		t.Errorf("Schemes() = %d entries, want 12", len(Schemes()))
 	}

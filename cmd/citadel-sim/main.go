@@ -8,13 +8,14 @@
 //	citadel-sim -scheme Citadel -target-failures 50 -max-trials 5000000
 //	citadel-sim -rates myrates.json -scheme 3DP
 //	citadel-sim -scheme 3DP -tsv-fit 1430 -forensics fail.json -trace run.json
+//	citadel-sim -scheme Citadel -rare-event -target-failures 20 -forensics fail.json
 //	citadel-sim -scheme Citadel -trials 2000000 -job-dir ./campaigns
 //	citadel-sim -scheme two-tier-replication -trials 200000
 //	citadel-sim -scheme Citadel -fault-model rowhammer -scenario-param aggressors=8
 //	citadel-sim -list
 //	citadel-sim -list-scenarios
 //
-// Beyond the paper's enum schemes, -scheme and -fault-model accept any
+// Beyond the paper's schemes (-list), -scheme and -fault-model accept any
 // plugin registered in the scenario registry (internal/scenario);
 // -list-scenarios prints the catalog with per-plugin -scenario-param
 // knobs. Scenario-specific counters (replica-fetch traffic, rowhammer
@@ -22,7 +23,10 @@
 //
 // -forensics writes a replayable failure-forensics report (feed it to
 // citadel-repro -forensics to verify). -trace writes the flight recorder
-// as Chrome trace-event JSON (open in Perfetto / chrome://tracing).
+// as Chrome trace-event JSON (open in Perfetto / chrome://tracing). Both
+// compose with every scheme, fault model, -rare-event and
+// -target-failures; citadel.ReliabilityOptions.Validate names the few
+// combinations that are rejected (exit 2).
 //
 // -job-dir runs the campaign durably: progress is checkpointed to a
 // content-addressed store every -checkpoint-trials trials, so a killed
@@ -165,38 +169,6 @@ func main() {
 		printCatalogSection("fault models", cat.FaultModels)
 		return
 	}
-	if _, ok := scenario.SchemeByName(*schemeName); !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q; use -list-scenarios\n", *schemeName)
-		os.Exit(2)
-	}
-	if _, ok := scenario.FaultModelByName(*faultModel); !ok {
-		fmt.Fprintf(os.Stderr, "unknown fault model %q; use -list-scenarios\n", *faultModel)
-		os.Exit(2)
-	}
-	if err := scenario.ValidateParams(*schemeName, *faultModel, scenarioParams); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	// -split and -forensics replay through the enum-typed entry points,
-	// which run the default Poisson process; they accept only the paper's
-	// enum schemes under the default fault model.
-	var scheme citadel.Scheme
-	enumScheme := false
-	for _, s := range citadel.Schemes() {
-		if s.String() == *schemeName {
-			scheme, enumScheme = s, true
-			break
-		}
-	}
-	if (*splitCheck || *forensics != "") && !enumScheme {
-		fmt.Fprintf(os.Stderr, "-split and -forensics support only the enum schemes (see -list), not %q\n", *schemeName)
-		os.Exit(2)
-	}
-	if (*splitCheck || *forensics != "" || *rareEvent) && *faultModel != "" && *faultModel != scenario.DefaultFaultModel {
-		fmt.Fprintf(os.Stderr, "-split, -forensics and -rare-event support only the default %q fault model\n", scenario.DefaultFaultModel)
-		os.Exit(2)
-	}
-
 	rates := citadel.Table1Rates()
 	if *ratesPath != "" {
 		loaded, err := fault.LoadRates(*ratesPath)
@@ -208,14 +180,6 @@ func main() {
 	}
 	if *clusterOn != "" && *jobDir == "" {
 		fmt.Fprintln(os.Stderr, "-cluster-listen requires -job-dir (chunks checkpoint through the job store)")
-		os.Exit(2)
-	}
-	if *biasFactor != 0 && !*rareEvent {
-		fmt.Fprintln(os.Stderr, "-bias-factor requires -rare-event")
-		os.Exit(2)
-	}
-	if *rareEvent && (*targetFail > 0 || *forensics != "" || *traceOut != "") {
-		fmt.Fprintln(os.Stderr, "-rare-event is incompatible with -target-failures, -forensics and -trace")
 		os.Exit(2)
 	}
 	if *splitCheck && *jobDir != "" {
@@ -266,6 +230,11 @@ func main() {
 		BiasFactor:         *biasFactor,
 		FaultModel:         *faultModel,
 		ScenarioParams:     scenarioParams,
+	}
+	scheme := citadel.Scheme(*schemeName)
+	if err := opts.Validate(scheme, *splitCheck); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *traceOut != "" {
 		opts.Trace = trace.New(trace.Options{

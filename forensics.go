@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/ecc"
 	"repro/internal/faultsim"
+	"repro/internal/scenario"
 )
 
 // Forensic is a replayable post-mortem record of one uncorrectable trial:
@@ -18,20 +19,27 @@ type Reason = ecc.Reason
 // ForensicsReport is the self-contained failure-forensics document written
 // by `citadel-sim -forensics out.json` and replayed by
 // `citadel-repro -forensics out.json`: it carries both the forensic records
-// and every run parameter needed to reproduce them.
+// and every run parameter needed to reproduce them — rates, fault model,
+// scenario parameters and importance-sampling bias included, so any run
+// citadel-sim can make also replays. Geometry is the default.
 type ForensicsReport struct {
-	RunID              string         `json:"runId,omitempty"`
-	Scheme             string         `json:"scheme"`
-	Seed               int64          `json:"seed"`
-	Workers            int            `json:"workers"`
-	Trials             int            `json:"trials"`
-	LifetimeYears      float64        `json:"lifetimeYears"`
-	ScrubIntervalHours float64        `json:"scrubIntervalHours"`
-	TSVFIT             float64        `json:"tsvFit"`
-	TSVSwap            bool           `json:"tsvSwap"`
-	Failures           int            `json:"failures"`
-	Breakdown          map[string]int `json:"breakdown,omitempty"`
-	Exemplars          []Forensic     `json:"exemplars,omitempty"`
+	RunID              string             `json:"runId,omitempty"`
+	Scheme             string             `json:"scheme"`
+	Seed               int64              `json:"seed"`
+	Workers            int                `json:"workers"`
+	Trials             int                `json:"trials"`
+	LifetimeYears      float64            `json:"lifetimeYears"`
+	ScrubIntervalHours float64            `json:"scrubIntervalHours"`
+	TSVFIT             float64            `json:"tsvFit"`
+	TSVSwap            bool               `json:"tsvSwap"`
+	Rates              *FITRates          `json:"rates,omitempty"`
+	FaultModel         string             `json:"faultModel,omitempty"`
+	ScenarioParams     map[string]float64 `json:"scenarioParams,omitempty"`
+	RareEvent          bool               `json:"rareEvent,omitempty"`
+	BiasFactor         float64            `json:"biasFactor,omitempty"`
+	Failures           int                `json:"failures"`
+	Breakdown          map[string]int     `json:"breakdown,omitempty"`
+	Exemplars          []Forensic         `json:"exemplars,omitempty"`
 }
 
 // NewForensicsReport assembles the report for a completed forensics run.
@@ -39,7 +47,7 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 	opts = opts.withDefaults()
 	return ForensicsReport{
 		RunID:              opts.RunID,
-		Scheme:             scheme.String(),
+		Scheme:             string(scheme),
 		Seed:               opts.Seed,
 		Workers:            opts.Workers,
 		Trials:             res.Trials,
@@ -47,6 +55,11 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 		ScrubIntervalHours: opts.ScrubIntervalHours,
 		TSVFIT:             opts.Rates.TSVPerDie,
 		TSVSwap:            opts.TSVSwap,
+		Rates:              &opts.Rates,
+		FaultModel:         opts.FaultModel,
+		ScenarioParams:     opts.ScenarioParams,
+		RareEvent:          opts.RareEvent,
+		BiasFactor:         opts.BiasFactor,
 		Failures:           res.Failures,
 		Breakdown:          res.Breakdown,
 		Exemplars:          res.Exemplars,
@@ -54,11 +67,12 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 }
 
 // Options reconstructs the reliability options a report's exemplars replay
-// under. Geometry and non-TSV rates use the defaults; runs with custom
-// geometry must rebuild ReliabilityOptions themselves.
+// under. Reports without recorded rates use Table I with their TSV rate.
 func (r ForensicsReport) Options() ReliabilityOptions {
-	rates := Table1Rates()
-	rates.TSVPerDie = r.TSVFIT
+	rates := Table1Rates().WithTSV(r.TSVFIT)
+	if r.Rates != nil {
+		rates = *r.Rates
+	}
 	return ReliabilityOptions{
 		Rates:              rates,
 		Trials:             r.Trials,
@@ -68,27 +82,31 @@ func (r ForensicsReport) Options() ReliabilityOptions {
 		Seed:               r.Seed,
 		Workers:            r.Workers,
 		RunID:              r.RunID,
+		FaultModel:         r.FaultModel,
+		ScenarioParams:     r.ScenarioParams,
+		RareEvent:          r.RareEvent,
+		BiasFactor:         r.BiasFactor,
 	}.withDefaults()
 }
 
-// SchemeByName resolves a scheme from its String() name (as recorded in a
-// ForensicsReport).
+// SchemeByName resolves a registered scheme name (as recorded in a
+// ForensicsReport): a paper scheme or any scenario-registry plugin.
 func SchemeByName(name string) (Scheme, bool) {
-	for _, s := range Schemes() {
-		if s.String() == name {
-			return s, true
-		}
-	}
-	return SchemeNone, false
+	_, ok := scenario.SchemeByName(name)
+	return Scheme(name), ok
 }
 
 // ReplayExemplar re-executes the exemplar's trial from its recorded seed
-// coordinates under opts and scheme, returning the reproduced forensic
-// record. ok is false when the replayed trial does not fail — the
-// options/scheme no longer match the recording.
+// coordinates under opts and scheme, through the same arrival process the
+// run drew from, returning the reproduced forensic record. ok is false
+// when the replayed trial does not fail — the options/scheme no longer
+// match the recording — or the options do not validate.
 func ReplayExemplar(opts ReliabilityOptions, scheme Scheme, ex Forensic) (Forensic, bool) {
-	opts = opts.withDefaults()
-	return faultsim.ReplayForensic(opts.engineOptions(), scheme.policy(opts.Config, opts.TSVSwap), ex)
+	pol, eo, err := opts.withDefaults().setup(scheme, false)
+	if err != nil {
+		return Forensic{}, false
+	}
+	return faultsim.ReplayForensic(eo, pol, ex)
 }
 
 // VerifyReport replays every exemplar of a report and returns an error

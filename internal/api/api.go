@@ -542,18 +542,6 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	if _, ok := scenario.SchemeByName(req.Scheme); !ok {
-		s.writeError(w, http.StatusBadRequest, "unknown scheme %q", req.Scheme)
-		return
-	}
-	if _, ok := scenario.FaultModelByName(req.FaultModel); !ok {
-		s.writeError(w, http.StatusBadRequest, "unknown fault model %q", req.FaultModel)
-		return
-	}
-	if err := scenario.ValidateParams(req.Scheme, req.FaultModel, scenario.Params(req.ScenarioParams)); err != nil {
-		s.writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 	if req.Trials < 0 || req.MaxTrials < 0 || req.TargetFailures < 0 {
 		s.writeError(w, http.StatusBadRequest, "trials, maxTrials and targetFailures must be non-negative")
 		return
@@ -573,6 +561,23 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "trials capped at %d per call", maxTrialsPerCall)
 		return
 	}
+	opts := citadel.ReliabilityOptions{
+		Rates:              citadel.Table1Rates().WithTSV(req.TSVFIT),
+		Trials:             req.Trials,
+		LifetimeYears:      req.LifetimeYears,
+		ScrubIntervalHours: req.ScrubHours,
+		TSVSwap:            req.TSVSwap,
+		Seed:               req.Seed,
+		Forensics:          req.Forensics,
+		MaxExemplars:       req.MaxExemplars,
+		Trace:              s.opts.Trace,
+		FaultModel:         req.FaultModel,
+		ScenarioParams:     req.ScenarioParams,
+	}
+	if err := opts.Validate(citadel.Scheme(req.Scheme), false); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	release, ok := s.acquire(w, r)
 	if !ok {
 		return
@@ -581,25 +586,12 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.simContext(r)
 	defer cancel()
 	runID := obs.NewRunID()
+	opts.RunID = runID
 	w.Header().Set("X-Run-Id", runID)
 	mSimRuns.Inc()
 	start := time.Now()
 	s.opts.Logf("api: run=%s kind=reliability scheme=%s trials=%d targetFailures=%d seed=%d start",
 		runID, req.Scheme, req.Trials, req.TargetFailures, req.Seed)
-	opts := citadel.ReliabilityOptions{
-		Rates:              citadel.Table1Rates().WithTSV(req.TSVFIT),
-		Trials:             req.Trials,
-		LifetimeYears:      req.LifetimeYears,
-		ScrubIntervalHours: req.ScrubHours,
-		TSVSwap:            req.TSVSwap,
-		Seed:               req.Seed,
-		RunID:              runID,
-		Forensics:          req.Forensics,
-		MaxExemplars:       req.MaxExemplars,
-		Trace:              s.opts.Trace,
-		FaultModel:         req.FaultModel,
-		ScenarioParams:     req.ScenarioParams,
-	}
 	var res citadel.Result
 	var err error
 	if req.TargetFailures > 0 {

@@ -79,14 +79,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, http.StatusBadRequest, "trials capped at %d per job", maxTrialsPerCall)
 			return
 		}
-		if rel.BiasFactor != 0 && !rel.RareEvent {
-			s.writeError(w, http.StatusBadRequest, "biasFactor requires rareEvent")
-			return
-		}
-		if rel.RareEvent && rel.BiasFactor < 0 {
-			s.writeError(w, http.StatusBadRequest, "biasFactor must be >= 1 (or 0 for the default)")
-			return
-		}
 	}
 	if p := req.Performance; p != nil {
 		if p.Requests < 0 {

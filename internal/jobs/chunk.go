@@ -64,26 +64,31 @@ func (r *ReliabilitySpec) ChunkTrials(i int) int {
 // set; callers must discard it (partial chunk statistics depend on where
 // the cancel landed and would break determinism).
 func RunChunk(ctx context.Context, r *ReliabilitySpec, chunk int, runID string, progress func(citadel.RunProgress)) (citadel.Result, error) {
-	if !validScheme(r.Scheme) {
-		return citadel.Result{}, fmt.Errorf("jobs: unknown scheme %q", r.Scheme)
-	}
 	if chunk < 0 || chunk >= totalChunks(r) {
 		return citadel.Result{}, fmt.Errorf("jobs: chunk %d out of range [0, %d)", chunk, totalChunks(r))
 	}
-	opts := citadel.ReliabilityOptions{
+	opts := r.options()
+	opts.Trials = r.ChunkTrials(chunk)
+	opts.Seed = faultsim.ChunkSeed(r.Seed, chunk)
+	opts.RunID = runID
+	opts.Progress = progress
+	return citadel.SimulateScenarioReliabilityContext(ctx, opts, r.Scheme)
+}
+
+// options maps the spec onto the library's reliability options; RunChunk
+// specializes them per chunk and Spec.Validate checks them whole.
+func (r *ReliabilitySpec) options() citadel.ReliabilityOptions {
+	return citadel.ReliabilityOptions{
 		Rates:              citadel.Table1Rates().WithTSV(r.TSVFIT),
-		Trials:             r.ChunkTrials(chunk),
+		Trials:             r.Trials,
 		LifetimeYears:      r.LifetimeYears,
 		ScrubIntervalHours: r.ScrubHours,
 		TSVSwap:            r.TSVSwap,
-		Seed:               faultsim.ChunkSeed(r.Seed, chunk),
+		Seed:               r.Seed,
 		Workers:            r.Workers,
-		RunID:              runID,
-		Progress:           progress,
 		RareEvent:          r.RareEvent,
 		BiasFactor:         r.BiasFactor,
 		FaultModel:         r.FaultModel,
 		ScenarioParams:     r.ScenarioParams,
 	}
-	return citadel.SimulateScenarioReliabilityContext(ctx, opts, r.Scheme)
 }

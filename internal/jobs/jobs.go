@@ -822,8 +822,8 @@ func (o *Orchestrator) persistCheckpoint(j *job, total *citadel.Result) {
 // degraded cluster slows a campaign down but never fails it.
 func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, error) {
 	r := j.spec.Reliability
-	if !validScheme(r.Scheme) {
-		return nil, false, fmt.Errorf("jobs: unknown scheme %q", r.Scheme)
+	if err := j.spec.Validate(); err != nil {
+		return nil, false, err
 	}
 	chunks := totalChunks(r)
 	var total citadel.Result

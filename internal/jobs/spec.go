@@ -7,7 +7,6 @@ import (
 	citadel "repro"
 	"repro/internal/experiments"
 	"repro/internal/scenario"
-	"repro/internal/stack"
 	"repro/internal/store"
 )
 
@@ -184,13 +183,6 @@ func (s Spec) Key() (string, error) {
 	return store.Key(n)
 }
 
-// validScheme reports whether name resolves in the scenario registry —
-// every citadel.Scheme plus the scenario-only schemes.
-func validScheme(name string) bool {
-	_, ok := scenario.SchemeByName(name)
-	return ok
-}
-
 // Validate rejects malformed specs before they enter the queue.
 func (s Spec) Validate() error {
 	set := 0
@@ -209,36 +201,14 @@ func (s Spec) Validate() error {
 		if r == nil {
 			return fmt.Errorf("jobs: kind %q requires the reliability spec", n.Kind)
 		}
-		if !validScheme(r.Scheme) {
-			return fmt.Errorf("jobs: unknown scheme %q", r.Scheme)
-		}
-		if _, ok := scenario.FaultModelByName(r.FaultModel); !ok {
-			return fmt.Errorf("jobs: unknown fault model %q", r.FaultModel)
-		}
-		if err := scenario.ValidateParams(r.Scheme, r.FaultModel, scenario.Params(r.ScenarioParams)); err != nil {
-			return fmt.Errorf("jobs: %w", err)
-		}
-		// Dry-run the plugin builders against the default geometry so
-		// value errors (a bad codeword width, a non-positive rate) are
-		// rejected at submission instead of surfacing as failed chunks.
-		if _, err := scenario.BuildScheme(r.Scheme, stack.DefaultConfig(), scenario.Params(r.ScenarioParams)); err != nil {
-			return fmt.Errorf("jobs: %w", err)
-		}
-		if _, err := scenario.BuildFaultModel(r.FaultModel, stack.DefaultConfig(),
-			citadel.Table1Rates().WithTSV(r.TSVFIT), scenario.Params(r.ScenarioParams)); err != nil {
-			return fmt.Errorf("jobs: %w", err)
-		}
 		if r.TSVFIT < 0 || r.LifetimeYears < 0 || r.ScrubHours < 0 {
 			return fmt.Errorf("jobs: tsvFit, lifetimeYears and scrubHours must be non-negative")
 		}
-		if !r.RareEvent && s.Reliability.BiasFactor != 0 {
-			return fmt.Errorf("jobs: biasFactor requires rareEvent")
-		}
-		if r.RareEvent && r.BiasFactor < 1 {
-			return fmt.Errorf("jobs: biasFactor must be >= 1, got %g", r.BiasFactor)
-		}
-		if r.RareEvent && r.FaultModel != "" {
-			return fmt.Errorf("jobs: rareEvent supports only the default %q fault model", scenario.DefaultFaultModel)
+		// The shared validator also dry-runs the plugin builders, so value
+		// errors (a bad codeword width, a non-positive rate) are rejected
+		// at submission instead of surfacing as failed chunks.
+		if err := r.options().Validate(citadel.Scheme(r.Scheme), false); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
 	case KindPerformance:
 		p := n.Performance
