@@ -1,11 +1,11 @@
 # Developer entry points. `make check` is the tier-1 gate: build + vet +
-# full tests, plus the race detector over the -short suite (the heavy
-# Monte Carlo tests are gated behind -short so the race pass stays within
-# CI budget; see skipInShort in internal/faultsim).
+# full tests and the determinism pass, plus the race detector over the
+# -short suite (the heavy Monte Carlo tests are gated behind -short so the
+# race pass stays within CI budget; see skipInShort in internal/faultsim).
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test race check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build vet staticcheck test race determinism check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -56,7 +56,15 @@ stress-cluster:
 stress-stream:
 	$(GO) test -race -run TestStressStreamSubscribers -count=1 -v -timeout=10m ./internal/api/
 
-check: build vet staticcheck test race scenario-smoke
+# Host-independence gate: the seeded goldens and differentials again at
+# GOMAXPROCS 1 and 4, so a fixture that only holds at one CPU count (the
+# engine clamps Workers to GOMAXPROCS) fails here rather than on a
+# differently sized host.
+determinism:
+	$(GO) test -count=1 -cpu 1,4 -run 'Differential|Golden|Deterministic|Reproducible|Census' \
+		./internal/faultsim/ ./internal/rare/ ./internal/scenario/ .
+
+check: build vet staticcheck test race determinism scenario-smoke
 
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the

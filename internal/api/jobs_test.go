@@ -213,6 +213,10 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"reliability": map[string]any{"scheme": "Citadel", "trials": -1}},         // negative
 		{"reliability": map[string]any{"scheme": "Citadel", "trials": 10_000_000}}, // over cap
 		{"performance": map[string]any{"benchmark": "mcf", "requests": 3_000_000}}, // over cap
+		// The shared validator answers these; biasFactor 0.5 once slipped
+		// past a handler check that tested < 0.
+		{"reliability": map[string]any{"scheme": "Citadel", "rareEvent": true, "biasFactor": 0.5}},
+		{"reliability": map[string]any{"scheme": "Citadel", "biasFactor": 4}},
 	}
 	for i, body := range cases {
 		if resp := postJSON(t, srv.URL+"/api/v1/jobs", body, nil); resp.StatusCode != http.StatusBadRequest {

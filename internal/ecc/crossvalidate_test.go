@@ -1,15 +1,18 @@
 package ecc
 
-// Cross-validation of the Symbol8 capability model against the actual
-// Reed-Solomon codec: the Monte Carlo predicates assume an RS(72,64)-style
-// code corrects 4 unknown symbol errors or an 8-symbol known-position unit
-// erasure. These tests confirm the codec delivers exactly that.
+// Cross-validation of the capability models against real codecs. The
+// Symbol8 predicates assume an RS(72,64)-style code corrects 4 unknown
+// symbol errors or an 8-symbol known-position unit erasure; the
+// BCH-6EC7ED predicate assumes 6 correctable bit errors per line. These
+// tests confirm the Reed-Solomon and BCH decoders deliver exactly that.
 
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/bch"
 	"repro/internal/reedsolomon"
 	"repro/internal/stack"
 )
@@ -130,6 +133,46 @@ func TestCodecDataTSVDamageCorrectable(t *testing.T) {
 		got, _, err := c.Decode(cw)
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("TSV %d damage uncorrectable", tsv)
+		}
+	}
+}
+
+// TestBCHBudgetMatchesCodec backs the BCH-6EC7ED model with the BCH
+// decoder: the model's per-line bit budget is the correction capability
+// of BCH(1023,963), and a 512-bit line carried by that code (shortened:
+// the unused leading data bits stay zero and are never transmitted)
+// decodes every random error pattern of each weight up to the budget.
+func TestBCHBudgetMatchesCodec(t *testing.T) {
+	c, err := bch.New(10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := stack.DefaultConfig()
+	model := NewBCH6EC7ED(cfg)
+	if model.BitBudget != c.T() {
+		t.Fatalf("model budget %d != BCH(%d,%d) capability %d", model.BitBudget, c.N(), c.K(), c.T())
+	}
+	pad := c.K() - cfg.LineBytes*8
+	rng := rand.New(rand.NewSource(45))
+	for weight := 1; weight <= model.BitBudget; weight++ {
+		for trial := 0; trial < 20; trial++ {
+			data := make([]bool, c.K())
+			for i := pad; i < len(data); i++ {
+				data[i] = rng.Intn(2) == 1
+			}
+			cw, err := c.Encode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Errors land only on transmitted bits: the line and its parity.
+			for _, p := range rng.Perm(c.N() - pad)[:weight] {
+				cw[pad+p] = !cw[pad+p]
+			}
+			got, _, err := c.Decode(cw)
+			if err != nil || !reflect.DeepEqual(got, data) {
+				t.Fatalf("weight %d trial %d: %d bit errors not corrected (model says budget %d): %v",
+					weight, trial, weight, model.BitBudget, err)
+			}
 		}
 	}
 }
