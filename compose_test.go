@@ -63,7 +63,7 @@ func TestAdaptiveRareEvent(t *testing.T) {
 // same arrival plugin.
 func TestScenarioForensicsReplay(t *testing.T) {
 	opts := ReliabilityOptions{
-		Rates: scaledTable1(20), Trials: 2000, Seed: 3, Workers: 2, Forensics: true,
+		Rates: scaledTable1(20), Trials: 500, Seed: 3, Workers: 2, Forensics: true,
 		FaultModel:     "rowhammer",
 		ScenarioParams: map[string]float64{"breakthroughProb": 1e-7, "fetchLatencyMicros": 2},
 	}

@@ -64,11 +64,12 @@ type ArrivalStats interface {
 // lifetimes under a biased measure — importance sampling (internal/rare)
 // is such a source wrapped around the Poisson sampler. LogWeight returns
 // the log-likelihood ratio, nominal over biased density, of the lifetime
-// AppendLifetime returned last. A run over such a source is Weighted:
-// each failing trial counts with weight exp(LogWeight()), and the float
-// tallies fold in worker order like ScenarioStats.
+// AppendLifetime just drew (the engine asks only for failing trials). A
+// run over such a source is Weighted: each failing trial counts with
+// weight exp(LogWeight), and the float tallies fold in worker order like
+// ScenarioStats.
 type ArrivalWeights interface {
-	LogWeight() float64
+	LogWeight(lifetime []fault.Fault) float64
 }
 
 // Observer watches applied fault arrivals of one worker's trials —
@@ -755,7 +756,7 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 	}
 	var w float64
 	if l.weights != nil {
-		w = math.Exp(l.weights.LogWeight())
+		w = math.Exp(l.weights.LogWeight(fs))
 		l.failW += w
 		l.failWSq += w * w
 	}

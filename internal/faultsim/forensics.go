@@ -19,7 +19,8 @@ type Forensic struct {
 	// RunID correlates the record with progress lines, metrics, and traces.
 	RunID string `json:"runId,omitempty"`
 	// BaseSeed is the Options.Seed of the run (for adaptive runs, the
-	// derived per-batch seed). Replaying requires this exact seed.
+	// derived per-batch seed; for importance-sampled runs, the RareSeed
+	// shift of the caller's seed). Replaying requires this exact seed.
 	BaseSeed int64 `json:"baseSeed"`
 	// StreamSeed is deriveSeed(BaseSeed, Worker) — the worker RNG stream
 	// the trial was drawn from, recorded for diagnostics.

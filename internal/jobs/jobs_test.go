@@ -167,10 +167,13 @@ func TestReliabilityJobRunsAndCaches(t *testing.T) {
 // must produce a result bit-identical to the same campaign run
 // uninterrupted.
 func TestCrashResumeDifferential(t *testing.T) {
+	// At GOMAXPROCS=1 an 8000-trial campaign can finish before the polling
+	// loop below is scheduled again, so the campaign is long enough to
+	// interrupt on one CPU too.
 	spec := Spec{Reliability: &ReliabilitySpec{
 		Scheme:           "Citadel",
-		Trials:           8000,
-		CheckpointTrials: 400, // 20 chunks
+		Trials:           40000,
+		CheckpointTrials: 2000, // 20 chunks
 		Workers:          1,
 		Seed:             42,
 		TSVFIT:           1430,

@@ -7,9 +7,11 @@
 //   - Importance sampling (RunIS): the Poisson fault-arrival process is
 //     biased toward the large-granularity classes (column and above —
 //     bank, TSV) that dominate uncorrectable states, and every failing
-//     trial is unbiased by its likelihood ratio. Results ride the
-//     ordinary faultsim.Result (Weighted fields), so Merge, chunked
-//     campaigns, and the cluster executor carry them unchanged.
+//     trial is unbiased by its likelihood ratio. The bias is an Arrivals
+//     source run by faultsim's own executor (Options.Engine), and results
+//     ride the ordinary faultsim.Result (Weighted fields), so forensics,
+//     traces, adaptive runs, Merge, chunked campaigns and the cluster
+//     executor carry them unchanged.
 //
 //   - Multilevel splitting (RunSplit): an independent estimator that
 //     conditions on the number of simultaneously-live faults, used to
@@ -29,7 +31,6 @@ package rare
 import (
 	"context"
 	"math"
-	"math/rand"
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
@@ -80,31 +81,24 @@ func (o Options) Engine() faultsim.Options {
 	delta := (bias - 1) * o.Rates.LargeLambda(cfg, eo.LifetimeHours)
 	lnB := math.Log(bias)
 	eo.NewArrivals = func() faultsim.Arrivals {
-		return &biasedArrivals{sampler: fault.NewSampler(cfg, biased), delta: delta, lnB: lnB}
+		return &biasedArrivals{Sampler: fault.NewSampler(cfg, biased), delta: delta, lnB: lnB}
 	}
 	eo.Seed = faultsim.RareSeed(o.Seed)
 	return eo
 }
 
 // biasedArrivals draws Poisson lifetimes at the biased rates and reports
-// the likelihood ratio of the lifetime drawn last.
+// each lifetime's likelihood ratio, which depends only on its count of
+// large-granularity events. It keeps no per-trial state, so the workers'
+// sources write nothing per draw that could share a cache line.
 type biasedArrivals struct {
-	sampler    *fault.Sampler
+	*fault.Sampler
 	delta, lnB float64
-	last       []fault.Fault
 }
 
-func (b *biasedArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
-	out := b.sampler.AppendLifetime(rng, hours, dst)
-	b.last = out[len(dst):]
-	return out
-}
-
-// LogWeight counts the large-granularity events of the last lifetime; the
-// engine asks only for failing trials.
-func (b *biasedArrivals) LogWeight() float64 {
+func (b *biasedArrivals) LogWeight(lifetime []fault.Fault) float64 {
 	n := 0
-	for _, f := range b.last {
+	for _, f := range lifetime {
 		if f.Class.LargeGranularity() {
 			n++
 		}

@@ -8,7 +8,7 @@
 // arrival-process factory (faultsim.Arrivals, one instance per engine
 // worker) from the geometry, the FIT rates, and the same parameter map.
 // The existing hand-wired constructions became the first plugins: every
-// citadel.Scheme is registered under its String() name (schemes.go) and
+// citadel.Scheme constant is a registered name (schemes.go) and
 // the Poisson FIT-rate process is the "poisson" fault model, so registry
 // construction is bit-identical to the seed-era wiring (differential
 // tests pin this).

@@ -10,13 +10,14 @@ import (
 )
 
 // The seed-era schemes and the Poisson arrival process, registered under
-// the exact names citadel.Scheme.String() prints. citadel.Scheme.policy
-// delegates here, and the differential tests pin every one of these
-// constructions bit-identical to the pre-registry hand-wiring.
+// the names the paper's figures print — the values of the citadel.Scheme
+// constants. Every citadel entry point builds its policy here, and the
+// differential tests pin every one of these constructions bit-identical
+// to the pre-registry hand-wiring.
 
 // registerFixed registers a parameterless scheme whose Build wraps a
 // plain policy constructor. The policy's report name is the registry
-// name, matching the old Scheme.policy naming exactly (TSV-SWAP suffixing
+// name, matching the pre-registry naming exactly (TSV-SWAP suffixing
 // stays in the citadel package, where the option lives).
 func registerFixed(name, desc string, build func(cfg stack.Config) faultsim.Policy) {
 	RegisterScheme(Scheme{
