@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
@@ -30,6 +31,12 @@ const (
 	defaultFetchLatencyMicros = 0.8
 	defaultFetchBandwidthGBps = 16.0
 	twoTierSchemeName         = "two-tier-replication"
+	// fetchQuantum is the resolution of tierFetchSeconds. Each arrival's
+	// fetch time is rounded to a multiple of this power of two, so every
+	// partial sum is exact and the total does not depend on how the
+	// trials were split across workers or chunks (~0.93 ns; exact up to
+	// 2^23 s of fetch time).
+	fetchQuantum = 1.0 / (1 << 30)
 )
 
 func init() {
@@ -115,8 +122,9 @@ type twoTierObserver struct {
 	latencySec    float64
 	bwBytesPerSec float64
 
-	fetchEvents float64
-	fetchRows   float64
+	fetchEvents  float64
+	fetchRows    float64
+	fetchSeconds float64
 }
 
 func (o *twoTierObserver) Arrival(f fault.Fault, uncorrectable bool) {
@@ -137,6 +145,8 @@ func (o *twoTierObserver) Arrival(f fault.Fault, uncorrectable bool) {
 	banks := float64(f.Region.Bank.CountBelow(uint32(o.cfg.BanksPerDie)))
 	o.fetchEvents++
 	o.fetchRows += rows * banks
+	sec := o.latencySec + rows*banks*float64(o.cfg.RowBytes)/o.bwBytesPerSec
+	o.fetchSeconds += math.Round(sec/fetchQuantum) * fetchQuantum
 }
 
 func (o *twoTierObserver) FlushStats(dst map[string]float64) {
@@ -144,5 +154,5 @@ func (o *twoTierObserver) FlushStats(dst map[string]float64) {
 	dst["tierFetchEvents"] += o.fetchEvents
 	dst["tierFetchRows"] += o.fetchRows
 	dst["tierFetchBytes"] += bytes
-	dst["tierFetchSeconds"] += o.fetchEvents*o.latencySec + bytes/o.bwBytesPerSec
+	dst["tierFetchSeconds"] += o.fetchSeconds
 }

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -115,13 +116,53 @@ func TestTwoTierObserverStats(t *testing.T) {
 	if stats["tierFetchBytes"] != wantBytes {
 		t.Fatalf("tierFetchBytes = %g, want %g", stats["tierFetchBytes"], wantBytes)
 	}
-	wantSec := 2*2e-6 + wantBytes/4e9
-	if math.Abs(stats["tierFetchSeconds"]-wantSec) > 1e-12 {
-		t.Fatalf("tierFetchSeconds = %g, want %g", stats["tierFetchSeconds"], wantSec)
+	// Each arrival's fetch time is rounded to fetchQuantum.
+	quantized := func(sec float64) float64 { return math.Round(sec/fetchQuantum) * fetchQuantum }
+	rowSec := 2e-6 + float64(cfg.RowBytes)/4e9
+	bankSec := 2e-6 + float64(cfg.RowsPerBank*cfg.RowBytes)/4e9
+	if got, want := stats["tierFetchSeconds"], quantized(rowSec)+quantized(bankSec); got != want {
+		t.Fatalf("tierFetchSeconds = %g, want %g", got, want)
+	}
+	if got, want := stats["tierFetchSeconds"], rowSec+bankSec; math.Abs(got-want) > fetchQuantum {
+		t.Fatalf("tierFetchSeconds = %g, more than one quantum from %g", got, want)
 	}
 	// FlushStats adds into the destination (per-worker fold contract).
 	obs.FlushStats(stats)
 	if stats["tierFetchEvents"] != 4 {
 		t.Fatalf("second flush did not accumulate: %g", stats["tierFetchEvents"])
+	}
+}
+
+// TestTwoTierStatsSumExactly: the flushed counters must not depend on how
+// arrivals were split across observers (workers or chunks), which holds
+// only if every sum is exact.
+func TestTwoTierStatsSumExactly(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	params := Params{"fetchLatencyMicros": 0.3, "fetchBandwidthGBps": 7}
+	var arrivals []fault.Fault
+	for i := uint32(0); i < 60; i++ {
+		f := exactFault(i%uint32(cfg.DataDies/2), i%5, 3*i)
+		if i%7 == 0 {
+			f.Class = fault.Bank
+			f.Region.Row = fault.AllPattern()
+		}
+		arrivals = append(arrivals, f)
+	}
+	flushSplit := func(parts int) map[string]float64 {
+		stats := map[string]float64{}
+		for p := 0; p < parts; p++ {
+			_, obs := buildTwoTier(t, params)
+			for i := p; i < len(arrivals); i += parts {
+				obs.Arrival(arrivals[i], false)
+			}
+			obs.FlushStats(stats)
+		}
+		return stats
+	}
+	whole := flushSplit(1)
+	for _, parts := range []int{2, 3, 7} {
+		if got := flushSplit(parts); !reflect.DeepEqual(got, whole) {
+			t.Errorf("split over %d observers: %v, want %v", parts, got, whole)
+		}
 	}
 }
