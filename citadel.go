@@ -149,10 +149,12 @@ type ReliabilityOptions struct {
 	// for all systems after §V-D).
 	TSVSwap bool
 	// Seed makes runs reproducible. See DESIGN.md "Reproducibility
-	// contract": equal (Seed, Workers) pairs give bit-identical results.
+	// contract": equal seeds give bit-identical results on any host and
+	// at any Workers.
 	Seed int64
 	// Workers bounds parallelism; the engine clamps it to
-	// [1, GOMAXPROCS] (0 or negative selects GOMAXPROCS).
+	// [1, GOMAXPROCS] (0 or negative selects GOMAXPROCS). It does not
+	// change the result.
 	Workers int
 	// Progress, when non-nil, receives periodic run snapshots plus a
 	// final one with Done set (see faultsim.Options.Progress).

@@ -133,7 +133,7 @@ func main() {
 		jobDir     = flag.String("job-dir", "", "durable mode: checkpoint/resume the campaign via this store directory")
 		resume     = flag.Bool("resume", true, "durable mode: resume from an existing checkpoint (false restarts from trial zero)")
 		ckptTrials = flag.Int("checkpoint-trials", jobs.DefaultCheckpointTrials, "durable mode: trials per checkpoint chunk (part of the campaign identity)")
-		jobWorkers = flag.Int("workers", 0, "durable mode: engine worker goroutines (0 = GOMAXPROCS; part of the campaign identity)")
+		jobWorkers = flag.Int("workers", 0, "durable mode: engine worker goroutines (0 = GOMAXPROCS; sets parallelism only, never the result)")
 		clusterOn  = flag.String("cluster-listen", "", "durable mode: serve the coordinator protocol on this address so citadel-worker processes can pull chunks")
 		workerWait = flag.Duration("worker-grace", 10*time.Second, "cluster mode: how long to wait for a live worker before running locally")
 		rareEvent  = flag.Bool("rare-event", false, "importance-sampled rare-event engine: bias large-granularity faults, unbias via likelihood ratios (resolves <1e-6 tails)")

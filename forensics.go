@@ -26,7 +26,6 @@ type ForensicsReport struct {
 	RunID              string             `json:"runId,omitempty"`
 	Scheme             string             `json:"scheme"`
 	Seed               int64              `json:"seed"`
-	Workers            int                `json:"workers"`
 	Trials             int                `json:"trials"`
 	LifetimeYears      float64            `json:"lifetimeYears"`
 	ScrubIntervalHours float64            `json:"scrubIntervalHours"`
@@ -49,7 +48,6 @@ func NewForensicsReport(opts ReliabilityOptions, scheme Scheme, res Result) Fore
 		RunID:              opts.RunID,
 		Scheme:             string(scheme),
 		Seed:               opts.Seed,
-		Workers:            opts.Workers,
 		Trials:             res.Trials,
 		LifetimeYears:      opts.LifetimeYears,
 		ScrubIntervalHours: opts.ScrubIntervalHours,
@@ -80,7 +78,6 @@ func (r ForensicsReport) Options() ReliabilityOptions {
 		ScrubIntervalHours: r.ScrubIntervalHours,
 		TSVSwap:            r.TSVSwap,
 		Seed:               r.Seed,
-		Workers:            r.Workers,
 		RunID:              r.RunID,
 		FaultModel:         r.FaultModel,
 		ScenarioParams:     r.ScenarioParams,

@@ -174,8 +174,8 @@ func Merge(a, b Result) Result {
 }
 
 // RunAdaptive accumulates trials in batches until the failure target or
-// the trial cap is hit. Batches use distinct seeds derived from the base
-// seed, so results remain reproducible.
+// the trial cap is hit. Batch b runs the trials of opt.Seed that follow
+// batches 0..b-1, so the trials drawn are those of one long run.
 func RunAdaptive(opt AdaptiveOptions, pol Policy) Result {
 	return RunAdaptiveContext(context.Background(), opt, pol)
 }
@@ -191,7 +191,6 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 	total.FailuresByYear = make([]int, years)
 	var scrubsSoFar int64
 	start := time.Now()
-	batch := 0
 	for total.Trials < opt.MaxTrials && total.Failures < opt.TargetFailures {
 		if err := ctx.Err(); err != nil {
 			total.Partial = true
@@ -203,10 +202,9 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 		if remaining := opt.MaxTrials - total.Trials; bo.Trials > remaining {
 			bo.Trials = remaining
 		}
-		// Batch streams live in their own index space (batchStreamBase) so
-		// no batch seed can collide with a per-worker stream of another
-		// batch — the failure mode of the old Seed+batch*1e6 scheme.
-		bo.Seed = deriveSeed(opt.Seed, batchStreamBase+uint64(batch))
+		// The batch continues the trial sequence of opt.Seed, so the
+		// result does not depend on BatchTrials.
+		bo.Seed = SeedAt(opt.Seed, uint64(total.Trials))
 		var batchScrubs int64
 		if opt.Progress != nil {
 			// Rebase per-batch snapshots so the hook sees one continuous
@@ -230,7 +228,6 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 		scrubsSoFar += batchScrubs
 		total = Merge(total, r)
 		total.Policy = pol.name()
-		batch++
 		if r.Partial {
 			break
 		}
@@ -239,9 +236,8 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 	// used to be indistinguishable from hitting the target.
 	total.TargetMet = total.Failures >= opt.TargetFailures
 	if len(total.Exemplars) > opt.MaxExemplars {
-		// Batches already arrive in batch order; within a batch the
-		// exemplars are (Worker, Trial)-sorted, so truncation keeps the
-		// earliest captures.
+		// Batches arrive in batch order and each batch's exemplars in
+		// trial order, so truncation keeps the earliest captures.
 		total.Exemplars = total.Exemplars[:opt.MaxExemplars]
 	}
 	if opt.Progress != nil {

@@ -6,10 +6,11 @@ import "fmt"
 // chunk's Result plus enough identity (campaign key, chunk index,
 // expected trial count) for a coordinator to validate it against the
 // chunk it handed out and to deduplicate redelivered results by chunk
-// index. Chunks are deterministic — chunk i of a campaign always runs on
-// ChunkSeed(base, i) with the spec's pinned worker count — so two
-// envelopes for the same (campaign, chunk) carry identical statistics
-// and dropping a duplicate loses nothing.
+// index. Chunks are deterministic — chunk i of a campaign always runs the
+// same trials of the campaign's seed (SeedAt), whatever the worker count
+// of the host that runs it — so two envelopes for the same (campaign,
+// chunk) carry identical statistics and dropping a duplicate loses
+// nothing.
 type ChunkEnvelope struct {
 	// CampaignKey is the content key of the campaign the chunk belongs
 	// to (jobs.Spec.Key of the normalized spec). A coordinator rejects

@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,7 @@ import (
 // the worker's tallies for its run to fold. A lane is built, driven and
 // finished on its worker's goroutine, so it needs no locking.
 type lane interface {
-	// trial consumes the non-empty lifetime drawn for the worker's trial t
+	// trial consumes the non-empty lifetime drawn for trial t of the run
 	// and reports whether the system failed.
 	trial(t int, faults []fault.Fault) bool
 	// scrubs returns the lane's cumulative scrub passes.
@@ -37,17 +36,17 @@ func (o Options) arrivals() Arrivals {
 // execute is the engine's one trial executor; RunContext (and through it
 // adaptive and importance-sampled runs) and RunCensusContext are folds
 // over its lanes. It splits opt.Trials into one contiguous slice per
-// worker and seeds worker w's RNG with deriveSeed(opt.Seed, w). On each
-// worker's own goroutine it builds the arrival source, then the lane
-// (newLane), then runs the slice. It alone checks ctx, every
+// worker and draws trial t from deriveSeed(opt.Seed, t) (drawLifetime),
+// so the worker count sets only the parallelism. On each worker's own
+// goroutine it builds the arrival source, then the lane (newLane), then
+// runs the slice. It alone checks ctx, every
 // cancelCheckInterval trials; it flushes the live progress and metric
 // counters, drives opt.Progress, and records the trace spans of sampled
 // trials and of the whole run.
 //
-// It returns the lanes in worker order — callers fold float tallies in
-// that order so repeat runs stay bit-identical — with the completed trial
-// and failure counts, and err set to ctx's cause when the run stopped
-// short of opt.Trials.
+// It returns the lanes in worker order, which is trial order, with the
+// completed trial and failure counts, and err set to ctx's cause when the
+// run stopped short of opt.Trials.
 func execute[L lane](ctx context.Context, opt Options, name string, newLane func(worker int, src Arrivals) L) (lanes []L, trials, failures int, err error) {
 	opt = opt.withDefaults()
 	mRunsActive.Inc()
@@ -108,9 +107,9 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 			break
 		}
 		wg.Add(1)
-		go func(worker, n int) {
+		go func(worker, lo, hi int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
+			rng := newTrialRand()
 			src := opt.arrivals()
 			l := newLane(worker, src)
 			var buf []fault.Fault
@@ -126,19 +125,19 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 				mScrubs.Add(s)
 				flushedDone, flushedFailures, flushedScrubs = flushedDone+d, flushedFailures+f, flushedScrubs+s
 			}
-			for t := 0; t < n; t++ {
-				if t%cancelCheckInterval == 0 {
+			for t := lo; t < hi; t++ {
+				if (t-lo)%cancelCheckInterval == 0 {
 					flush()
 					if ctx.Err() != nil {
 						break
 					}
 				}
 				nDone++
-				buf = src.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
+				buf = drawLifetime(rng, src, opt.Seed, t, opt.LifetimeHours, buf[:0])
 				if len(buf) == 0 {
 					continue
 				}
-				sampled := traceOn && tr.ShouldSample(uint64(worker)<<32|uint64(t))
+				sampled := traceOn && tr.ShouldSample(uint64(t))
 				var spanStart float64
 				if sampled {
 					spanStart = tr.Now()
@@ -164,7 +163,7 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 			flush()
 			l.finish()
 			lanes[worker], done[worker], failed[worker] = l, nDone, nFailed
-		}(used, hi-lo)
+		}(used, lo, hi)
 	}
 	wg.Wait()
 	close(stopProg)

@@ -5,8 +5,8 @@
 // predicate classifies the accumulated fault state after every arrival. A
 // trial fails at the first uncorrectable state; the probability of system
 // failure over a 7-year lifetime is estimated across 10^5–10^6 independent
-// trials, parallelized across workers with per-worker deterministic RNG
-// streams.
+// trials, parallelized across workers, each trial drawing from its own
+// deterministic RNG stream.
 package faultsim
 
 import (
@@ -44,9 +44,11 @@ type Sparer interface {
 // fault.Sampler satisfies it as-is (the Poisson FIT-rate process); fault
 // model plugins (internal/scenario) provide alternatives such as
 // activation-driven rowhammer arrivals. Implementations must draw all
-// randomness from rng — the engine's determinism contract (equal seed and
-// worker count give bit-identical Results) extends through this interface
-// — and must return the appended portion sorted by Fault.Hours.
+// randomness from rng, which the engine reseeds before every trial, and
+// must draw nothing from state carried over from earlier lifetimes: the
+// determinism contract (a seeded Result depends on neither worker count
+// nor host, and a trial replays alone) extends through this interface.
+// The appended portion must be sorted by Fault.Hours.
 type Arrivals interface {
 	AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault
 }
@@ -54,8 +56,9 @@ type Arrivals interface {
 // ArrivalStats is optionally implemented by Arrivals sources that
 // accumulate per-scenario counters (e.g. rowhammer activation
 // histograms). The engine calls FlushStats once per worker after its
-// trials finish and folds the maps into Result.ScenarioStats in worker
-// order, keeping the merged floats deterministic.
+// trials finish and adds the maps into Result.ScenarioStats, so every
+// counter must sum exactly (integer counts, or multiples of a
+// power-of-two quantum) for the total not to depend on the worker count.
 type ArrivalStats interface {
 	FlushStats(dst map[string]float64)
 }
@@ -66,8 +69,8 @@ type ArrivalStats interface {
 // the log-likelihood ratio, nominal over biased density, of the lifetime
 // AppendLifetime just drew (the engine asks only for failing trials). A
 // run over such a source is Weighted: each failing trial counts with
-// weight exp(LogWeight), and the float tallies fold in worker order like
-// ScenarioStats.
+// weight exp(LogWeight), and the float tallies fold one trial at a time
+// in trial order.
 type ArrivalWeights interface {
 	LogWeight(lifetime []fault.Fault) float64
 }
@@ -85,8 +88,8 @@ type Observer interface {
 	// the correctability verdict for that arrival.
 	Arrival(f fault.Fault, uncorrectable bool)
 	// FlushStats adds the worker's accumulated counters into dst; the
-	// engine merges per-worker maps into Result.ScenarioStats in worker
-	// order.
+	// engine adds per-worker maps into Result.ScenarioStats, so counters
+	// must sum exactly (see ArrivalStats).
 	FlushStats(dst map[string]float64)
 }
 
@@ -124,11 +127,12 @@ type Options struct {
 	Trials             int
 	LifetimeHours      float64 // default: fault.LifetimeHours (7 years)
 	ScrubIntervalHours float64 // default: 12
-	Seed               int64
+	// Seed selects the sample: trial t draws its lifetime from
+	// deriveSeed(Seed, t), so equal (Seed, Trials) give bit-identical
+	// Results on any host and at any worker count.
+	Seed int64
 	// Workers bounds parallelism; it is clamped to [1, GOMAXPROCS]
-	// (0 or negative selects GOMAXPROCS). Note that the worker count
-	// shapes the per-worker RNG streams, so seeded results are
-	// reproducible only for equal effective worker counts.
+	// (0 or negative selects GOMAXPROCS). It does not change the Result.
 	Workers int
 	// Progress, when non-nil, receives a snapshot of the run roughly
 	// every ProgressInterval plus one final snapshot (Done set) when the
@@ -233,8 +237,8 @@ type Result struct {
 	// modeKey of the live set at failure, e.g. "row+bank"). Nil unless
 	// Options.Forensics was set; the per-mode counts sum to Failures.
 	Breakdown map[string]int
-	// Exemplars holds the first MaxExemplars forensic records in
-	// deterministic (Worker, Trial) order. Nil unless Options.Forensics.
+	// Exemplars holds the forensic records of the first MaxExemplars
+	// failing trials, in trial order. Nil unless Options.Forensics.
 	Exemplars []Forensic
 	// ScenarioStats carries additive per-scenario counters flushed by the
 	// policy's Observer and the arrival source's ArrivalStats (e.g.
@@ -656,11 +660,12 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 	if opt.Forensics {
 		res.Breakdown = make(map[string]int)
 	}
-	// Fold in worker order: float addition is not associative, so the
-	// weighted tallies and scenario stats stay bit-identical across repeat
-	// runs only under a fixed order, and the exemplars come out sorted by
-	// (Worker, Trial). Scenario stats stay nil when no worker produced
-	// any, so plain runs keep a nil map.
+	// Lanes come in trial order, so the exemplars do too. Float addition
+	// is not associative, so the weights fold one failing trial at a time
+	// rather than as per-worker partial sums, whose bits would depend on
+	// the worker count; scenario stats sum exactly by contract. Scenario
+	// stats stay nil when no worker produced any, so plain runs keep a
+	// nil map.
 	for _, l := range lanes {
 		for i, v := range l.byYear {
 			res.FailuresByYear[i] += v
@@ -677,10 +682,12 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 				res.Weighted = true
 				res.FailWeightByYear = make([]float64, years)
 			}
-			res.FailWeight += l.failW
-			res.FailWeightSq += l.failWSq
-			for i, v := range l.wByYear {
-				res.FailWeightByYear[i] += v
+			for _, f := range l.failed {
+				res.FailWeight += f.w
+				res.FailWeightSq += f.w * f.w
+				for i := f.year; i < years; i++ {
+					res.FailWeightByYear[i] += f.w
+				}
 			}
 		}
 		for k, v := range l.stats {
@@ -707,14 +714,19 @@ type runLane struct {
 	byYear []int
 	causes map[string]int
 	// weights is src's likelihood-ratio view under importance sampling,
-	// nil for plain sampling; failW, failWSq and wByYear accumulate the
-	// failing trials' weights.
-	weights        ArrivalWeights
-	failW, failWSq float64
-	wByYear        []float64
-	breakdown      map[string]int
-	exemplars      []Forensic
-	stats          map[string]float64
+	// nil for plain sampling; failed records each failing trial's weight
+	// and failure year, in trial order, for RunContext to fold.
+	weights   ArrivalWeights
+	failed    []weightedFailure
+	breakdown map[string]int
+	exemplars []Forensic
+	stats     map[string]float64
+}
+
+// weightedFailure is one failing trial of an importance-sampled run.
+type weightedFailure struct {
+	w    float64
+	year int
 }
 
 func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *runLane {
@@ -727,10 +739,7 @@ func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *
 		byYear: make([]int, years),
 		causes: make(map[string]int),
 	}
-	if w, ok := src.(ArrivalWeights); ok {
-		l.weights = w
-		l.wByYear = make([]float64, years)
-	}
+	l.weights, _ = src.(ArrivalWeights)
 	if opt.Forensics {
 		l.breakdown = make(map[string]int)
 	}
@@ -754,17 +763,11 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 	if y >= years {
 		y = years - 1
 	}
-	var w float64
 	if l.weights != nil {
-		w = math.Exp(l.weights.LogWeight(fs))
-		l.failW += w
-		l.failWSq += w * w
+		l.failed = append(l.failed, weightedFailure{math.Exp(l.weights.LogWeight(fs)), y})
 	}
 	for i := y; i < years; i++ {
 		l.byYear[i]++
-		if l.weights != nil {
-			l.wByYear[i] += w
-		}
 	}
 	if tr := l.opt.Trace; tr.Enabled() {
 		ev := trace.Event{
@@ -787,7 +790,7 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 		l.breakdown[modeKey(live)]++
 		if len(l.exemplars) < l.opt.MaxExemplars {
 			l.exemplars = append(l.exemplars,
-				captureForensic(*l.opt, l.pol, l.ts, l.worker, t, live, when, cause))
+				captureForensic(*l.opt, l.pol, l.ts, t, live, when, cause))
 		}
 	}
 	return true

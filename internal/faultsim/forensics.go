@@ -2,7 +2,6 @@ package faultsim
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"repro/internal/ecc"
@@ -10,25 +9,22 @@ import (
 )
 
 // Forensic is a post-mortem record of one uncorrectable trial: enough to
-// replay the trial deterministically (BaseSeed + Worker + Trial pin the
-// exact fault stream) plus the live fault set and a machine-readable reason
+// replay the trial deterministically (BaseSeed + Trial pin the exact
+// fault stream) plus the live fault set and a machine-readable reason
 // chain explaining which correction mechanism was defeated.
 type Forensic struct {
 	// Policy is the protection scheme that failed.
 	Policy string `json:"policy"`
 	// RunID correlates the record with progress lines, metrics, and traces.
 	RunID string `json:"runId,omitempty"`
-	// BaseSeed is the Options.Seed of the run (for adaptive runs, the
-	// derived per-batch seed; for importance-sampled runs, the RareSeed
-	// shift of the caller's seed). Replaying requires this exact seed.
+	// BaseSeed is the Options.Seed of the run that drew the trial (for an
+	// adaptive batch, SeedAt of the caller's seed and the trials before
+	// the batch; for importance sampling, the shifted seed of
+	// rare.Options.Engine). Replaying requires this exact seed.
 	BaseSeed int64 `json:"baseSeed"`
-	// StreamSeed is deriveSeed(BaseSeed, Worker) — the worker RNG stream
-	// the trial was drawn from, recorded for diagnostics.
-	StreamSeed int64 `json:"streamSeed"`
-	// Worker and Trial locate the trial inside the run: trial Trial of
-	// worker Worker's stream.
-	Worker int `json:"worker"`
-	Trial  int `json:"trial"`
+	// Trial is the trial's index in that run; it drew its lifetime from
+	// deriveSeed(BaseSeed, Trial).
+	Trial int `json:"trial"`
 	// FailureHours is when the fatal fault arrived.
 	FailureHours float64 `json:"failureHours"`
 	// Cause is the class of the proximate-cause fault.
@@ -47,8 +43,8 @@ type Forensic struct {
 
 // String renders the record in one line for logs.
 func (f Forensic) String() string {
-	return fmt.Sprintf("%s worker=%d trial=%d mode=%s cause=%s at %.0fh (%d live faults, %d reasons)",
-		f.Policy, f.Worker, f.Trial, f.Mode, f.Cause, f.FailureHours, len(f.Faults), len(f.Reasons))
+	return fmt.Sprintf("%s trial=%d mode=%s cause=%s at %.0fh (%d live faults, %d reasons)",
+		f.Policy, f.Trial, f.Mode, f.Cause, f.FailureHours, len(f.Faults), len(f.Reasons))
 }
 
 // numClasses spans fault.Bit..fault.AddrTSV.
@@ -87,13 +83,11 @@ func modeKey(live []fault.Fault) string {
 // has already failed), so it may allocate freely. live is the trial's live
 // fault set at the moment of failure; ts carries the sparing/TSV state of
 // that same trial.
-func captureForensic(opt Options, pol Policy, ts *trialState, worker, trial int, live []fault.Fault, when float64, cause fault.Class) Forensic {
+func captureForensic(opt Options, pol Policy, ts *trialState, trial int, live []fault.Fault, when float64, cause fault.Class) Forensic {
 	fx := Forensic{
 		Policy:       pol.name(),
 		RunID:        opt.RunID,
 		BaseSeed:     opt.Seed,
-		StreamSeed:   deriveSeed(opt.Seed, uint64(worker)),
-		Worker:       worker,
 		Trial:        trial,
 		FailureHours: when,
 		Cause:        cause.String(),
@@ -137,21 +131,15 @@ func captureForensic(opt Options, pol Policy, ts *trialState, worker, trial int,
 	return fx
 }
 
-// ReplayTrial re-executes trial `trial` of worker `worker`'s RNG stream
-// under opt and pol, and returns its forensic record. ok is false when the
-// replayed trial does not fail (wrong seed/worker/trial coordinates, or
-// changed options). Replay is exact because a worker's trials consume its
-// stream in order: re-seeding the stream and re-drawing trials 0..trial-1
-// through a fresh arrival source (opt.NewArrivals, or the Poisson
-// sampler) reproduces the identical fault sequence.
-func ReplayTrial(opt Options, pol Policy, worker, trial int) (Forensic, bool) {
+// ReplayTrial re-executes trial `trial` of the run seeded opt.Seed under
+// opt and pol, and returns its forensic record. ok is false when the
+// replayed trial does not fail (wrong seed or trial coordinates, or
+// changed options). Every trial draws from its own stream, so replay
+// draws this one lifetime through a fresh arrival source (opt.NewArrivals,
+// or the Poisson sampler) and nothing before it.
+func ReplayTrial(opt Options, pol Policy, trial int) (Forensic, bool) {
 	opt = opt.withDefaults()
-	rng := rand.New(rand.NewSource(deriveSeed(opt.Seed, uint64(worker))))
-	src := opt.arrivals()
-	var buf []fault.Fault
-	for t := 0; t <= trial; t++ {
-		buf = src.AppendLifetime(rng, opt.LifetimeHours, buf[:0])
-	}
+	buf := drawLifetime(newTrialRand(), opt.arrivals(), opt.Seed, trial, opt.LifetimeHours, nil)
 	if len(buf) == 0 {
 		return Forensic{}, false
 	}
@@ -170,7 +158,7 @@ func ReplayTrial(opt Options, pol Policy, worker, trial int) (Forensic, bool) {
 	if len(buf) > 1 {
 		live = ts.liveFaults()
 	}
-	return captureForensic(opt, pol, ts, worker, trial, live, when, cause), true
+	return captureForensic(opt, pol, ts, trial, live, when, cause), true
 }
 
 // ReplayForensic replays an exemplar recorded by a previous run: opt must
@@ -178,5 +166,5 @@ func ReplayTrial(opt Options, pol Policy, worker, trial int) (Forensic, bool) {
 // scrub); the exemplar's own seed coordinates override opt.Seed.
 func ReplayForensic(opt Options, pol Policy, ex Forensic) (Forensic, bool) {
 	opt.Seed = ex.BaseSeed
-	return ReplayTrial(opt, pol, ex.Worker, ex.Trial)
+	return ReplayTrial(opt, pol, ex.Trial)
 }

@@ -3,10 +3,12 @@ package faultsim
 import (
 	"context"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/ecc"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/parity"
@@ -82,9 +84,9 @@ func TestForensicsOffKeepsResultClean(t *testing.T) {
 }
 
 // TestForensicReplayGolden is the golden replay test: every exemplar of a
-// fixed-seed run, replayed from its recorded (seed, worker, trial)
-// coordinates, must reproduce the identical uncorrectable fault set,
-// failure time, mode, and reason chain.
+// fixed-seed run, replayed from its recorded (seed, trial) coordinates,
+// must reproduce the identical uncorrectable fault set, failure time,
+// mode, and reason chain.
 func TestForensicReplayGolden(t *testing.T) {
 	skipInShort(t)
 	opt := forensicOptions(4000)
@@ -111,6 +113,31 @@ func TestForensicReplayGolden(t *testing.T) {
 	}
 }
 
+// countingArrivals counts the lifetimes drawn through it.
+type countingArrivals struct {
+	Arrivals
+	calls *int
+}
+
+func (c countingArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
+	*c.calls++
+	return c.Arrivals.AppendLifetime(rng, hours, dst)
+}
+
+// TestReplayDrawsOneLifetime: every trial draws from its own stream, so
+// replaying trial 10^6 draws that one lifetime and none before it.
+func TestReplayDrawsOneLifetime(t *testing.T) {
+	opt := forensicOptions(0)
+	calls := 0
+	opt.NewArrivals = func() Arrivals {
+		return countingArrivals{fault.NewSampler(opt.Config, opt.Rates), &calls}
+	}
+	ReplayTrial(opt, citadelPolicy(), 1_000_000)
+	if calls != 1 {
+		t.Fatalf("replaying trial 10^6 drew %d lifetimes, want 1", calls)
+	}
+}
+
 // TestForensicsIncrementalMatchesBatch extends the engine differential to
 // the forensic outputs: breakdown and exemplars must be identical across
 // the incremental and batch correctability paths.
@@ -134,9 +161,9 @@ func TestForensicsIncrementalMatchesBatch(t *testing.T) {
 // TestMergeForensics checks Merge's nil preservation and additivity.
 func TestMergeForensics(t *testing.T) {
 	a := Result{Trials: 10, Failures: 1, Breakdown: map[string]int{"bank": 1},
-		Exemplars: []Forensic{{Worker: 0, Trial: 3}}}
+		Exemplars: []Forensic{{Trial: 3}}}
 	b := Result{Trials: 10, Failures: 2, Breakdown: map[string]int{"bank": 1, "row": 1},
-		Exemplars: []Forensic{{Worker: 1, Trial: 5}}}
+		Exemplars: []Forensic{{Trial: 5}}}
 	m := Merge(a, b)
 	if m.Breakdown["bank"] != 2 || m.Breakdown["row"] != 1 {
 		t.Errorf("merged breakdown wrong: %v", m.Breakdown)

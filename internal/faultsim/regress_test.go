@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -66,7 +67,8 @@ func TestDeriveSeedUniqueAcrossStreams(t *testing.T) {
 	// The old scheme derived batch seeds as Seed+batch*1e6 and worker
 	// seeds as Seed+worker*1e9, so (batch=1000, worker=0) collided with
 	// (batch=0, worker=1) — and nearby seeds fed math/rand correlated
-	// streams. Every (batch, worker) pair must map to a distinct seed.
+	// streams. Every trial of a run, and every splitting stage, must draw
+	// from a distinct stream.
 	const base = int64(42)
 	seen := make(map[int64]string)
 	check := func(seed int64, label string) {
@@ -76,16 +78,11 @@ func TestDeriveSeedUniqueAcrossStreams(t *testing.T) {
 		}
 		seen[seed] = label
 	}
-	for worker := uint64(0); worker < 256; worker++ {
-		check(deriveSeed(base, worker), fmt.Sprintf("worker %d", worker))
+	for trial := uint64(0); trial < 1<<16; trial++ {
+		check(deriveSeed(base, trial), fmt.Sprintf("trial %d", trial))
 	}
-	for batch := uint64(0); batch < 4096; batch++ {
-		batchSeed := deriveSeed(base, batchStreamBase+batch)
-		check(batchSeed, fmt.Sprintf("batch %d", batch))
-		// A batch seed is itself a base for that batch's worker streams.
-		for worker := uint64(0); worker < 8; worker++ {
-			check(deriveSeed(batchSeed, worker), fmt.Sprintf("batch %d worker %d", batch, worker))
-		}
+	for stage := 0; stage < 64; stage++ {
+		check(SplitStreamSeed(base, stage), fmt.Sprintf("split stage %d", stage))
 	}
 }
 
@@ -100,14 +97,17 @@ func TestDeriveSeedDecorrelatesNearbyBases(t *testing.T) {
 	}
 }
 
-// TestRareSeedShiftReproducesStreams pins the identity that lets the
-// importance sampler run on the plain executor: worker w of a run seeded
-// RareSeed(s) draws from the rare stream deriveSeed(s, rareStreamBase+w).
+// TestRareSeedShiftReproducesStreams pins the window identity behind
+// every seed shift — adaptive batches, checkpoint chunks and the
+// importance sampler's 2^42-trial offset: trial t of the run seeded
+// SeedAt(s, k) is trial k+t of the run seeded s.
 func TestRareSeedShiftReproducesStreams(t *testing.T) {
 	for _, base := range []int64{0, 1, -1, 7, 42, math.MaxInt64, math.MinInt64} {
-		for w := uint64(0); w < 64; w++ {
-			if got, want := deriveSeed(RareSeed(base), w), deriveSeed(base, rareStreamBase+w); got != want {
-				t.Fatalf("base %d worker %d: shifted seed derives %d, rare stream is %d", base, w, got, want)
+		for _, k := range []uint64{0, 1, 500, 10000, 1 << 42, math.MaxUint64} {
+			for trial := uint64(0); trial < 64; trial++ {
+				if got, want := deriveSeed(SeedAt(base, k), trial), deriveSeed(base, k+trial); got != want {
+					t.Fatalf("base %d shift %d trial %d: shifted seed derives %d, want %d", base, k, trial, got, want)
+				}
 			}
 		}
 	}
@@ -207,9 +207,9 @@ func TestAdaptiveProgressContinuous(t *testing.T) {
 }
 
 func TestAdaptiveReproducibleAcrossBatchSizes(t *testing.T) {
-	// Same total trial budget split into different batch counts must give
-	// a deterministic result per batching (each batch has its own derived
-	// stream), and the same batching twice must agree exactly.
+	// Each batch continues the trial sequence of the base seed, so the
+	// same trial budget split into different batch sizes samples the same
+	// trials and must give the same result.
 	opt := AdaptiveOptions{
 		Options:        testOptions(1000, 100, 0),
 		TargetFailures: 1 << 30,
@@ -218,10 +218,10 @@ func TestAdaptiveReproducibleAcrossBatchSizes(t *testing.T) {
 	}
 	pol := Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)}
 	a := RunAdaptive(opt, pol)
+	opt.BatchTrials = 1000
 	b := RunAdaptive(opt, pol)
-	if a.Failures != b.Failures || a.Trials != b.Trials {
-		t.Errorf("adaptive rerun diverged: %d/%d vs %d/%d failures/trials",
-			a.Failures, a.Trials, b.Failures, b.Trials)
+	if a.Trials != opt.MaxTrials || !reflect.DeepEqual(a, b) {
+		t.Errorf("BatchTrials 500 and 1000 diverged:\n %+v\n %+v", a, b)
 	}
 }
 

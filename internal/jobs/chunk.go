@@ -10,9 +10,9 @@ import (
 
 // Campaign identifies a contiguous range of reliability chunks handed to
 // a ChunkExecutor. Spec is the normalized reliability spec; chunk i runs
-// Spec.ChunkTrials(i) trials on faultsim.ChunkSeed(Spec.Seed, i) with the
-// spec's pinned worker count, so the work is a pure function of (Spec, i)
-// wherever it executes.
+// the Spec.ChunkTrials(i) trials of Spec.Seed that start at trial
+// i·CheckpointTrials (faultsim.SeedAt), so the work is a pure function of
+// (Spec, i) wherever it executes, whatever that host's worker count.
 type Campaign struct {
 	// Key is the campaign's content key (Spec.Key of the submitted job).
 	Key string
@@ -69,7 +69,7 @@ func RunChunk(ctx context.Context, r *ReliabilitySpec, chunk int, runID string, 
 	}
 	opts := r.options()
 	opts.Trials = r.ChunkTrials(chunk)
-	opts.Seed = faultsim.ChunkSeed(r.Seed, chunk)
+	opts.Seed = faultsim.SeedAt(r.Seed, uint64(chunk)*uint64(r.CheckpointTrials))
 	opts.RunID = runID
 	opts.Progress = progress
 	return citadel.SimulateScenarioReliabilityContext(ctx, opts, r.Scheme)

@@ -7,8 +7,9 @@
 // restarting it.
 //
 // Determinism model: a reliability campaign of T trials runs as
-// ceil(T/C) chunks of C = CheckpointTrials trials. Chunk i runs on seed
-// faultsim.ChunkSeed(base, i) with the spec's pinned worker count, and
+// ceil(T/C) chunks of C = CheckpointTrials trials. Chunk i runs trials
+// [i·C, (i+1)·C) of the base seed (faultsim.SeedAt), each drawn from its
+// own stream, so neither the worker count nor the host changes it, and
 // the chunk results fold left-to-right through faultsim.Merge. The
 // merged result is therefore a pure function of the normalized spec, so
 // resuming from any checkpoint reproduces the uninterrupted campaign
@@ -158,7 +159,8 @@ type PerformanceResult struct {
 // checkpoint is the persisted form of an unfinished job, stored under
 // its spec key. Result carries the merge of all completed chunks; a
 // chunk interrupted mid-run is discarded (its partial statistics would
-// break determinism) and re-runs on resume.
+// break determinism) and re-runs on resume. A checkpoint of another
+// Version was drawn under another sampling scheme and is discarded.
 type checkpoint struct {
 	Version     int             `json:"version"`
 	Key         string          `json:"key"`
@@ -169,7 +171,9 @@ type checkpoint struct {
 	UpdatedAt   time.Time       `json:"updatedAt"`
 }
 
-const checkpointVersion = 1
+// checkpointVersion is hashed into every Spec.Key. Version 2 draws each
+// trial from its own stream (version 1 drew one stream per worker).
+const checkpointVersion = 2
 
 // job is the internal mutable record behind a Job snapshot.
 type job struct {
@@ -372,8 +376,9 @@ func (o *Orchestrator) tryCacheLocked(key string, norm Spec) *Job {
 }
 
 // loadCheckpoint fetches and decodes the persisted checkpoint for
-// key, tolerating corruption: a bad checkpoint is deleted with a warning
-// and the campaign restarts from scratch.
+// key, tolerating corruption: a bad checkpoint, or one of another
+// version, is deleted with a warning and the campaign restarts from
+// scratch.
 func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 	if o.st == nil {
 		return nil
@@ -383,9 +388,9 @@ func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 		return nil
 	}
 	var cp checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil || cp.Key != key || cp.ChunksDone < 0 ||
-		(cp.ChunksDone > 0 && cp.Result == nil) {
-		o.opts.Logf("jobs: corrupted checkpoint %.12s (err=%v); restarting campaign from scratch", key, err)
+	if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || cp.Key != key ||
+		cp.ChunksDone < 0 || (cp.ChunksDone > 0 && cp.Result == nil) {
+		o.opts.Logf("jobs: corrupted or version-%d checkpoint %.12s (err=%v); restarting campaign from scratch", cp.Version, key, err)
 		o.st.DeleteJob(key)
 		return nil
 	}
@@ -438,7 +443,8 @@ func totalChunks(r *ReliabilitySpec) int {
 
 // Recover re-enqueues every readable checkpoint in the store: the
 // server calls it once at startup so campaigns interrupted by a crash or
-// SIGTERM continue. Corrupted checkpoints are skipped with a warning.
+// SIGTERM continue. Corrupted checkpoints, and those of another version,
+// are deleted with a warning.
 // It returns the number of jobs re-enqueued.
 func (o *Orchestrator) Recover() int {
 	if o.st == nil {
@@ -448,9 +454,9 @@ func (o *Orchestrator) Recover() int {
 	n := 0
 	for key, data := range listed {
 		var cp checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil || cp.Key != key || cp.ChunksDone < 0 ||
-			(cp.ChunksDone > 0 && cp.Result == nil) {
-			o.opts.Logf("jobs: recover: skipping corrupted checkpoint %.12s (err=%v)", key, err)
+		if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || cp.Key != key ||
+			cp.ChunksDone < 0 || (cp.ChunksDone > 0 && cp.Result == nil) {
+			o.opts.Logf("jobs: recover: skipping corrupted or version-%d checkpoint %.12s (err=%v)", cp.Version, key, err)
 			o.st.DeleteJob(key)
 			continue
 		}

@@ -3,12 +3,17 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
+	citadel "repro"
 	"repro/internal/experiments"
+	"repro/internal/faultsim"
 	"repro/internal/obs"
 	"repro/internal/store"
 )
@@ -70,7 +75,6 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 			Trials:           100000,
 			LifetimeYears:    7,
 			ScrubHours:       12,
-			Workers:          runtime.GOMAXPROCS(0),
 			CheckpointTrials: DefaultCheckpointTrials,
 		},
 	}
@@ -93,6 +97,98 @@ func TestKeyNormalizesDefaults(t *testing.T) {
 	}
 	if ko == ki {
 		t.Error("different seeds share a content key")
+	}
+}
+
+// TestWorkersLeaveKey: the worker count sets only parallelism, so specs
+// differing only in Workers address one campaign.
+func TestWorkersLeaveKey(t *testing.T) {
+	want, err := smallSpec(1).Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{-1, 0, 2, 3, 64} {
+		spec := smallSpec(1)
+		spec.Reliability.Workers = workers
+		if got, err := spec.Key(); err != nil || got != want {
+			t.Errorf("Workers %d: key %s (err %v), want %s", workers, got, err, want)
+		}
+	}
+}
+
+// TestChunkedCampaignMatchesDirectRun: chunk i runs the trials of the
+// campaign's seed that follow chunks 0..i-1, so merging every chunk
+// reproduces one direct run of the whole trial budget.
+func TestChunkedCampaignMatchesDirectRun(t *testing.T) {
+	for _, scheme := range []string{"Citadel", "3DP"} {
+		r := smallSpec(5).Normalize().Reliability
+		r.Scheme = scheme
+		var total citadel.Result
+		for i := 0; i < totalChunks(r); i++ {
+			res, err := RunChunk(context.Background(), r, i, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total = faultsim.Merge(total, res)
+			total.Policy = res.Policy
+		}
+		direct, err := citadel.SimulateScenarioReliability(r.options(), scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(total, direct) {
+			t.Errorf("%s: merged chunks differ from the direct run:\n got %+v\nwant %+v", scheme, total, direct)
+		}
+		if scheme == "3DP" && direct.Failures == 0 {
+			t.Errorf("3DP saw no failures; the comparison is vacuous")
+		}
+	}
+}
+
+// TestOldVersionCheckpointRestarts: a checkpoint of another version was
+// drawn from other streams, so Recover and Submit must discard it and run
+// the campaign from chunk 0 instead of resuming its prefix.
+func TestOldVersionCheckpointRestarts(t *testing.T) {
+	spec := smallSpec(3).Normalize()
+	key, err := spec.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(checkpoint{
+		Version: checkpointVersion - 1, Key: key, Spec: spec, ChunksDone: 2, TotalChunks: 4,
+		Result: &citadel.Result{Policy: "Citadel", Trials: 1000, Failures: 1000, FailuresByYear: []int{1000}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, st := newOrch(t, t.TempDir(), 1, 4)
+	if err := st.PutJob(key, old); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.Recover(); n != 0 {
+		t.Errorf("Recover re-enqueued %d old-version checkpoints", n)
+	}
+	if _, ok := st.GetJob(key); ok {
+		t.Error("old-version checkpoint survived Recover")
+	}
+	if err := st.PutJob(key, old); err != nil {
+		t.Fatal(err)
+	}
+	j, err := o.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Resumed || j.ChunksDone != 0 {
+		t.Errorf("submit resumed an old-version checkpoint at chunk %d", j.ChunksDone)
+	}
+	fin := waitDone(t, o, j.ID)
+	ref, _ := newOrch(t, t.TempDir(), 1, 4)
+	jr, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := waitDone(t, ref, jr.ID); fin.State != StateDone || !bytes.Equal(fin.Result, want.Result) {
+		t.Errorf("restarted campaign (%s) differs from a fresh run:\n got %.200s\nwant %.200s", fin.State, fin.Result, want.Result)
 	}
 }
 
@@ -356,7 +452,7 @@ func TestRecoverSkipsCorruptCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Valid JSON, but the embedded key does not match the file stem.
-	if err := st.PutJob("cafebabe", []byte(`{"version":1,"key":"something-else","spec":{}}`)); err != nil {
+	if err := st.PutJob("cafebabe", []byte(fmt.Sprintf(`{"version":%d,"key":"something-else","spec":{}}`, checkpointVersion))); err != nil {
 		t.Fatal(err)
 	}
 	o := New(Options{Store: st, Workers: 1, QueueDepth: 4, Logf: nolog})

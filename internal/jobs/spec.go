@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"fmt"
-	"runtime"
 
 	citadel "repro"
 	"repro/internal/experiments"
@@ -19,8 +18,7 @@ const (
 
 // DefaultCheckpointTrials is the default reliability chunk size: a
 // checkpoint is persisted after every chunk, so this bounds the work a
-// crash can lose. It shapes the per-chunk RNG streams and is therefore
-// part of the content key.
+// crash can lose.
 const DefaultCheckpointTrials = 10000
 
 // Spec describes one campaign. Exactly one of the kind-specific
@@ -40,8 +38,9 @@ type Spec struct {
 
 // ReliabilitySpec configures a Monte Carlo reliability campaign — the
 // only checkpointable kind: trials run in CheckpointTrials-sized chunks,
-// each on its own splitmix64-derived seed stream, merged with
-// faultsim.Merge and checkpointed after every chunk.
+// merged with faultsim.Merge and checkpointed after every chunk. Every
+// trial draws from its own stream of Seed, so chunking does not change
+// which trials are drawn.
 type ReliabilitySpec struct {
 	Scheme        string  `json:"scheme"`
 	Trials        int     `json:"trials"`
@@ -50,13 +49,14 @@ type ReliabilitySpec struct {
 	LifetimeYears float64 `json:"lifetimeYears"`
 	ScrubHours    float64 `json:"scrubHours"`
 	Seed          int64   `json:"seed"`
-	// Workers bounds the engine's parallelism. The effective worker
-	// count shapes the per-worker RNG streams (DESIGN.md reproducibility
-	// contract), so it is normalized and part of the content key.
-	Workers int `json:"workers"`
+	// Workers bounds the engine's parallelism on the host that runs a
+	// chunk (0 selects its GOMAXPROCS). It does not change the result,
+	// so it is not part of the content key.
+	Workers int `json:"workers,omitempty"`
 	// CheckpointTrials is the chunk size (default
 	// DefaultCheckpointTrials, clamped to Trials). Part of the content
-	// key: a different chunk layout is a different deterministic run.
+	// key: importance weights sum per chunk, so a different chunk layout
+	// can round them differently.
 	CheckpointTrials int `json:"checkpointTrials"`
 	// RareEvent runs every chunk through the importance-sampled
 	// rare-event engine; the campaign result is Weighted. omitempty keeps
@@ -117,11 +117,6 @@ func (s Spec) Normalize() Spec {
 		if r.ScrubHours == 0 {
 			r.ScrubHours = 12
 		}
-		// The effective worker count shapes the result (per-worker RNG
-		// streams), so normalize it exactly the way the engine clamps it.
-		if max := runtime.GOMAXPROCS(0); r.Workers <= 0 || r.Workers > max {
-			r.Workers = max
-		}
 		if r.CheckpointTrials <= 0 {
 			r.CheckpointTrials = DefaultCheckpointTrials
 		}
@@ -174,13 +169,18 @@ func (s Spec) Normalize() Spec {
 }
 
 // Key returns the canonical content address of the campaign: the
-// SHA-256 of the normalized spec with priority stripped. Two specs that
-// describe the same deterministic computation — whether their fields are
-// explicit or defaulted — share a key and therefore a cached result.
+// SHA-256 of checkpointVersion and the normalized spec with priority and
+// workers stripped. Two specs that describe the same deterministic
+// computation — whether their fields are explicit or defaulted — share a
+// key and therefore a cached result; results and checkpoints of an older
+// sampling scheme live under other keys.
 func (s Spec) Key() (string, error) {
 	n := s.Normalize()
 	n.Priority = 0
-	return store.Key(n)
+	if n.Reliability != nil {
+		n.Reliability.Workers = 0
+	}
+	return store.Key([]any{checkpointVersion, n})
 }
 
 // Validate rejects malformed specs before they enter the queue.

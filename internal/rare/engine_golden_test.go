@@ -24,8 +24,8 @@ var update = flag.Bool("update", false, "rewrite golden fixtures")
 // results, weighted float tallies included. The fixture
 // (testdata/engine_golden.json, regenerate with
 // `go test ./internal/rare/ -run EngineGolden -update`) was captured
-// before these engines shared one trial executor; any drift means the
-// executor changed what a seeded run samples.
+// when every trial began drawing from its own stream; any drift means
+// the executor changed what a seeded run samples.
 type engineGolden struct {
 	IS       map[string]faultsim.Result
 	Census   map[string]faultsim.Census
@@ -77,7 +77,7 @@ func runEngineGolden() engineGolden {
 }
 
 // TestEngineGolden runs every pinned case at Workers 1 and 3 under
-// GOMAXPROCS 4, so the worker clamp leaves both counts intact on any host.
+// GOMAXPROCS 4; the fixture holds equal values for both counts.
 func TestEngineGolden(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	got := runEngineGolden()

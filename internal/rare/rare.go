@@ -62,9 +62,10 @@ type Options struct {
 
 // Engine returns the faultsim options that run o as an importance-sampled
 // study: NewArrivals draws Poisson lifetimes at the biased rates and
-// reports each one's likelihood ratio (faultsim.ArrivalWeights), and Seed
-// moves into the rare stream space (faultsim.RareSeed), so an IS run and
-// a naive run sharing a base seed are statistically independent. Any
+// reports each lifetime's likelihood ratio (faultsim.ArrivalWeights), and
+// Seed shifts 2^42 trials along the base seed's trial sequence
+// (faultsim.SeedAt), so an IS run and a naive run sharing a base seed
+// draw disjoint trials and are statistically independent. Any
 // faultsim entry point — fixed-budget, adaptive, forensic replay — then
 // runs the estimator, with the plain engine's determinism contract.
 func (o Options) Engine() faultsim.Options {
@@ -83,7 +84,7 @@ func (o Options) Engine() faultsim.Options {
 	eo.NewArrivals = func() faultsim.Arrivals {
 		return &biasedArrivals{Sampler: fault.NewSampler(cfg, biased), delta: delta, lnB: lnB}
 	}
-	eo.Seed = faultsim.RareSeed(o.Seed)
+	eo.Seed = faultsim.SeedAt(o.Seed, 1<<42)
 	return eo
 }
 

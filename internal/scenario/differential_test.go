@@ -32,10 +32,9 @@ import (
 var update = flag.Bool("update", false, "rewrite golden fixtures")
 
 const (
-	diffTrials  = 2000
-	diffSeed    = 12345
-	diffWorkers = 1
-	diffTSVFIT  = 1430
+	diffTrials = 2000
+	diffSeed   = 12345
+	diffTSVFIT = 1430
 )
 
 // handWired reproduces the pre-refactor Scheme.policy switch exactly.
@@ -113,7 +112,6 @@ func TestRegistryDifferential(t *testing.T) {
 				LifetimeHours:      7 * fault.HoursPerYear,
 				ScrubIntervalHours: faultsim.DefaultScrubIntervalHours,
 				Seed:               diffSeed,
-				Workers:            diffWorkers,
 			}, pol)
 
 			got, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
@@ -121,7 +119,6 @@ func TestRegistryDifferential(t *testing.T) {
 				Trials:  diffTrials,
 				TSVSwap: tsvSwap,
 				Seed:    diffSeed,
-				Workers: diffWorkers,
 			}, name)
 			if err != nil {
 				t.Fatalf("%s tsvSwap=%t: %v", name, tsvSwap, err)
