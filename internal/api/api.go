@@ -310,10 +310,14 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 // decodeJSON reads a size-capped JSON body into v, answering 413 for
-// oversized bodies and 400 for malformed ones.
+// oversized bodies and 400 for malformed ones. A field v does not have is
+// malformed: a misspelled knob must not run (or hit a cache entry) at its
+// zero value.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			s.writeError(w, http.StatusRequestEntityTooLarge,

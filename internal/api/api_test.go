@@ -143,15 +143,17 @@ func TestReliabilityValidation(t *testing.T) {
 			t.Errorf("request %+v: status %d, want 400", c, resp.StatusCode)
 		}
 	}
-	// Malformed JSON body.
-	resp, err := http.Post(srv.URL+"/api/v1/reliability", "application/json",
-		strings.NewReader("{nope"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: status %d", resp.StatusCode)
+	// Malformed JSON, and a misspelled field that would otherwise run at
+	// 0 TSV FIT.
+	for _, body := range []string{"{nope", `{"scheme":"Citadel","trials":200,"tsvFitPerDie":1430}`} {
+		resp, err := http.Post(srv.URL+"/api/v1/reliability", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
 	}
 }
 

@@ -217,6 +217,8 @@ func TestJobSubmitValidation(t *testing.T) {
 		// past a handler check that tested < 0.
 		{"reliability": map[string]any{"scheme": "Citadel", "rareEvent": true, "biasFactor": 0.5}},
 		{"reliability": map[string]any{"scheme": "Citadel", "biasFactor": 4}},
+		// A misspelled field must not run, or hit the cache, at 0 TSV FIT.
+		{"reliability": map[string]any{"scheme": "Citadel", "trials": 200, "tsvFitPerDie": 1430}},
 	}
 	for i, body := range cases {
 		if resp := postJSON(t, srv.URL+"/api/v1/jobs", body, nil); resp.StatusCode != http.StatusBadRequest {
