@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -26,24 +27,25 @@ func counter(name string) int64 {
 	return obs.Default().Counter(name, "").Value()
 }
 
-// testSpec is a campaign sized for tests: Workers is pinned to 1 and
-// every field is explicit so the normalized spec (and therefore every
-// chunk's RNG stream) is identical no matter where it runs.
+// testSpec is a campaign sized for tests. It leaves Workers unset, so
+// every host runs its chunks at its own GOMAXPROCS.
 func testSpec(seed int64, trials, chunk int) jobs.Spec {
 	return jobs.Spec{Reliability: &jobs.ReliabilitySpec{
 		Scheme:           "Citadel",
 		Trials:           trials,
 		CheckpointTrials: chunk,
-		Workers:          1,
 		Seed:             seed,
 		TSVFIT:           1430,
 	}}
 }
 
-// runLocal executes spec on a plain in-process orchestrator and returns
-// the finished job's result bytes — the determinism reference.
+// runLocal executes spec on a plain in-process orchestrator at
+// GOMAXPROCS 1 and returns the finished job's result bytes — the
+// determinism reference, which distributed runs on another host shape
+// (setProcs) must reproduce byte for byte.
 func runLocal(t *testing.T, spec jobs.Spec) []byte {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	st, err := store.Open(t.TempDir(), store.Options{Logf: nolog})
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
@@ -51,6 +53,12 @@ func runLocal(t *testing.T, spec jobs.Spec) []byte {
 	o := jobs.New(jobs.Options{Store: st, Workers: 1, QueueDepth: 4, Logf: nolog})
 	defer closeOrch(t, o)
 	return runCampaign(t, o, spec)
+}
+
+// setProcs sets GOMAXPROCS for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 func runCampaign(t *testing.T, o *jobs.Orchestrator, spec jobs.Spec) []byte {
@@ -132,11 +140,19 @@ func (h *harness) startWorker(t *testing.T, id string) context.CancelFunc {
 }
 
 // TestDistributedMatchesLocal is the determinism contract end to end: the
-// same campaign run in-process, on one worker, and on four workers must
-// produce bit-identical result bytes.
+// same campaign run in-process on one CPU, and on one and on four workers
+// at GOMAXPROCS 4, must produce bit-identical result bytes.
 func TestDistributedMatchesLocal(t *testing.T) {
+	// 3DP lacks TSV-SWAP, so it fails often at 1430 TSV FIT and the two
+	// results have failures to disagree on.
 	spec := testSpec(7, 4000, 500)
+	spec.Reliability.Scheme = "3DP"
 	want := runLocal(t, spec)
+	var ref faultsim.Result
+	if err := json.Unmarshal(want, &ref); err != nil || ref.Failures == 0 {
+		t.Fatalf("local reference has no failures (err %v): %s", err, want)
+	}
+	setProcs(t, 4)
 
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -186,7 +202,7 @@ func TestNoWorkersFallsBackLocal(t *testing.T) {
 func normSpec(trials, chunk int) jobs.ReliabilitySpec {
 	return jobs.ReliabilitySpec{
 		Scheme: "Citadel", Trials: trials, CheckpointTrials: chunk,
-		Workers: 1, LifetimeYears: 7, ScrubHours: 12, Seed: 1,
+		LifetimeYears: 7, ScrubHours: 12, Seed: 1,
 	}
 }
 
@@ -482,13 +498,12 @@ func TestCancelledCampaignRevokesLeases(t *testing.T) {
 // to weighted campaigns: an importance-sampled campaign distributed
 // across workers must carry its likelihood-ratio sums through the lease
 // protocol and the coordinator's merge fold bit-identically to an
-// in-process run.
+// in-process run on another host shape.
 func TestDistributedRareEventMatchesLocal(t *testing.T) {
 	spec := jobs.Spec{Reliability: &jobs.ReliabilitySpec{
 		Scheme:           "1DP",
 		Trials:           4000,
 		CheckpointTrials: 500,
-		Workers:          1,
 		Seed:             7,
 		TSVFIT:           1430,
 		RareEvent:        true,
@@ -503,6 +518,7 @@ func TestDistributedRareEventMatchesLocal(t *testing.T) {
 	if !ref.Weighted || ref.FailWeight <= 0 {
 		t.Fatalf("local rare campaign carries no weighted signal: %+v", ref)
 	}
+	setProcs(t, 4)
 
 	h := newHarness(t, cluster.Options{
 		LeaseTTL:      2 * time.Second,

@@ -14,14 +14,11 @@ import (
 
 // scenarioSpec composes both new plugin kinds in one campaign: the
 // two-tier-replication scheme under the rowhammer arrival process.
-// Workers pinned to 1 and every field explicit, like testSpec, so the
-// chunk RNG streams are location-independent.
 func scenarioSpec(seed int64, trials, chunk int) jobs.Spec {
 	return jobs.Spec{Reliability: &jobs.ReliabilitySpec{
 		Scheme:           "two-tier-replication",
 		Trials:           trials,
 		CheckpointTrials: chunk,
-		Workers:          1,
 		Seed:             seed,
 		TSVFIT:           1430,
 		FaultModel:       "rowhammer",
@@ -33,10 +30,11 @@ func scenarioSpec(seed int64, trials, chunk int) jobs.Spec {
 // to registry-built scenarios: workers resolve the scheme and fault
 // model from their own registry by name, and the distributed merge —
 // including the folded ScenarioStats — must be bit-identical to the
-// in-process run.
+// in-process run on another host shape.
 func TestDistributedScenarioMatchesLocal(t *testing.T) {
 	spec := scenarioSpec(11, 2000, 250)
 	want := runLocal(t, spec)
+	setProcs(t, 4)
 
 	h := newHarness(t, cluster.Options{
 		LeaseTTL:      2 * time.Second,
