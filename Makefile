@@ -56,10 +56,11 @@ stress-cluster:
 stress-stream:
 	$(GO) test -race -run TestStressStreamSubscribers -count=1 -v -timeout=10m ./internal/api/
 
-# Host-independence gate: the seeded goldens and differentials again at
-# GOMAXPROCS 1 and 4, so a fixture that only holds at one CPU count (the
-# engine clamps Workers to GOMAXPROCS) fails here rather than on a
-# differently sized host.
+# Host-independence gate: the seeded goldens, the differentials and the
+# host-shape invariance test (TestEnginesDeterministicAcrossHostShapes)
+# again at GOMAXPROCS 1 and 4. Every trial draws from its own RNG stream,
+# so no seeded result may depend on the CPU count; a change that makes
+# one depend on it fails here rather than on a differently sized host.
 determinism:
 	$(GO) test -count=1 -cpu 1,4 -run 'Differential|Golden|Deterministic|Reproducible|Census' \
 		./internal/faultsim/ ./internal/rare/ ./internal/scenario/ .

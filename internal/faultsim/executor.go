@@ -39,10 +39,9 @@ func (o Options) arrivals() Arrivals {
 // worker and draws trial t from deriveSeed(opt.Seed, t) (drawLifetime),
 // so the worker count sets only the parallelism. On each worker's own
 // goroutine it builds the arrival source, then the lane (newLane), then
-// runs the slice. It alone checks ctx, every
-// cancelCheckInterval trials; it flushes the live progress and metric
-// counters, drives opt.Progress, and records the trace spans of sampled
-// trials and of the whole run.
+// runs the slice. It alone checks ctx, every cancelCheckInterval trials;
+// it flushes the live progress and metric counters, drives opt.Progress,
+// and records the trace spans of sampled trials and of the whole run.
 //
 // It returns the lanes in worker order, which is trial order, with the
 // completed trial and failure counts, and err set to ctx's cause when the

@@ -127,9 +127,9 @@ type Options struct {
 	Trials             int
 	LifetimeHours      float64 // default: fault.LifetimeHours (7 years)
 	ScrubIntervalHours float64 // default: 12
-	// Seed selects the sample: trial t draws its lifetime from
-	// deriveSeed(Seed, t), so equal (Seed, Trials) give bit-identical
-	// Results on any host and at any worker count.
+	// Seed selects the sample: trial t draws its lifetime from its own
+	// RNG stream, derived from (Seed, t), so equal Options give
+	// bit-identical Results on any host and at any worker count.
 	Seed int64
 	// Workers bounds parallelism; it is clamped to [1, GOMAXPROCS]
 	// (0 or negative selects GOMAXPROCS). It does not change the Result.

@@ -23,7 +23,7 @@ type Forensic struct {
 	// rare.Options.Engine). Replaying requires this exact seed.
 	BaseSeed int64 `json:"baseSeed"`
 	// Trial is the trial's index in that run; it drew its lifetime from
-	// deriveSeed(BaseSeed, Trial).
+	// the RNG stream of (BaseSeed, Trial).
 	Trial int `json:"trial"`
 	// FailureHours is when the fatal fault arrived.
 	FailureHours float64 `json:"failureHours"`

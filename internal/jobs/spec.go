@@ -52,7 +52,7 @@ type ReliabilitySpec struct {
 	// Workers bounds the engine's parallelism on the host that runs a
 	// chunk (0 selects its GOMAXPROCS). It does not change the result,
 	// so it is not part of the content key.
-	Workers int `json:"workers,omitempty"`
+	Workers int `json:"workers"`
 	// CheckpointTrials is the chunk size (default
 	// DefaultCheckpointTrials, clamped to Trials). Part of the content
 	// key: importance weights sum per chunk, so a different chunk layout
@@ -60,7 +60,7 @@ type ReliabilitySpec struct {
 	CheckpointTrials int `json:"checkpointTrials"`
 	// RareEvent runs every chunk through the importance-sampled
 	// rare-event engine; the campaign result is Weighted. omitempty keeps
-	// the content keys of pre-existing plain campaigns unchanged.
+	// it out of plain campaigns' canonical JSON and content keys.
 	RareEvent bool `json:"rareEvent,omitempty"`
 	// BiasFactor is the rare-event rate inflation (normalized to
 	// citadel.DefaultBiasFactor when RareEvent is set; must be >= 1).
@@ -69,8 +69,8 @@ type ReliabilitySpec struct {
 	BiasFactor float64 `json:"biasFactor,omitempty"`
 	// FaultModel names the registered arrival-process plugin. Normalized
 	// to "" when it names scenario.DefaultFaultModel, and omitted from the
-	// JSON encoding when empty, so pre-existing Poisson campaigns keep
-	// their content keys — see TestScenarioSpecKeys.
+	// JSON encoding when empty, so spelling out the default model keeps
+	// the content key — see TestScenarioSpecKeys.
 	FaultModel string `json:"faultModel,omitempty"`
 	// ScenarioParams are plugin knobs shared by the scheme and fault-model
 	// plugins. An empty map normalizes to nil (and is omitted from the
