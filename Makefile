@@ -1,16 +1,25 @@
-# Developer entry points. `make check` is the tier-1 gate: build + vet +
-# full tests and the determinism pass, plus the race detector over the
+# Developer entry points. `make check` is the tier-1 gate: build + gofmt +
+# vet + full tests and the determinism pass, plus the race detector over the
 # -short suite (the heavy Monte Carlo tests are gated behind -short so the
 # race pass stays within CI budget; see skipInShort in internal/faultsim).
 
 GO ?= go
 
-.PHONY: all build vet staticcheck test race determinism check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build fmt vet staticcheck test race determinism check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: fails, listing the files, when any tracked Go file is
+# not gofmt-clean. It needs a git checkout: with no file list, gofmt would
+# read standard input and pass vacuously.
+fmt:
+	@files="$$(git ls-files '*.go')"; \
+	if [ -z "$$files" ]; then echo "fmt: git ls-files lists no Go files"; exit 1; fi; \
+	out="$$(gofmt -l $$files)"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -65,7 +74,7 @@ determinism:
 	$(GO) test -count=1 -cpu 1,4 -run 'Differential|Golden|Deterministic|Reproducible|Census' \
 		./internal/faultsim/ ./internal/rare/ ./internal/scenario/ .
 
-check: build vet staticcheck test race determinism scenario-smoke
+check: build fmt vet staticcheck test race determinism scenario-smoke
 
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the

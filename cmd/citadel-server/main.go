@@ -73,7 +73,7 @@ func main() {
 		jobCacheMB    = flag.Int64("job-cache-mb", 256, "content-addressed result cache cap in MiB (LRU eviction past it)")
 		clusterMode   = flag.Bool("cluster", false, "distribute reliability campaigns to citadel-worker processes (requires -job-dir)")
 		streamSubs    = flag.Int("stream-max-subscribers", 0, "SSE subscriber cap across all jobs; excess connections get 429 (0 = default 16384)")
-		leaseTTL      = flag.Duration("lease-ttl", 15*time.Second, "cluster: chunk lease TTL (workers heartbeat at TTL/3)")
+		leaseTTL      = flag.Duration("lease-ttl", 15*time.Second, "cluster: chunk lease TTL (workers heartbeat at TTL/3; an idle worker's lease request is held open up to TTL/3, at most 10s)")
 		noWorkerGrace = flag.Duration("no-worker-grace", 10*time.Second, "cluster: how long a campaign waits with zero live workers before running locally")
 	)
 	flag.Parse()

@@ -40,7 +40,7 @@ func main() {
 		coordinator = flag.String("coordinator", "http://localhost:8080", "base URL of the citadel-server coordinator")
 		id          = flag.String("id", "", "worker ID (default: random; -n > 1 appends a slot suffix)")
 		n           = flag.Int("n", 1, "worker loops to run in this process (one chunk each at a time)")
-		poll        = flag.Duration("poll", 500*time.Millisecond, "idle poll interval when the coordinator has no work")
+		poll        = flag.Duration("poll", 500*time.Millisecond, "least spacing between empty lease answers; a coordinator holds a lease request open until work appears, so this paces only one that answers at once")
 	)
 	flag.Parse()
 	if *n < 1 {

@@ -9,7 +9,7 @@ import (
 // Cluster routes: the coordinator side of the distributed campaign
 // protocol (see internal/cluster). Mounted only with Options.Cluster.
 //
-//	POST /api/v1/cluster/lease      pull one chunk lease (204 when no work)
+//	POST /api/v1/cluster/lease      pull one chunk lease (long poll; 204 when none)
 //	POST /api/v1/cluster/heartbeat  extend a lease
 //	POST /api/v1/cluster/complete   deliver a chunk result or failure
 //	GET  /api/v1/cluster/workers    ops view of the worker fleet
@@ -27,7 +27,7 @@ func (s *Server) handleClusterLease(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "workerId is required")
 		return
 	}
-	grant, ok := s.opts.Cluster.Lease(req.WorkerID)
+	grant, ok := s.opts.Cluster.Lease(r.Context(), req.WorkerID)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

@@ -21,19 +21,22 @@ func clusterServer(t *testing.T) (*httptest.Server, *cluster.Coordinator) {
 	coord := cluster.New(cluster.Options{
 		LeaseTTL: time.Second, Tick: 100 * time.Millisecond, NoWorkerGrace: -1, Logf: quietLogf,
 	})
-	t.Cleanup(coord.Close)
 	st, err := store.Open(t.TempDir(), store.Options{Logf: quietLogf})
 	if err != nil {
+		coord.Close()
 		t.Fatal(err)
 	}
 	orch := jobs.New(jobs.Options{Store: st, Workers: 1, QueueDepth: 4, Logf: quietLogf, ChunkExec: coord})
+	srv := httptest.NewServer(New(Options{Jobs: orch, Cluster: coord, Logf: quietLogf}).Handler())
+	// The coordinator closes before the server: Close releases held lease
+	// requests, which httptest.Server.Close would otherwise wait out.
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		orch.Close(ctx)
+		coord.Close()
+		srv.Close()
 	})
-	srv := httptest.NewServer(New(Options{Jobs: orch, Cluster: coord, Logf: quietLogf}).Handler())
-	t.Cleanup(srv.Close)
 	return srv, coord
 }
 
@@ -101,8 +104,11 @@ func TestClusterRoutes(t *testing.T) {
 func TestReadyzReportsQueueAndWorkers(t *testing.T) {
 	srv, coord := clusterServer(t)
 
-	// A worker makes contact so the live count is non-zero.
-	coord.Lease("w1")
+	// A worker makes contact so the live count is non-zero. A request whose
+	// context has ended still counts as contact and answers at once.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	coord.Lease(ctx, "w1")
 
 	var body struct {
 		Status        string `json:"status"`

@@ -172,6 +172,10 @@ type workerState struct {
 	chunksDone       int64
 }
 
+// maxLeaseHold caps how long Lease holds a request that finds no work,
+// safely below the worker's default 30s client timeout.
+const maxLeaseHold = 10 * time.Second
+
 // Coordinator shards campaigns into chunk leases for pulling workers.
 // It implements jobs.ChunkExecutor.
 type Coordinator struct {
@@ -185,6 +189,9 @@ type Coordinator struct {
 	rng       *rand.Rand
 	leaseSeq  int64
 	closed    bool
+	// wake is closed, and replaced, when new work appears: a campaign
+	// registers or a chunk requeues. Held lease requests wait on it.
+	wake chan struct{}
 
 	closedCh chan struct{}
 	wg       sync.WaitGroup
@@ -199,6 +206,7 @@ func New(opts Options) *Coordinator {
 		leases:    make(map[string]*lease),
 		workers:   make(map[string]*workerState),
 		rng:       rand.New(rand.NewSource(opts.Seed)),
+		wake:      make(chan struct{}),
 		closedCh:  make(chan struct{}),
 	}
 	c.cond = sync.NewCond(&c.mu)
@@ -280,6 +288,7 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 	}
 	c.campaigns[cp.key] = cp
 	mActiveCampaigns.Set(int64(len(c.campaigns)))
+	c.wakeLocked()
 	c.mu.Unlock()
 	c.opts.Logf("cluster: campaign=%.12s run=%s chunks %d..%d registered", cp.key, cp.runID, cam.Start, cam.Total)
 
@@ -363,19 +372,80 @@ func (c *Coordinator) touchLocked(workerID string, now time.Time) *workerState {
 	return w
 }
 
-// Lease grants one chunk to workerID, or reports no work (nothing
-// pending, everything backed off, or the worker is quarantined).
-func (c *Coordinator) Lease(workerID string) (LeaseGrant, bool) {
-	now := time.Now()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return LeaseGrant{}, false
+// wakeLocked releases every held lease request to scan again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// Lease grants one chunk to workerID. When no chunk is leasable it holds
+// the request until new work appears, a backed-off chunk or the worker's
+// quarantine comes due, or the hold (LeaseTTL/3, at most maxLeaseHold)
+// ends; it reports no work then, or at once when ctx ends or the
+// coordinator closes. A request whose ctx has ended never takes a lease,
+// though it still counts as contact from the worker.
+func (c *Coordinator) Lease(ctx context.Context, workerID string) (LeaseGrant, bool) {
+	var hold <-chan time.Time // armed when the request first parks
+	for {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return LeaseGrant{}, false
+		}
+		grant, ok, retryIn := c.grantLocked(ctx, workerID, time.Now())
+		wake := c.wake
+		c.mu.Unlock()
+		if ok {
+			return grant, true
+		}
+		if hold == nil {
+			t := time.NewTimer(min(c.opts.LeaseTTL/3, maxLeaseHold))
+			defer t.Stop()
+			hold = t.C
+			mParkedLeases.Inc()
+			defer mParkedLeases.Dec()
+		}
+		if !c.await(ctx, wake, hold, retryIn) {
+			return LeaseGrant{}, false
+		}
 	}
+}
+
+// await parks a lease request. It reports true when the request should
+// scan again: wake closed, or retryIn (when positive) passed. It reports
+// false when the hold ends, ctx ends or the coordinator closes.
+func (c *Coordinator) await(ctx context.Context, wake <-chan struct{}, hold <-chan time.Time, retryIn time.Duration) bool {
+	var retry <-chan time.Time
+	if retryIn > 0 {
+		t := time.NewTimer(retryIn)
+		defer t.Stop()
+		retry = t.C
+	}
+	select {
+	case <-wake:
+		return true
+	case <-retry:
+		return true
+	case <-hold:
+	case <-ctx.Done():
+	case <-c.closedCh:
+	}
+	return false
+}
+
+// grantLocked scans for a leasable chunk and leases it to workerID,
+// unless ctx has ended. With none, it returns how long until one may
+// become leasable to this worker (a backoff or its quarantine ending), or
+// 0 if only new work can help.
+func (c *Coordinator) grantLocked(ctx context.Context, workerID string, now time.Time) (LeaseGrant, bool, time.Duration) {
 	w := c.touchLocked(workerID, now)
-	if now.Before(w.quarantinedUntil) {
-		return LeaseGrant{}, false
+	if ctx.Err() != nil {
+		return LeaseGrant{}, false, 0
 	}
+	if now.Before(w.quarantinedUntil) {
+		return LeaseGrant{}, false, w.quarantinedUntil.Sub(now)
+	}
+	var retryIn time.Duration
 	// Deterministic scan order keeps scheduling fair across campaigns.
 	keys := make([]string, 0, len(c.campaigns))
 	for k := range c.campaigns {
@@ -386,7 +456,13 @@ func (c *Coordinator) Lease(workerID string) (LeaseGrant, bool) {
 		cp := c.campaigns[k]
 		for i := cp.next; i < cp.total; i++ {
 			ci := &cp.chunks[i]
-			if ci.status != chunkPending || now.Before(ci.notBefore) {
+			if ci.status != chunkPending {
+				continue
+			}
+			if d := ci.notBefore.Sub(now); d > 0 {
+				if retryIn == 0 || d < retryIn {
+					retryIn = d
+				}
 				continue
 			}
 			c.leaseSeq++
@@ -404,10 +480,10 @@ func (c *Coordinator) Lease(workerID string) (LeaseGrant, bool) {
 				Trials:      cp.spec.ChunkTrials(i),
 				Spec:        cp.spec,
 				TTLMillis:   c.opts.LeaseTTL.Milliseconds(),
-			}, true
+			}, true, 0
 		}
 	}
-	return LeaseGrant{}, false
+	return LeaseGrant{}, false, retryIn
 }
 
 // Heartbeat extends a lease. False means the lease is gone — expired and
@@ -557,6 +633,7 @@ func (c *Coordinator) requeueChunkLocked(l *lease, now time.Time) {
 		ci.attempts++
 		ci.notBefore = now.Add(c.backoffLocked(ci.attempts))
 		mReassignments.Inc()
+		c.wakeLocked()
 	}
 	c.releaseLeaseLocked(l.id, "")
 }

@@ -117,14 +117,21 @@ func newHarness(t *testing.T, copts cluster.Options) *harness {
 }
 
 // startWorker runs a pulling worker against the harness until the test
-// ends (or the returned cancel is called).
-func (h *harness) startWorker(t *testing.T, id string) context.CancelFunc {
+// ends.
+func (h *harness) startWorker(t *testing.T, id string) {
+	t.Helper()
+	runWorker(t, h.srv.URL, id, 20*time.Millisecond)
+}
+
+// runWorker runs a pulling worker against baseURL until the returned stop
+// is called or the test ends; stop returns once Run has.
+func runWorker(t *testing.T, baseURL, id string, poll time.Duration) (stop func()) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	w := cluster.NewWorker(cluster.WorkerOptions{
-		BaseURL:      h.srv.URL,
+		BaseURL:      baseURL,
 		ID:           id,
-		PollInterval: 20 * time.Millisecond,
+		PollInterval: poll,
 		Logf:         nolog,
 	})
 	done := make(chan struct{})
@@ -132,11 +139,12 @@ func (h *harness) startWorker(t *testing.T, id string) context.CancelFunc {
 		defer close(done)
 		w.Run(ctx)
 	}()
-	t.Cleanup(func() {
+	stop = func() {
 		cancel()
 		<-done
-	})
-	return cancel
+	}
+	t.Cleanup(stop)
+	return stop
 }
 
 // TestDistributedMatchesLocal is the determinism contract end to end: the
@@ -217,16 +225,17 @@ func fakeEnvelope(key string, chunk, trials int) faultsim.ChunkEnvelope {
 	}
 }
 
-// leaseEventually polls Lease until the worker gets a grant (chunks under
-// backoff answer "no work" until notBefore passes).
+// leaseEventually asks for a lease until the worker gets a grant or
+// within passes. Lease holds each request until work is leasable, but for
+// at most LeaseTTL/3, so it asks again at once, as a worker does.
 func leaseEventually(t *testing.T, c *cluster.Coordinator, workerID string, within time.Duration) cluster.LeaseGrant {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for time.Now().Before(deadline) {
-		if g, ok := c.Lease(workerID); ok {
+	ctx, cancel := context.WithTimeout(context.Background(), within)
+	defer cancel()
+	for ctx.Err() == nil {
+		if g, ok := c.Lease(ctx, workerID); ok {
 			return g
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("worker %s got no lease within %s", workerID, within)
 	return cluster.LeaseGrant{}
@@ -377,9 +386,12 @@ func TestQuarantineAfterConsecutiveFailures(t *testing.T) {
 		g := leaseEventually(t, c, "bad", 5*time.Second)
 		c.Fail("bad", g.LeaseID, "synthetic failure")
 	}
-	// Quarantined: no lease for "bad" even though the chunk is pending.
-	time.Sleep(10 * time.Millisecond) // let the backoff window pass
-	if _, ok := c.Lease("bad"); ok {
+	// Quarantined: no lease for "bad" even though the chunk is pending. The
+	// request is held past the chunk's backoff, which is at most RetryMax.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, ok := c.Lease(ctx, "bad")
+	cancel()
+	if ok {
 		t.Error("quarantined worker still gets leases")
 	}
 	ws := c.Workers()

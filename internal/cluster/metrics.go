@@ -28,4 +28,6 @@ var (
 		"Workers seen within the liveness window and not quarantined.")
 	mActiveCampaigns = obs.Default().Gauge("citadel_cluster_active_campaigns",
 		"Campaigns currently being distributed to workers.")
+	mParkedLeases = obs.Default().Gauge("citadel_cluster_parked_lease_requests",
+		"Lease requests held open waiting for work: idle worker capacity.")
 )

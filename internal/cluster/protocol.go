@@ -88,13 +88,13 @@ type CompleteResponse struct {
 
 // WorkerInfo is one row of the GET workers listing.
 type WorkerInfo struct {
-	ID               string `json:"id"`
-	Live             bool   `json:"live"`
-	LastSeenMillisAgo int64 `json:"lastSeenMillisAgo"`
-	ActiveLeases     int    `json:"activeLeases"`
-	ChunksDone       int64  `json:"chunksDone"`
-	ConsecutiveFails int    `json:"consecutiveFails,omitempty"`
-	Quarantined      bool   `json:"quarantined,omitempty"`
+	ID                string `json:"id"`
+	Live              bool   `json:"live"`
+	LastSeenMillisAgo int64  `json:"lastSeenMillisAgo"`
+	ActiveLeases      int    `json:"activeLeases"`
+	ChunksDone        int64  `json:"chunksDone"`
+	ConsecutiveFails  int    `json:"consecutiveFails,omitempty"`
+	Quarantined       bool   `json:"quarantined,omitempty"`
 }
 
 // WorkersResponse is the GET workers listing.

@@ -29,9 +29,13 @@ type WorkerOptions struct {
 	// Client issues the HTTP requests (default: 30s timeout). Tests
 	// inject chaos here via a custom Transport.
 	Client *http.Client
-	// PollInterval is the idle delay between lease requests when the
-	// coordinator has no work, jittered to ±50% so a fleet of idle
-	// workers does not poll in lockstep (default 500ms).
+	// PollInterval spaces lease requests that come back empty: the next
+	// one starts a PollInterval, jittered to ±50% so a fleet of idle
+	// workers does not poll in lockstep, after the last one did (default
+	// 500ms). The coordinator holds an empty request open until work
+	// appears, usually for longer than that, so the worker then asks
+	// again at once; against a coordinator that answers at once, this is
+	// the idle poll period.
 	PollInterval time.Duration
 	// Logf sinks worker logs (default log.Printf).
 	Logf func(format string, args ...any)
@@ -94,6 +98,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
+		asked := time.Now()
 		grant, ok, err := w.requestLease(ctx)
 		switch {
 		case err != nil:
@@ -106,7 +111,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 		case !ok:
 			w.leaseErr = 0
-			if !sleepCtx(ctx, w.idleDelay()) {
+			if !sleepCtx(ctx, w.idleDelay()-time.Since(asked)) {
 				return ctx.Err()
 			}
 		default:
@@ -148,7 +153,21 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // simulate, deliver. A lease revocation (heartbeat answered "gone")
 // cancels the simulation mid-chunk — the partial result is discarded, as
 // partial chunk statistics must never enter a merge.
+//
+// A grant whose campaign key differs from the key this worker derives
+// from the granted spec was made under another sampling scheme (a
+// coordinator of another version): the worker fails it without running
+// it, so a mixed-version fleet never merges chunks drawn two ways.
 func (w *Worker) runLease(ctx context.Context, grant LeaseGrant) {
+	if key, err := (jobs.Spec{Reliability: &grant.Spec}).Key(); err != nil || key != grant.CampaignKey {
+		reason := fmt.Sprintf("campaign key %s does not match this worker's key %s for the granted spec", grant.CampaignKey, key)
+		if err != nil {
+			reason = fmt.Sprintf("deriving the key of campaign %s: %v", grant.CampaignKey, err)
+		}
+		w.opts.Logf("cluster: worker=%s chunk=%d refused: %s", w.opts.ID, grant.Chunk, reason)
+		w.postFail(ctx, grant, reason)
+		return
+	}
 	chunkCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hbEvery := time.Duration(grant.TTLMillis) * time.Millisecond / 3
@@ -214,10 +233,10 @@ func (w *Worker) heartbeatLoop(ctx context.Context, cancel context.CancelFunc, g
 	}
 }
 
-// deliver posts the completed chunk, retrying transient transport
-// failures a few times. Delivery uses the worker's run context: a killed
-// worker drops its result (the chunk requeues at lease expiry), which
-// keeps the failure model honest.
+// deliver posts the completed chunk, retrying transport failures, server
+// errors (5xx) and 429s a few times. Delivery uses the worker's run
+// context: a killed worker drops its result (the chunk requeues at lease
+// expiry), which keeps the failure model honest.
 func (w *Worker) deliver(ctx context.Context, grant LeaseGrant, env faultsim.ChunkEnvelope) {
 	req := CompleteRequest{WorkerID: w.opts.ID, LeaseID: grant.LeaseID, Envelope: &env}
 	for attempt := 0; attempt < 3; attempt++ {
@@ -230,9 +249,11 @@ func (w *Worker) deliver(ctx context.Context, grant LeaseGrant, env faultsim.Chu
 					w.opts.ID, grant.CampaignKey, grant.Chunk, resp.Status)
 			}
 			return
+		case err == nil && (status >= 500 || status == http.StatusTooManyRequests):
+			w.opts.Logf("cluster: worker=%s chunk=%d delivery got HTTP %d", w.opts.ID, grant.Chunk, status)
 		case err == nil:
-			// 4xx: the coordinator rejected the envelope; retrying the
-			// same bytes cannot help.
+			// Any other status: the coordinator rejected the envelope;
+			// retrying the same bytes cannot help.
 			w.opts.Logf("cluster: worker=%s chunk=%d delivery rejected (HTTP %d)", w.opts.ID, grant.Chunk, status)
 			return
 		case ctx.Err() != nil:
