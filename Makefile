@@ -84,13 +84,16 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, CRC variants, and the Figure-4 striping
-# study) funneled through cmd/benchjson into a benchstat-compatible JSON
-# report. `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders
-# it; keep two reports around to benchstat before/after a change.
+# (incremental vs batch evaluation, the TSV-SWAP and sparing layers, CRC
+# variants, and the Figure-4 striping study) funneled through cmd/benchjson
+# into a benchstat-compatible JSON report.
+# `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
+# keep two reports around to benchstat before/after a change.
 bench.out:
 	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
 		-benchmem ./internal/faultsim/ > bench.out
+	$(GO) test -run xxx -bench 'BenchmarkSwapperApply|BenchmarkDDSOffer' -benchmem \
+		./internal/tsv/ ./internal/sparing/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out

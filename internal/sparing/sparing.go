@@ -44,10 +44,13 @@ type DDS struct {
 	maxRows    int
 	spareBanks int
 
-	// rrtRows counts RRT entries consumed per bank.
-	rrtRows map[bankKey]int
-	// brt lists banks remapped to spare banks, per stack.
-	brt map[int][]bankKey
+	// rrtRows counts RRT entries consumed per bank, indexed by dense bank
+	// id (see bankID), metadata die included. rrtTouched lists, once each,
+	// the ids with a nonzero count so Reset clears only what a trial used.
+	rrtRows    []int
+	rrtTouched []int
+	// brt lists banks remapped to spare banks, indexed by stack.
+	brt [][]bankKey
 	// sparedScratch backs Offer's sparedLive result so bank escalation does
 	// not allocate on the simulator's hot path.
 	sparedScratch []int
@@ -71,17 +74,21 @@ func NewWithBudget(cfg stack.Config, maxRowsPerBank, spareBanks int) *DDS {
 		cfg:        cfg,
 		maxRows:    maxRowsPerBank,
 		spareBanks: spareBanks,
-		rrtRows:    make(map[bankKey]int),
-		brt:        make(map[int][]bankKey),
+		rrtRows:    make([]int, cfg.Stacks*(cfg.DataDies+cfg.ECCDies)*cfg.BanksPerDie),
+		brt:        make([][]bankKey, cfg.Stacks),
 	}
 }
 
 // Reset clears all sparing state, retaining table capacity so the Monte
-// Carlo engine can reuse a DDS across trials.
+// Carlo engine can reuse a DDS across trials. It costs the banks and
+// stacks the trial used, not the whole system.
 func (d *DDS) Reset() {
-	clear(d.rrtRows)
-	for k, v := range d.brt {
-		d.brt[k] = v[:0]
+	for _, id := range d.rrtTouched {
+		d.rrtRows[id] = 0
+	}
+	d.rrtTouched = d.rrtTouched[:0]
+	for i := range d.brt {
+		d.brt[i] = d.brt[i][:0]
 	}
 	d.rejectFootprint = 0
 	d.rejectBudget = 0
@@ -95,16 +102,36 @@ func (d *DDS) RejectCounts() (footprint, budget int) {
 	return d.rejectFootprint, d.rejectBudget
 }
 
+// bankID returns the dense index of a bank, or -1 outside the geometry.
+func (d *DDS) bankID(stackIdx, die, bank int) int {
+	dies := d.cfg.DataDies + d.cfg.ECCDies
+	if stackIdx < 0 || stackIdx >= d.cfg.Stacks || die < 0 || die >= dies || bank < 0 || bank >= d.cfg.BanksPerDie {
+		return -1
+	}
+	return (stackIdx*dies+die)*d.cfg.BanksPerDie + bank
+}
+
 // RowEntriesUsed returns the number of RRT entries consumed for the bank.
 func (d *DDS) RowEntriesUsed(stackIdx, die, bank int) int {
-	return d.rrtRows[bankKey{stackIdx, die, bank}]
+	if id := d.bankID(stackIdx, die, bank); id >= 0 {
+		return d.rrtRows[id]
+	}
+	return 0
 }
 
 // BankSparesUsed returns the number of BRT entries consumed in the stack.
-func (d *DDS) BankSparesUsed(stackIdx int) int { return len(d.brt[stackIdx]) }
+func (d *DDS) BankSparesUsed(stackIdx int) int {
+	if stackIdx < 0 || stackIdx >= len(d.brt) {
+		return 0
+	}
+	return len(d.brt[stackIdx])
+}
 
 // BankSpared reports whether the given bank has been remapped.
 func (d *DDS) BankSpared(stackIdx, die, bank int) bool {
+	if stackIdx < 0 || stackIdx >= len(d.brt) {
+		return false
+	}
 	for _, k := range d.brt[stackIdx] {
 		if k == (bankKey{stackIdx, die, bank}) {
 			return true
@@ -114,9 +141,11 @@ func (d *DDS) BankSpared(stackIdx, die, bank int) bool {
 }
 
 // singleBank extracts the (die, bank) a footprint is confined to, if any.
+// A footprint on a stack outside the geometry is confined to no bank.
 func (d *DDS) singleBank(r fault.Region) (die, bank int, ok bool) {
 	dies := d.cfg.DataDies + d.cfg.ECCDies
-	if r.Die.CountBelow(uint32(dies)) != 1 || r.Bank.CountBelow(uint32(d.cfg.BanksPerDie)) != 1 {
+	if r.Stack < 0 || r.Stack >= d.cfg.Stacks ||
+		r.Die.CountBelow(uint32(dies)) != 1 || r.Bank.CountBelow(uint32(d.cfg.BanksPerDie)) != 1 {
 		return 0, 0, false
 	}
 	for v := 0; v < dies; v++ {
@@ -156,9 +185,13 @@ func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedL
 		// Bank already redirected; the faulty cells are no longer in use.
 		return true, nil
 	}
+	id := d.bankID(key.Stack, key.Die, key.Bank)
 	rows := f.RowsNeedingSparing(d.cfg)
-	if rows <= d.maxRows-d.rrtRows[key] {
-		d.rrtRows[key] += rows
+	if rows <= d.maxRows-d.rrtRows[id] {
+		if rows > 0 && d.rrtRows[id] == 0 {
+			d.rrtTouched = append(d.rrtTouched, id)
+		}
+		d.rrtRows[id] += rows
 		return true, nil
 	}
 	// Row budget exceeded: escalate to bank sparing.
@@ -188,8 +221,8 @@ func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedL
 // String summarizes sparing state.
 func (d *DDS) String() string {
 	used := 0
-	for _, n := range d.rrtRows {
-		used += n
+	for _, id := range d.rrtTouched {
+		used += d.rrtRows[id]
 	}
 	banks := 0
 	for _, b := range d.brt {

@@ -1,6 +1,7 @@
 package sparing
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/fault"
@@ -196,5 +197,31 @@ func TestMetadataDieBankSparable(t *testing.T) {
 	// Die index 8 is the metadata die; its banks can be spared too.
 	if ok, _ := d.Offer(bankFault(0, 8, 3), nil); !ok {
 		t.Error("metadata-die bank fault not spared")
+	}
+}
+
+// BenchmarkDDSOffer measures sparing as a scrub drives it: one op is a
+// trial of eight permanent faults on a reused DDS — Reset, then Offer of
+// each with the trial's faults as the live list — drawn from
+// randomPermanent, so row sparing, bank escalation and rejections all run.
+func BenchmarkDDSOffer(b *testing.B) {
+	cfg := stack.DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	trials := make([][]fault.Fault, 64)
+	for i := range trials {
+		trials[i] = make([]fault.Fault, 8)
+		for j := range trials[i] {
+			trials[i][j] = randomPermanent(rng, cfg)
+		}
+	}
+	d := New(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		live := trials[i%len(trials)]
+		d.Reset()
+		for _, f := range live {
+			d.Offer(f, live)
+		}
 	}
 }

@@ -94,6 +94,23 @@ type topic struct {
 	seq      uint64
 	latest   Frame // most recent frame, replayed to (re)subscribers
 	terminal bool
+	// final is the terminal publish's value. Once the terminal frame has
+	// reached the live subscribers the topic keeps only this value:
+	// latest.Data and subs are dropped, and a late subscriber gets the
+	// frame rendered again from final (see terminalFrame).
+	final any
+}
+
+// terminalFrame renders a finished topic's terminal frame again from the
+// retained value: the same ID, event and bytes the live subscribers got.
+func (t *topic) terminalFrame() (Frame, error) {
+	data, err := json.Marshal(t.final)
+	if err != nil {
+		return Frame{}, err
+	}
+	f := t.latest
+	f.Data = renderFrame(f.ID, f.Event, data)
+	return f, nil
 }
 
 // Hub fans published frames out to per-topic subscribers.
@@ -149,6 +166,11 @@ func renderFrame(id uint64, event string, data []byte) []byte {
 // later publishes to the topic are ignored (the snapshot after "done"
 // carries no new information). Publishing to a topic nobody has touched
 // creates it, so late subscribers can replay the latest snapshot.
+//
+// A finished topic lives as long as the hub, so it keeps the terminal
+// value v rather than a second, rendered copy of it, and renders the
+// frame again for each late subscriber. The caller must not mutate a
+// terminal v after Publish returns.
 func (h *Hub) Publish(topicID, event string, v any, terminal bool) error {
 	data, err := json.Marshal(v)
 	if err != nil {
@@ -184,6 +206,11 @@ func (h *Hub) Publish(topicID, event string, v any, terminal bool) error {
 		h.nsubs -= detached
 		h.mu.Unlock()
 		mSubscribers.Add(int64(-detached))
+	}
+	if terminal {
+		t.final = v
+		t.latest.Data = nil
+		t.subs = nil
 	}
 	return nil
 }
@@ -295,8 +322,9 @@ func (s *Subscriber) Close() {
 // latest frame is newer, it is replayed immediately so a resuming client
 // catches up from one frame — the hub keeps only the latest snapshot per
 // topic, not a history, because snapshots are cumulative. Subscribing to
-// an already-terminal topic delivers the terminal frame (unless the
-// client confirmed seeing it) and closes the channel at once.
+// an already-terminal topic delivers the terminal frame, rendered again
+// from the retained value (unless the client confirmed seeing it), and
+// closes the channel at once.
 func (h *Hub) Subscribe(topicID string, lastEventID uint64) (*Subscriber, error) {
 	h.mu.Lock()
 	if h.nsubs >= h.opts.MaxSubscribers {
@@ -314,8 +342,12 @@ func (h *Hub) Subscribe(topicID string, lastEventID uint64) (*Subscriber, error)
 	replay := t.latest.ID > 0 && t.latest.ID != lastEventID
 	if t.terminal {
 		if replay {
-			sub.ch <- t.latest
-			mFrames.Inc()
+			if f, err := t.terminalFrame(); err != nil {
+				h.opts.Logf("stream: replaying the terminal frame of %s: %v", topicID, err)
+			} else {
+				sub.ch <- f
+				mFrames.Inc()
+			}
 		}
 		sub.closed = true
 		close(sub.ch)

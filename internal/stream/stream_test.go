@@ -200,18 +200,37 @@ func TestResumeReplaysLatestOnly(t *testing.T) {
 	sub2.Close()
 }
 
+// TestSubscribeTerminalTopic also pins the retention rule of a finished
+// topic: it drops its rendered frame and subscriber set, keeps the
+// published value, and renders the same bytes again for a late subscriber.
 func TestSubscribeTerminalTopic(t *testing.T) {
 	h := newHub(Options{})
+	live, err := h.Subscribe("job-1", 0)
+	if err != nil {
+		t.Fatalf("subscribe: %v", err)
+	}
 	h.Publish("job-1", "progress", snap{Trials: 1}, false)
 	h.Publish("job-1", "done", snap{Trials: 2}, true)
+	recv(t, live)
+	final := recv(t, live)
+	recvClosed(t, live)
+
+	tp := h.topicFor("job-1")
+	tp.mu.Lock()
+	data, subs := tp.latest.Data, tp.subs
+	tp.mu.Unlock()
+	if data != nil || subs != nil {
+		t.Fatalf("finished topic still holds %d frame bytes and %d subscribers", len(data), len(subs))
+	}
 
 	// Late subscriber: terminal frame delivered, then closed.
 	sub, err := h.Subscribe("job-1", 0)
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}
-	if f := recv(t, sub); !f.Terminal || f.ID != 2 {
-		t.Fatalf("frame = %+v, want terminal id 2", f)
+	if f := recv(t, sub); !f.Terminal || f.ID != 2 || f.Event != "done" || string(f.Data) != string(final.Data) {
+		t.Fatalf("late frame = {%d %s %v %q}, live subscriber got {%d %s %v %q}",
+			f.ID, f.Event, f.Terminal, f.Data, final.ID, final.Event, final.Terminal, final.Data)
 	}
 	recvClosed(t, sub)
 

@@ -17,6 +17,7 @@ package tsv
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/fault"
 	"repro/internal/stack"
@@ -31,18 +32,14 @@ type Channel struct {
 	cfg     stack.Config
 	standby []int // stand-by data TSV indices
 
-	faultyData map[int]bool // data TSV index -> faulty
-	faultyAddr map[int]bool // addr TSV index -> faulty
-
-	// trr maps a repaired TSV to the stand-by TSV now carrying it. Keys are
-	// data TSV indices for data repairs and AddrKey(k) for address repairs.
-	trr map[int]int
+	// Bitsets over TSV indices (bit i of word i/64). faulty marks injected
+	// faults; repaired marks the faulty TSVs BIST redirected through the
+	// TRR, so faulty &^ repaired is what still needs a lane.
+	faultyData, repairedData []uint64
+	faultyAddr, repairedAddr []uint64
 
 	beatsFree int // remaining stand-by transfer beats
 }
-
-// AddrKey namespaces address TSV indices in the TRR key space.
-func AddrKey(k int) int { return 1<<20 | k }
 
 // NewChannel builds TSV-SWAP state for one channel with the paper's
 // default stand-by pool.
@@ -58,23 +55,49 @@ func NewChannelWithPool(cfg stack.Config, n int) *Channel {
 	for i := range standby {
 		standby[i] = i * cfg.DataTSVs / n
 	}
+	dataWords, addrWords := words(cfg.DataTSVs), words(cfg.AddrTSVs)
 	return &Channel{
-		cfg:        cfg,
-		standby:    standby,
-		faultyData: make(map[int]bool),
-		faultyAddr: make(map[int]bool),
-		trr:        make(map[int]int),
-		beatsFree:  n * cfg.BurstLength,
+		cfg:          cfg,
+		standby:      standby,
+		faultyData:   make([]uint64, dataWords),
+		repairedData: make([]uint64, dataWords),
+		faultyAddr:   make([]uint64, addrWords),
+		repairedAddr: make([]uint64, addrWords),
+		beatsFree:    n * cfg.BurstLength,
 	}
 }
 
-// Reset restores the channel to its freshly-built state, retaining map
-// capacity so the Monte Carlo engine can reuse channels across trials.
+// words returns the number of 64-bit words a bitset over n indices needs.
+func words(n int) int { return (n + 63) / 64 }
+
+// hasBit reports whether index i is set in the bitset.
+func hasBit(set []uint64, i int) bool {
+	return i >= 0 && i < 64*len(set) && set[i/64]&(1<<(i%64)) != 0
+}
+
+// Reset restores the channel to its freshly-built state, keeping its
+// bitsets so the Monte Carlo engine can reuse channels across trials.
 func (c *Channel) Reset() {
 	clear(c.faultyData)
+	clear(c.repairedData)
 	clear(c.faultyAddr)
-	clear(c.trr)
+	clear(c.repairedAddr)
 	c.beatsFree = len(c.standby) * c.cfg.BurstLength
+}
+
+// hasFaults reports whether any TSV fault was injected since the last Reset.
+func (c *Channel) hasFaults() bool {
+	for _, w := range c.faultyData {
+		if w != 0 {
+			return true
+		}
+	}
+	for _, w := range c.faultyAddr {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Standby returns the stand-by data TSV indices.
@@ -100,7 +123,7 @@ func (c *Channel) InjectDataFault(t int) error {
 	if t < 0 || t >= c.cfg.DataTSVs {
 		return fmt.Errorf("tsv: data TSV %d out of range [0,%d)", t, c.cfg.DataTSVs)
 	}
-	c.faultyData[t] = true
+	c.faultyData[t/64] |= 1 << (t % 64)
 	return nil
 }
 
@@ -109,7 +132,7 @@ func (c *Channel) InjectAddrFault(k int) error {
 	if k < 0 || k >= c.cfg.AddrTSVs {
 		return fmt.Errorf("tsv: addr TSV %d out of range [0,%d)", k, c.cfg.AddrTSVs)
 	}
-	c.faultyAddr[k] = true
+	c.faultyAddr[k/64] |= 1 << (k % 64)
 	return nil
 }
 
@@ -125,101 +148,99 @@ func (c *Channel) dataRepairCost() int { return c.cfg.BurstLength }
 // performed. Data TSV faults on stand-by TSVs themselves need no lane (their
 // bits already live in metadata) but still consume that stand-by's beats.
 func (c *Channel) RunBIST() int {
-	repaired := 0
 	// Address TSVs first: a single ATSV fault makes half the channel
 	// unreachable, so they are the most valuable repairs (paper Insight 1).
-	for k := 0; k < c.cfg.AddrTSVs; k++ {
-		if !c.faultyAddr[k] {
-			continue
-		}
-		if _, done := c.trr[AddrKey(k)]; done {
-			continue
-		}
-		if c.beatsFree < addrRepairCost {
-			return repaired
-		}
-		c.beatsFree -= addrRepairCost
-		c.trr[AddrKey(k)] = c.standby[0]
-		repaired++
+	repaired, exhausted := c.repairPending(c.faultyAddr, c.repairedAddr, addrRepairCost)
+	if exhausted {
+		return repaired
 	}
-	for t := 0; t < c.cfg.DataTSVs; t++ {
-		if !c.faultyData[t] {
-			continue
+	data, _ := c.repairPending(c.faultyData, c.repairedData, c.dataRepairCost())
+	return repaired + data
+}
+
+// repairPending redirects the faulty, unrepaired TSVs of one bitset pair in
+// ascending index order, cost beats each, while the budget lasts. It
+// returns the repairs made and whether it stopped at a fault the remaining
+// budget could not pay for.
+func (c *Channel) repairPending(faulty, repaired []uint64, cost int) (n int, exhausted bool) {
+	for w := range faulty {
+		for pending := faulty[w] &^ repaired[w]; pending != 0; pending &= pending - 1 {
+			if c.beatsFree < cost {
+				return n, true
+			}
+			c.beatsFree -= cost
+			repaired[w] |= pending & -pending
+			n++
 		}
-		if _, done := c.trr[t]; done {
-			continue
-		}
-		if c.beatsFree < c.dataRepairCost() {
-			return repaired
-		}
-		c.beatsFree -= c.dataRepairCost()
-		c.trr[t] = c.standby[0]
-		repaired++
 	}
-	return repaired
+	return n, false
 }
 
 // Repaired reports whether the given TSV fault has been redirected.
 func (c *Channel) Repaired(f fault.Fault) bool {
 	switch f.Class {
 	case fault.DataTSV:
-		_, ok := c.trr[f.TSV]
-		return ok
+		return hasBit(c.repairedData, f.TSV)
 	case fault.AddrTSV:
-		_, ok := c.trr[AddrKey(f.TSV)]
-		return ok
+		return hasBit(c.repairedAddr, f.TSV)
 	default:
 		return false
 	}
 }
 
-// CorruptedBits returns the line bit positions still corrupted by
-// unrepaired faulty data TSVs.
+// CorruptedBits returns, in ascending order, the line bit positions still
+// corrupted by unrepaired faulty data TSVs.
 func (c *Channel) CorruptedBits() []int {
 	var out []int
-	for t := range c.faultyData {
-		if _, ok := c.trr[t]; ok {
-			continue
+	pending := pendingIndices(c.faultyData, c.repairedData)
+	// Beat b of data TSV t carries line bit t + b*DataTSVs, so walking the
+	// beats outermost yields the positions in ascending order.
+	for beat := 0; beat < c.cfg.BitsPerTSVPerLine(); beat++ {
+		for _, t := range pending {
+			out = append(out, t+beat*c.cfg.DataTSVs)
 		}
-		out = append(out, c.cfg.BitsOnTSV(t)...)
 	}
 	return out
 }
 
-// UnreachableAddrBits returns the address-TSV indices whose faults remain
-// unrepaired; each makes half of the channel's rows unreachable.
+// UnreachableAddrBits returns, in ascending order, the address-TSV indices
+// whose faults remain unrepaired; each makes half of the channel's rows
+// unreachable.
 func (c *Channel) UnreachableAddrBits() []int {
+	return pendingIndices(c.faultyAddr, c.repairedAddr)
+}
+
+// pendingIndices lists the indices set in faulty but not in repaired, in
+// ascending order.
+func pendingIndices(faulty, repaired []uint64) []int {
 	var out []int
-	for k := range c.faultyAddr {
-		if _, ok := c.trr[AddrKey(k)]; !ok {
-			out = append(out, k)
+	for w := range faulty {
+		for pending := faulty[w] &^ repaired[w]; pending != 0; pending &= pending - 1 {
+			out = append(out, 64*w+bits.TrailingZeros64(pending))
 		}
 	}
 	return out
+}
+
+// anyPending reports whether some index is set in faulty but not in
+// repaired.
+func anyPending(faulty, repaired []uint64) bool {
+	for w := range faulty {
+		if faulty[w]&^repaired[w] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // HasCorruptedBits reports whether any unrepaired faulty data TSV remains —
 // the emptiness test of CorruptedBits without building the bit list (the
 // simulator asks this on every TSV event).
-func (c *Channel) HasCorruptedBits() bool {
-	for t := range c.faultyData {
-		if _, ok := c.trr[t]; !ok {
-			return true
-		}
-	}
-	return false
-}
+func (c *Channel) HasCorruptedBits() bool { return anyPending(c.faultyData, c.repairedData) }
 
 // HasUnreachableAddr reports whether any unrepaired faulty address TSV
 // remains — the emptiness test of UnreachableAddrBits without allocating.
-func (c *Channel) HasUnreachableAddr() bool {
-	for k := range c.faultyAddr {
-		if _, ok := c.trr[AddrKey(k)]; !ok {
-			return true
-		}
-	}
-	return false
-}
+func (c *Channel) HasUnreachableAddr() bool { return anyPending(c.faultyAddr, c.repairedAddr) }
 
 // Detector models Citadel's TSV-fault detection flow (paper §V-C.2): two
 // fixed rows per die hold known data at bit-inverse addresses. A CRC
@@ -267,10 +288,14 @@ func (d *Detector) OnCRCMismatch() (tsvFault bool, repairs int) {
 // simulator: it consumes TSV fault events and reports which remain
 // unrepaired (and therefore keep their footprints).
 type Swapper struct {
-	cfg      stack.Config
-	pool     int
-	channels map[[2]int]*Channel // (stack, die) -> channel state
-	dirty    bool                // any channel mutated since the last Reset
+	cfg  stack.Config
+	pool int
+	dies int // channels per stack: the data dies plus the metadata dies
+	// channels is indexed by stack*dies+die; each is built on first use.
+	channels []*Channel
+	// touched lists, once each, the channels faulted since the last Reset,
+	// so a reset costs what the trial used rather than the whole system.
+	touched []*Channel
 }
 
 // NewSwapper builds system-wide TSV-SWAP state with the default pool.
@@ -279,53 +304,61 @@ func NewSwapper(cfg stack.Config) *Swapper { return NewSwapperWithPool(cfg, Defa
 // NewSwapperWithPool builds system-wide TSV-SWAP state with n stand-by
 // TSVs per channel.
 func NewSwapperWithPool(cfg stack.Config, n int) *Swapper {
-	return &Swapper{cfg: cfg, pool: n, channels: make(map[[2]int]*Channel)}
+	dies := cfg.DataDies + cfg.ECCDies
+	return &Swapper{cfg: cfg, pool: n, dies: dies, channels: make([]*Channel, cfg.Stacks*dies)}
 }
 
-// channel returns (lazily creating) the per-channel state.
+// channel returns (lazily creating) the per-channel state, or nil for a
+// (stack, die) outside the geometry.
 func (s *Swapper) channel(stackIdx, die int) *Channel {
-	key := [2]int{stackIdx, die}
-	ch := s.channels[key]
+	if stackIdx < 0 || stackIdx >= s.cfg.Stacks || die < 0 || die >= s.dies {
+		return nil
+	}
+	i := stackIdx*s.dies + die
+	ch := s.channels[i]
 	if ch == nil {
 		ch = NewChannelWithPool(s.cfg, s.pool)
-		s.channels[key] = ch
+		s.channels[i] = ch
 	}
 	return ch
 }
 
-// Reset restores every channel to its freshly-built state, retaining the
-// channel objects and map capacity so a Swapper can be reused across Monte
-// Carlo trials. It is a no-op when nothing has been applied since the last
-// reset.
+// Reset restores every channel faulted since the last reset to its
+// freshly-built state, retaining the channel objects so a Swapper can be
+// reused across Monte Carlo trials.
 func (s *Swapper) Reset() {
-	if !s.dirty {
-		return
-	}
-	for _, ch := range s.channels {
+	for _, ch := range s.touched {
 		ch.Reset()
 	}
-	s.dirty = false
+	s.touched = s.touched[:0]
 }
 
 // Apply consumes a TSV fault event, injects it into the owning channel,
 // runs detection/BIST, and reports whether the fault was repaired. Non-TSV
-// faults are ignored (returned as unrepaired=false, handled=false).
+// faults are ignored (returned as unrepaired=false, handled=false). A TSV
+// fault outside the geometry — no such channel or TSV — is handled and
+// stays unrepaired.
 func (s *Swapper) Apply(f fault.Fault) (handled, repaired bool) {
 	if !f.Class.IsTSV() {
 		return false, false
 	}
-	s.dirty = true
-	die := int(f.Region.Die.Val)
-	ch := s.channel(f.Region.Stack, die)
+	ch := s.channel(f.Region.Stack, int(f.Region.Die.Val))
+	if ch == nil {
+		return true, false
+	}
+	fresh := !ch.hasFaults()
+	var err error
 	switch f.Class {
 	case fault.DataTSV:
-		if err := ch.InjectDataFault(f.TSV); err != nil {
-			return true, false
-		}
+		err = ch.InjectDataFault(f.TSV)
 	case fault.AddrTSV:
-		if err := ch.InjectAddrFault(f.TSV); err != nil {
-			return true, false
-		}
+		err = ch.InjectAddrFault(f.TSV)
+	}
+	if err != nil {
+		return true, false
+	}
+	if fresh {
+		s.touched = append(s.touched, ch)
 	}
 	// The detection flow of Detector.OnCRCMismatch, inlined so the hot path
 	// does not allocate a Detector per event: corrupt fixed rows implicate

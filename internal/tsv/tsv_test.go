@@ -1,6 +1,8 @@
 package tsv
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -216,5 +218,55 @@ func TestSwapperApply(t *testing.T) {
 	_, repaired = s.Apply(mkFault(fault.DataTSV, 1, 5, 200))
 	if !repaired {
 		t.Error("other stack's channel failed to repair")
+	}
+}
+
+// TestFaultListsAscending pins the order of CorruptedBits and
+// UnreachableAddrBits: ascending, and the same on every call, whatever
+// order the faults arrived in.
+func TestFaultListsAscending(t *testing.T) {
+	ch := NewChannelWithPool(stack.DefaultConfig(), 1)
+	for _, tsv := range []int{200, 3, 130, 77} {
+		if err := ch.InjectDataFault(tsv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []int{20, 2, 11} {
+		if err := ch.InjectAddrFault(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One stand-by TSV (2 beats) repairs address TSVs 2 and 11 only.
+	if got := ch.RunBIST(); got != 2 {
+		t.Fatalf("RunBIST repaired %d, want 2", got)
+	}
+	wantBits := []int{3, 77, 130, 200, 259, 333, 386, 456}
+	for i := 0; i < 10; i++ {
+		if got := ch.CorruptedBits(); !slices.Equal(got, wantBits) {
+			t.Fatalf("call %d: CorruptedBits = %v, want %v", i, got, wantBits)
+		}
+		if got := ch.UnreachableAddrBits(); !slices.Equal(got, []int{20}) {
+			t.Fatalf("call %d: UnreachableAddrBits = %v, want [20]", i, got)
+		}
+	}
+}
+
+// BenchmarkSwapperApply measures TSV-SWAP as the engine drives it: one op
+// is a trial of two TSV arrivals on a reused Swapper — Reset, then Apply
+// of each — with arrivals drawn uniformly over the system's channels.
+func BenchmarkSwapperApply(b *testing.B) {
+	cfg := stack.DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	faults := make([]fault.Fault, 1024)
+	for i := range faults {
+		faults[i] = randomTSVFault(rng, cfg)
+	}
+	s := NewSwapper(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		s.Apply(faults[2*i%len(faults)])
+		s.Apply(faults[(2*i+1)%len(faults)])
 	}
 }
