@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck test race determinism check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build fmt vet staticcheck test race determinism fuzz check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -74,7 +74,16 @@ determinism:
 	$(GO) test -count=1 -cpu 1,4 -run 'Differential|Golden|Deterministic|Reproducible|Census' \
 		./internal/faultsim/ ./internal/rare/ ./internal/scenario/ .
 
-check: build fmt vet staticcheck test race determinism scenario-smoke
+# Footprint-algebra fuzzing, 10 s per target (`go test -fuzz` takes one
+# target per run): FuzzPatternAlgebra checks intersections and counts
+# against brute force on a bounded domain, FuzzNextMatchMinimal checks the
+# closed-form nextMatch against the binary-search reference in
+# pattern_test.go over full 32-bit inputs.
+fuzz:
+	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
+	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
+
+check: build fmt vet staticcheck test race determinism fuzz scenario-smoke
 
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the
@@ -84,8 +93,9 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, the TSV-SWAP and sparing layers, CRC
-# variants, and the Figure-4 striping study) funneled through cmd/benchjson
+# (incremental vs batch evaluation, the TSV-SWAP and sparing layers, the
+# footprint algebra and fault sampling, CRC variants, and the Figure-4
+# striping study) funneled through cmd/benchjson
 # into a benchstat-compatible JSON report.
 # `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
 # keep two reports around to benchstat before/after a change.
@@ -94,6 +104,8 @@ bench.out:
 		-benchmem ./internal/faultsim/ > bench.out
 	$(GO) test -run xxx -bench 'BenchmarkSwapperApply|BenchmarkDDSOffer' -benchmem \
 		./internal/tsv/ ./internal/sparing/ >> bench.out
+	$(GO) test -run xxx -bench 'BenchmarkPatternIntersect|BenchmarkSamplerAppendLifetime' -benchmem \
+		./internal/fault/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkCRC' ./internal/crc/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRareEventTail' ./internal/rare/ >> bench.out
 	$(GO) test -run xxx -bench 'BenchmarkRowhammerArrivals' -benchmem ./internal/scenario/ >> bench.out

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/stack"
 )
@@ -333,18 +334,67 @@ func (r Rates) classRate(c Class, p Persistence) float64 {
 	}
 }
 
-// Sampler draws fault lifetimes for a whole memory system.
+// Sampler draws fault lifetimes for a whole memory system. It is safe for
+// concurrent use: goroutines may share one Sampler, each drawing from its
+// own rng, and a shared Sampler draws exactly what separate ones would.
+// The engine still builds one per worker, so its lock is never contended.
 type Sampler struct {
 	cfg   stack.Config
 	rates Rates
 	// dies counts fault-bearing dies per stack: data dies plus ECC dies
 	// (the metadata die fails like any other die).
 	diesPerStack int
+	// draws[:nDraws] lists one window's Poisson draws in RNG order: every
+	// (class, persistence) pair with a positive rate, then the TSV events.
+	draws  [maxDraws]poissonDraw
+	nDraws int
+
+	// mu guards the Knuth thresholds of draws for the window span last
+	// asked for: a lifetime run asks for one span millions of times.
+	mu         sync.Mutex
+	cachedSpan float64 // NaN until the first draw, so no span matches
+	cached     [maxDraws]float64
+}
+
+// maxDraws bounds Sampler.nDraws: both persistences of every class
+// through Bank, and the TSV events.
+const maxDraws = 2*int(Bank+1) + 1
+
+// poissonDraw is one Poisson-distributed event count of a window, with
+// mean λ = perHour × span × dies, evaluated in that order.
+type poissonDraw struct {
+	class Class // DataTSV stands for the TSV events, split data/address
+	pers  Persistence
+	// perHour is the FIT rate times 1e-9: events per die-hour.
+	perHour float64
+	// dies is the number of dies the rate applies to: every fault-bearing
+	// die for the classes, data dies only for TSV events.
+	dies float64
 }
 
 // NewSampler builds a sampler for the given geometry and rates.
 func NewSampler(cfg stack.Config, rates Rates) *Sampler {
-	return &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies}
+	s := &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies, cachedSpan: math.NaN()}
+	add := func(d poissonDraw) {
+		s.draws[s.nDraws] = d
+		s.nDraws++
+	}
+	nDies := float64(cfg.Stacks * s.diesPerStack)
+	for c := Bit; c <= Bank; c++ {
+		for _, p := range [...]Persistence{Transient, Permanent} {
+			if rate := rates.classRate(c, p); rate > 0 {
+				add(poissonDraw{class: c, pers: p, perHour: rate * 1e-9, dies: nDies})
+			}
+		}
+	}
+	// TSV events: permanent, split data/address by TSV population.
+	if rates.TSVPerDie > 0 {
+		add(poissonDraw{
+			class: DataTSV, pers: Permanent,
+			perHour: rates.TSVPerDie * 1e-9, dies: float64(cfg.Stacks * cfg.DataDies),
+		})
+	}
+	return s
 }
 
 // Rates returns the sampler's rates.
@@ -353,18 +403,44 @@ func (s *Sampler) Rates() Rates { return s.rates }
 // Config returns the sampler's geometry.
 func (s *Sampler) Config() stack.Config { return s.cfg }
 
-// poisson draws a Poisson(lambda) variate (Knuth's method; lambda is small
-// — well below 1 per class for realistic FIT rates).
-func poisson(rng *rand.Rand, lambda float64) int {
+// limits returns the Knuth threshold of each of s.draws for a window of
+// the given span, computing them only when the span differs from the one
+// last asked for.
+func (s *Sampler) limits(span float64) [maxDraws]float64 {
+	s.mu.Lock()
+	if span != s.cachedSpan {
+		for i, d := range s.draws[:s.nDraws] {
+			s.cached[i] = knuthLimit(d.perHour * span * d.dies)
+		}
+		s.cachedSpan = span
+	}
+	limit := s.cached
+	s.mu.Unlock()
+	return limit
+}
+
+// knuthLimit returns exp(−λ), poisson's threshold for a Poisson(λ) draw,
+// or −1 when λ <= 0, for which poisson draws nothing.
+func knuthLimit(lambda float64) float64 {
 	if lambda <= 0 {
+		return -1
+	}
+	return math.Exp(-lambda)
+}
+
+// poisson draws a Poisson variate by Knuth's method against limit, the
+// knuthLimit of its mean (λ is small — well below 1 per class for
+// realistic FIT rates). It consumes at least one Float64 whenever λ > 0,
+// even when exp(−λ) rounds to 1, and none when λ <= 0.
+func poisson(rng *rand.Rand, limit float64) int {
+	if limit < 0 {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {
 		p *= rng.Float64()
-		if p <= l {
+		if p <= limit {
 			return k
 		}
 		k++
@@ -396,42 +472,24 @@ func (s *Sampler) AppendLifetime(rng *rand.Rand, hours float64, dst []Fault) []F
 // exact), keeping seeded runs and goldens unchanged.
 func (s *Sampler) AppendWindow(rng *rand.Rand, start, span float64, dst []Fault) []Fault {
 	base := len(dst)
-	faults := dst
-	nDies := float64(s.cfg.Stacks * s.diesPerStack)
-	add := func(c Class, p Persistence, rate float64) {
-		if rate <= 0 {
-			return
-		}
-		lambda := rate * 1e-9 * span * nDies
-		n := poisson(rng, lambda)
-		for i := 0; i < n; i++ {
-			f := s.place(rng, c, p)
-			f.Hours = start + rng.Float64()*span
-			faults = append(faults, f)
-		}
-	}
-	for c := Bit; c <= Bank; c++ {
-		add(c, Transient, s.rates.classRate(c, Transient))
-		add(c, Permanent, s.rates.classRate(c, Permanent))
-	}
-	// TSV events: permanent, split data/address by TSV population.
-	if s.rates.TSVPerDie > 0 {
-		lambda := s.rates.TSVPerDie * 1e-9 * span * float64(s.cfg.Stacks*s.cfg.DataDies)
-		n := poisson(rng, lambda)
-		for i := 0; i < n; i++ {
-			total := s.cfg.DataTSVs + s.cfg.AddrTSVs
+	limit := s.limits(span)
+	for i, d := range s.draws[:s.nDraws] {
+		for n := poisson(rng, limit[i]); n > 0; n-- {
 			var f Fault
-			if rng.Intn(total) < s.cfg.DataTSVs {
+			switch {
+			case d.class != DataTSV:
+				f = s.place(rng, d.class, d.pers)
+			case rng.Intn(s.cfg.DataTSVs+s.cfg.AddrTSVs) < s.cfg.DataTSVs:
 				f = s.place(rng, DataTSV, Permanent)
-			} else {
+			default:
 				f = s.place(rng, AddrTSV, Permanent)
 			}
 			f.Hours = start + rng.Float64()*span
-			faults = append(faults, f)
+			dst = append(dst, f)
 		}
 	}
-	sortByTime(faults[base:])
-	return faults
+	sortByTime(dst[base:])
+	return dst
 }
 
 // place chooses a uniformly random location for a fault of class c and

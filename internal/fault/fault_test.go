@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/stack"
@@ -53,17 +55,131 @@ func TestPoissonMean(t *testing.T) {
 	const n = 20000
 	sum := 0
 	for i := 0; i < n; i++ {
-		sum += poisson(rng, lambda)
+		sum += poisson(rng, knuthLimit(lambda))
 	}
 	mean := float64(sum) / n
 	if math.Abs(mean-lambda) > 0.05 {
 		t.Errorf("poisson mean = %.3f, want %.3f", mean, lambda)
 	}
-	if poisson(rng, 0) != 0 {
+	if poisson(rng, knuthLimit(0)) != 0 {
 		t.Error("poisson(0) != 0")
 	}
-	if poisson(rng, -1) != 0 {
+	if poisson(rng, knuthLimit(-1)) != 0 {
 		t.Error("poisson(-1) != 0")
+	}
+}
+
+// splitWindows lists (start, span) windows in the order multilevel
+// splitting asks for them: a whole lifetime, then lifetime suffixes that
+// shrink as entrance times move later, with whole lifetimes in between.
+func splitWindows() [][2]float64 {
+	var ws [][2]float64
+	for _, start := range []float64{0, 1000, 0, 17500.25, 30000, 0, 45000, 61000.5, 61000.5, 0} {
+		ws = append(ws, [2]float64{start, LifetimeHours - start})
+	}
+	return ws
+}
+
+// drawWindow draws one window from a fresh rng seeded seed and returns the
+// faults and the rng's next value, which differs if the draw consumed
+// different randomness.
+func drawWindow(s *Sampler, seed int64, w [2]float64) ([]Fault, uint64) {
+	rng := rand.New(rand.NewSource(seed))
+	fs := s.AppendWindow(rng, w[0], w[1], nil)
+	return fs, rng.Uint64()
+}
+
+// TestSamplerThresholdsFollowSpan checks the sampler's per-span threshold
+// cache: one Sampler alternating whole lifetimes with shrinking windows,
+// as splitting does, draws exactly what a fresh Sampler draws for each
+// (seed, span), and allocates nothing once its buffer has grown.
+func TestSamplerThresholdsFollowSpan(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	rates := Table1().WithTSV(1430).BiasLarge(20)
+	shared := NewSampler(cfg, rates)
+	drawn := 0
+	for i, w := range splitWindows() {
+		got, gotNext := drawWindow(shared, int64(i), w)
+		want, wantNext := drawWindow(NewSampler(cfg, rates), int64(i), w)
+		if !slices.Equal(got, want) || gotNext != wantNext {
+			t.Fatalf("window %v (seed %d): shared sampler drew %v, fresh sampler %v", w, i, got, want)
+		}
+		drawn += len(got)
+	}
+	if drawn == 0 {
+		t.Fatal("no window drew a fault; raise the rates")
+	}
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]Fault, 0, 256)
+	windows := splitWindows()[:4]
+	alternate := func() {
+		for _, w := range windows {
+			if w[0] == 0 {
+				buf = shared.AppendLifetime(rng, w[1], buf[:0])
+			} else {
+				buf = shared.AppendWindow(rng, w[0], w[1], buf[:0])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, alternate); allocs != 0 {
+		t.Errorf("alternating spans allocate %.2f per run, want 0", allocs)
+	}
+}
+
+// TestSamplerSharedAcrossGoroutines draws windows of changing spans from
+// one Sampler on several goroutines at once; each draw must match a fresh
+// Sampler's. Run it under -race.
+func TestSamplerSharedAcrossGoroutines(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	rates := Table1().WithTSV(1430).BiasLarge(20)
+	windows := splitWindows()
+	want := make([][]Fault, len(windows))
+	for i, w := range windows {
+		want[i], _ = drawWindow(NewSampler(cfg, rates), int64(i), w)
+	}
+	shared := NewSampler(cfg, rates)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < 200; rep++ {
+				i := (g + rep) % len(windows)
+				if got, _ := drawWindow(shared, int64(i), windows[i]); !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d, window %v: drew %v, want %v", g, windows[i], got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSamplerDrawsWhenLimitRoundsToOne pins the RNG use of a rate so small
+// that exp(−λ) rounds to 1: the draw still consumes one Float64, as it
+// always has, so every later draw of the lifetime stays where it was. An
+// empty window (λ = 0) consumes nothing.
+func TestSamplerDrawsWhenLimitRoundsToOne(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	const rate, span = 1e-9, 1.0
+	lambda := rate * 1e-9 * span * float64(cfg.Stacks*(cfg.DataDies+cfg.ECCDies))
+	if lambda <= 0 || math.Exp(-lambda) != 1 {
+		t.Fatalf("λ = %g: exp(−λ) = %v, want exactly 1 for this test", lambda, math.Exp(-lambda))
+	}
+	s := NewSampler(cfg, Rates{BitTransient: rate, SubArrayRows: 5200})
+	rng, ref := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	if fs := s.AppendWindow(rng, 0, span, nil); len(fs) != 0 {
+		t.Fatalf("drew %v at λ = %g", fs, lambda)
+	}
+	ref.Float64()
+	if rng.Uint64() != ref.Uint64() {
+		t.Fatal("a draw with λ > 0 and exp(−λ) == 1 did not consume exactly one Float64")
+	}
+	if fs := s.AppendWindow(rng, 0, 0, nil); len(fs) != 0 {
+		t.Fatalf("empty window drew %v", fs)
+	}
+	if rng.Uint64() != ref.Uint64() {
+		t.Fatal("an empty window consumed randomness")
 	}
 }
 

@@ -2,8 +2,8 @@ package fault
 
 import "testing"
 
-// FuzzPatternAlgebra checks Intersects and CountBelow against direct
-// enumeration on a bounded domain for arbitrary patterns.
+// FuzzPatternAlgebra checks Intersect, Intersects and CountBelow against
+// direct enumeration on a bounded domain for arbitrary patterns.
 func FuzzPatternAlgebra(f *testing.F) {
 	f.Add(uint32(0xFF), uint32(7), uint32(0), uint32(0), uint32(3), uint32(100), uint32(0), uint32(0))
 	f.Fuzz(func(t *testing.T, m1, v1, lo1, hi1, m2, v2, lo2, hi2 uint32) {
@@ -19,6 +19,7 @@ func FuzzPatternAlgebra(f *testing.F) {
 		if q.Hi == 0 || q.Hi > domain {
 			q.Hi = domain
 		}
+		inter, interOK := p.Intersect(q)
 		brute := false
 		countP := 0
 		for x := uint32(0); x < domain; x++ {
@@ -26,9 +27,16 @@ func FuzzPatternAlgebra(f *testing.F) {
 			if inP {
 				countP++
 			}
-			if inP && q.Contains(x) {
+			inBoth := inP && q.Contains(x)
+			if inBoth {
 				brute = true
 			}
+			if interOK && inter.Contains(x) != inBoth {
+				t.Fatalf("Intersect(%+v,%+v) = %+v: Contains(%d) = %v, want %v", p, q, inter, x, !inBoth, inBoth)
+			}
+		}
+		if interOK != brute {
+			t.Fatalf("Intersect(%+v,%+v) ok = %v, brute %v", p, q, interOK, brute)
 		}
 		if got := p.Intersects(q); got != brute {
 			t.Fatalf("Intersects(%+v,%+v) = %v, brute %v", p, q, got, brute)
@@ -39,27 +47,21 @@ func FuzzPatternAlgebra(f *testing.F) {
 	})
 }
 
-// FuzzNextMatchMinimal validates nextMatch's minimality.
+// FuzzNextMatchMinimal checks nextMatch against the binary-search
+// reference over full 32-bit inputs: the answer is the least x >= lo with
+// x&mask == val, or none.
 func FuzzNextMatchMinimal(f *testing.F) {
 	f.Add(uint32(5), uint32(0b1010), uint32(0b1000))
+	f.Add(^uint32(0), uint32(1), uint32(0))
 	f.Fuzz(func(t *testing.T, lo, mask, val uint32) {
-		lo %= 1 << 20
-		mask %= 1 << 20
 		val &= mask
 		got, ok := nextMatch(lo, mask, val)
-		// Scan a window for the true answer.
-		for x := lo; x < lo+(1<<12); x++ {
-			if x&mask == val {
-				if !ok || got != x {
-					t.Fatalf("nextMatch(%d,%#x,%#x) = %d,%v; want %d", lo, mask, val, got, ok, x)
-				}
-				return
-			}
+		want, wantOK := searchNextMatch(lo, mask, val)
+		if ok != wantOK || got != want {
+			t.Fatalf("nextMatch(%#x,%#x,%#x) = %#x,%v; reference %#x,%v", lo, mask, val, got, ok, want, wantOK)
 		}
-		// Nothing in the window: if nextMatch found something it must be
-		// beyond the window and still a match.
 		if ok && (got < lo || got&mask != val) {
-			t.Fatalf("nextMatch returned invalid %d", got)
+			t.Fatalf("nextMatch(%#x,%#x,%#x) = %#x is not a match at or above lo", lo, mask, val, got)
 		}
 	})
 }

@@ -44,72 +44,62 @@ func (p Pattern) Contains(x uint32) bool {
 	return true
 }
 
-// spread distributes the low bits of f into the zero-bit positions of mask,
-// from least significant upward (a software PDEP over ^mask).
-func spread(f, mask uint32) uint32 {
-	var out uint32
-	free := ^mask
-	for free != 0 {
-		pos := uint32(bits.TrailingZeros32(free))
-		if f&1 != 0 {
-			out |= 1 << pos
-		}
-		f >>= 1
-		free &= free - 1
-	}
-	return out
-}
-
 // nextMatch returns the smallest x >= lo with x&mask == val, and whether one
-// exists within 32-bit range.
+// exists within 32-bit range. It works at h, the highest masked bit where lo
+// disagrees with val. Above h, lo already matches. If val has a 1 at h, the
+// answer keeps lo above h and takes val's bits from h down (free bits 0).
+// Otherwise x must exceed lo at a free bit above h where lo has a 0: adding
+// one to lo with every masked bit and every bit up to h set carries into the
+// lowest such bit, and a carry out of bit 31 means there is none.
 func nextMatch(lo, mask, val uint32) (uint32, bool) {
-	if val&mask != val {
-		val &= mask
+	val &= mask
+	diff := (lo ^ val) & mask
+	if diff == 0 {
+		return lo, true
 	}
-	freeBits := uint(bits.OnesCount32(^mask))
-	// Binary search the free-bit counter: y(f) = spread(f)|val is strictly
-	// increasing in f, so find the least f with y(f) >= lo.
-	loF, hiF := uint64(0), uint64(1)<<freeBits // hiF exclusive
-	if spread(uint32(hiF-1), mask)|val < lo {
+	h := uint32(1) << (31 - bits.LeadingZeros32(diff))
+	low := h | (h - 1)
+	if val&h != 0 {
+		return lo&^low | val&low, true
+	}
+	carried := (lo | mask | low) + 1
+	if carried == 0 {
 		return 0, false
 	}
-	for loF < hiF {
-		mid := (loF + hiF) / 2
-		if spread(uint32(mid), mask)|val >= lo {
-			hiF = mid
-		} else {
-			loF = mid + 1
-		}
+	return carried&^mask | val, true
+}
+
+// Intersect returns the intersection of two patterns and whether it is
+// non-empty. Patterns are closed under intersection: masks merge when their
+// shared bits agree and ranges tighten. An empty intersection returns the
+// zero Pattern.
+func (p Pattern) Intersect(q Pattern) (Pattern, bool) {
+	if (p.Val^q.Val)&(p.Mask&q.Mask) != 0 {
+		return Pattern{}, false
 	}
-	return spread(uint32(loF), mask) | val, true
+	out := Pattern{
+		Mask: p.Mask | q.Mask,
+		Val:  (p.Val | q.Val) & (p.Mask | q.Mask),
+		Lo:   max(p.Lo, q.Lo),
+		Hi:   p.Hi,
+	}
+	if out.Hi == 0 || (q.Hi != 0 && q.Hi < out.Hi) {
+		out.Hi = q.Hi
+	}
+	x, ok := nextMatch(out.Lo, out.Mask, out.Val)
+	if !ok || (out.Hi != 0 && x >= out.Hi) {
+		return Pattern{}, false
+	}
+	return out, true
 }
 
 // Intersects reports whether two patterns share at least one value.
 func (p Pattern) Intersects(q Pattern) bool {
-	// Mask/value compatibility on the shared mask bits.
-	if (p.Val^q.Val)&(p.Mask&q.Mask) != 0 {
-		return false
-	}
-	mask := p.Mask | q.Mask
-	val := p.Val | q.Val
-	lo := p.Lo
-	if q.Lo > lo {
-		lo = q.Lo
-	}
-	hi := p.Hi
-	if hi == 0 || (q.Hi != 0 && q.Hi < hi) {
-		hi = q.Hi
-	}
-	x, ok := nextMatch(lo, mask, val)
-	if !ok {
-		return false
-	}
-	return hi == 0 || x < hi
+	_, ok := p.Intersect(q)
+	return ok
 }
 
 // First returns the smallest member of the pattern in [0, n), if any.
-// It runs in O(log n) — the correctability hot path asks this for row
-// patterns with 64 Ki-value domains, where a linear scan is ruinous.
 func (p Pattern) First(n uint32) (uint32, bool) {
 	hi := n
 	if p.Hi != 0 && p.Hi < hi {
@@ -148,6 +138,8 @@ func countMatchesBelow(hi, mask, val uint32) uint64 {
 
 // CountBelow returns |{x in pattern : x < n}|, the number of pattern members
 // in [0, n). Used for sizing fault footprints (e.g. rows needing sparing).
+// Exact and all-value patterns, the shapes most footprints take, are
+// answered directly; other masks take the digit scan.
 func (p Pattern) CountBelow(n uint32) int {
 	hi := n
 	if p.Hi != 0 && p.Hi < hi {
@@ -155,6 +147,15 @@ func (p Pattern) CountBelow(n uint32) int {
 	}
 	if p.Lo >= hi {
 		return 0
+	}
+	switch p.Mask {
+	case ^uint32(0):
+		if p.Val >= p.Lo && p.Val < hi {
+			return 1
+		}
+		return 0
+	case 0:
+		return int(hi - p.Lo)
 	}
 	return int(countMatchesBelow(hi, p.Mask, p.Val) - countMatchesBelow(p.Lo, p.Mask, p.Val))
 }

@@ -1,10 +1,108 @@
 package fault
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The forms pattern.go's closed forms replaced, kept as the reference the
+// tests compare against: nextMatch by binary search over the free bits,
+// counts by the digit scan for every mask, and emptiness of an
+// intersection decided by counting its members.
+
+// spread distributes the low bits of f into the zero-bit positions of mask,
+// from least significant upward (a software PDEP over ^mask).
+func spread(f, mask uint32) uint32 {
+	var out uint32
+	free := ^mask
+	for free != 0 {
+		pos := uint32(bits.TrailingZeros32(free))
+		if f&1 != 0 {
+			out |= 1 << pos
+		}
+		f >>= 1
+		free &= free - 1
+	}
+	return out
+}
+
+// searchNextMatch is nextMatch by binary search: y(f) = spread(f)|val is
+// strictly increasing in the free-bit counter f, so it finds the least f
+// with y(f) >= lo.
+func searchNextMatch(lo, mask, val uint32) (uint32, bool) {
+	val &= mask
+	freeBits := uint(bits.OnesCount32(^mask))
+	loF, hiF := uint64(0), uint64(1)<<freeBits // hiF exclusive
+	if spread(uint32(hiF-1), mask)|val < lo {
+		return 0, false
+	}
+	for loF < hiF {
+		mid := (loF + hiF) / 2
+		if spread(uint32(mid), mask)|val >= lo {
+			hiF = mid
+		} else {
+			loF = mid + 1
+		}
+	}
+	return spread(uint32(loF), mask) | val, true
+}
+
+// scanCountBelow is CountBelow by the digit scan for every mask.
+func scanCountBelow(p Pattern, n uint32) int {
+	hi := n
+	if p.Hi != 0 && p.Hi < hi {
+		hi = p.Hi
+	}
+	if p.Lo >= hi {
+		return 0
+	}
+	return int(countMatchesBelow(hi, p.Mask, p.Val) - countMatchesBelow(p.Lo, p.Mask, p.Val))
+}
+
+// countIntersect is Intersect deciding emptiness by counting the members
+// of the merged pattern below its bound (or below 2^32−1, plus a check of
+// 2^32−1 itself, when unbounded).
+func countIntersect(p, q Pattern) (Pattern, bool) {
+	if (p.Val^q.Val)&(p.Mask&q.Mask) != 0 {
+		return Pattern{}, false
+	}
+	out := Pattern{
+		Mask: p.Mask | q.Mask,
+		Val:  (p.Val | q.Val) & (p.Mask | q.Mask),
+		Lo:   p.Lo,
+		Hi:   p.Hi,
+	}
+	if q.Lo > out.Lo {
+		out.Lo = q.Lo
+	}
+	if out.Hi == 0 || (q.Hi != 0 && q.Hi < out.Hi) {
+		out.Hi = q.Hi
+	}
+	if out.Hi != 0 {
+		if scanCountBelow(out, out.Hi) == 0 {
+			return Pattern{}, false
+		}
+	} else if scanCountBelow(out, ^uint32(0)) == 0 && !out.Contains(^uint32(0)) {
+		return Pattern{}, false
+	}
+	return out, true
+}
+
+func TestSpread(t *testing.T) {
+	// spread over mask 0b0101: free bits are 1 and 3 (and upward).
+	if got := spread(0b11, 0b0101); got != 0b1010 {
+		t.Errorf("spread(0b11, 0b0101) = %#b, want 0b1010", got)
+	}
+	if got := spread(0, 0); got != 0 {
+		t.Errorf("spread(0,0) = %d, want 0", got)
+	}
+	// With mask 0 every bit is free: spread is identity.
+	if got := spread(0xABCD, 0); got != 0xABCD {
+		t.Errorf("spread identity = %#x", got)
+	}
+}
 
 // refPattern checks membership directly from the definition.
 func refPattern(p Pattern, x uint32) bool {
@@ -117,10 +215,14 @@ func TestNextMatch(t *testing.T) {
 		{0xFFFFFFFE, 1, 0, 0xFFFFFFFE, true},
 	}
 	for _, tc := range cases {
-		got, ok := nextMatch(tc.lo, tc.mask, tc.val)
-		if ok != tc.ok || (ok && got != tc.want) {
-			t.Errorf("nextMatch(%#x,%#x,%#x) = %#x,%v want %#x,%v",
-				tc.lo, tc.mask, tc.val, got, ok, tc.want, tc.ok)
+		for name, next := range map[string]func(lo, mask, val uint32) (uint32, bool){
+			"nextMatch": nextMatch, "searchNextMatch": searchNextMatch,
+		} {
+			got, ok := next(tc.lo, tc.mask, tc.val)
+			if ok != tc.ok || (ok && got != tc.want) {
+				t.Errorf("%s(%#x,%#x,%#x) = %#x,%v want %#x,%v",
+					name, tc.lo, tc.mask, tc.val, got, ok, tc.want, tc.ok)
+			}
 		}
 	}
 }
@@ -139,20 +241,6 @@ func TestNextMatchIsMinimal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpread(t *testing.T) {
-	// spread over mask 0b0101: free bits are 1 and 3 (and upward).
-	if got := spread(0b11, 0b0101); got != 0b1010 {
-		t.Errorf("spread(0b11, 0b0101) = %#b, want 0b1010", got)
-	}
-	if got := spread(0, 0); got != 0 {
-		t.Errorf("spread(0,0) = %d, want 0", got)
-	}
-	// With mask 0 every bit is free: spread is identity.
-	if got := spread(0xABCD, 0); got != 0xABCD {
-		t.Errorf("spread identity = %#x", got)
 	}
 }
 
@@ -229,6 +317,123 @@ func TestPatternFirstMatchesLinearScan(t *testing.T) {
 			gotV, gotOK := p.First(n)
 			if gotOK != wantOK || (wantOK && gotV != wantV) {
 				t.Errorf("First(%v, n=%d) = (%d,%t), want (%d,%t)", p, n, gotV, gotOK, wantV, wantOK)
+			}
+		}
+	}
+}
+
+// edgeMask draws a 32-bit mask from the shapes that reach every branch of
+// nextMatch: none, all, one bit, a high band, a low band, or random bits.
+func edgeMask(rng *rand.Rand) uint32 {
+	k := uint(rng.Intn(32))
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return ^uint32(0)
+	case 2:
+		return 1 << k
+	case 3:
+		return ^uint32(0) << k
+	case 4:
+		return 1<<k - 1
+	default:
+		return rng.Uint32()
+	}
+}
+
+// edgeBound draws a lower or upper bound near the interesting points of a
+// mask/value pair: the ends of the 32-bit range, the pattern's least and
+// greatest members, powers of two, or anywhere.
+func edgeBound(rng *rand.Rand, mask, val uint32) uint32 {
+	delta := uint32(rng.Intn(5)) - 2
+	switch rng.Intn(7) {
+	case 0:
+		return 0
+	case 1:
+		return ^uint32(0) - uint32(rng.Intn(3))
+	case 2:
+		return val&mask + delta
+	case 3:
+		return (val | ^mask) + delta
+	case 4:
+		return 1<<uint(rng.Intn(32)) + delta
+	case 5:
+		return val ^ 1<<uint(rng.Intn(32))
+	default:
+		return rng.Uint32()
+	}
+}
+
+// edgePattern draws a full 32-bit pattern; its value is left unnormalized
+// one time in eight, as callers may pass it.
+func edgePattern(rng *rand.Rand) Pattern {
+	p := Pattern{Mask: edgeMask(rng), Val: rng.Uint32()}
+	if rng.Intn(8) != 0 {
+		p.Val &= p.Mask
+	}
+	if rng.Intn(2) == 0 {
+		p.Lo = edgeBound(rng, p.Mask, p.Val)
+	}
+	if rng.Intn(2) == 0 {
+		p.Hi = edgeBound(rng, p.Mask, p.Val)
+	}
+	return p
+}
+
+// checkAgainstReference compares every closed form with the reference on
+// one input: nextMatch(p.Lo, p.Mask, p.Val), p.First(n), p.CountBelow(n),
+// p.Intersect(q) and p.Intersects(q).
+func checkAgainstReference(t *testing.T, p, q Pattern, n uint32) {
+	want, wantOK := searchNextMatch(p.Lo, p.Mask, p.Val)
+	if got, ok := nextMatch(p.Lo, p.Mask, p.Val); ok != wantOK || got != want {
+		t.Fatalf("nextMatch(%#x, %#x, %#x) = %#x,%v; reference %#x,%v", p.Lo, p.Mask, p.Val, got, ok, want, wantOK)
+	}
+	hi := n
+	if p.Hi != 0 && p.Hi < hi {
+		hi = p.Hi
+	}
+	if !wantOK || want >= hi {
+		want, wantOK = 0, false
+	}
+	if got, ok := p.First(n); ok != wantOK || got != want {
+		t.Fatalf("%+v.First(%#x) = %#x,%v; reference %#x,%v", p, n, got, ok, want, wantOK)
+	}
+	if got, want := p.CountBelow(n), scanCountBelow(p, n); got != want {
+		t.Fatalf("%+v.CountBelow(%#x) = %d; digit scan %d", p, n, got, want)
+	}
+	wantPat, wantOK := countIntersect(p, q)
+	if got, ok := p.Intersect(q); ok != wantOK || got != wantPat {
+		t.Fatalf("%+v.Intersect(%+v) = %+v,%v; reference %+v,%v", p, q, got, ok, wantPat, wantOK)
+	}
+	if got := p.Intersects(q); got != wantOK {
+		t.Fatalf("%+v.Intersects(%+v) = %v; reference %v", p, q, got, wantOK)
+	}
+}
+
+// TestClosedFormsMatchReference checks nextMatch, First, CountBelow,
+// Intersect and Intersects against the reference forms over full 32-bit
+// inputs: random draws from edge masks and bounds, then every 8-bit mask
+// with the high 24 bits free, masked, or only bit 31 masked, against every
+// low byte of the value.
+func TestClosedFormsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	random := 1 << 20
+	if testing.Short() {
+		random = 1 << 16
+	}
+	for i := 0; i < random; i++ {
+		p := edgePattern(rng)
+		checkAgainstReference(t, p, edgePattern(rng), edgeBound(rng, p.Mask, p.Val))
+	}
+	for _, high := range []uint32{0, ^uint32(0xFF), 1 << 31} {
+		for m8 := uint32(0); m8 < 256; m8++ {
+			mask := high | m8
+			for v8 := uint32(0); v8 < 256; v8++ {
+				val := (rng.Uint32()&^0xFF | v8) & mask
+				loHigh := [...]uint32{0, val, val + 0x100, ^uint32(0)}[rng.Intn(4)] &^ 0xFF
+				p := Pattern{Mask: mask, Val: val, Lo: loHigh | uint32(rng.Intn(256)), Hi: edgeBound(rng, mask, val)}
+				checkAgainstReference(t, p, edgePattern(rng), edgeBound(rng, mask, val))
 			}
 		}
 	}

@@ -285,10 +285,10 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 	case Dim1:
 		base := a
 		var ok bool
-		if base.Row, ok = intersectPattern(a.Row, b.r.Row); !ok {
+		if base.Row, ok = a.Row.Intersect(b.r.Row); !ok {
 			return dst
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.r.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.r.Col); !ok {
 			return dst
 		}
 		if b.u1 != 1 {
@@ -298,10 +298,10 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 	case Dim2:
 		base := a
 		var ok bool
-		if base.Die, ok = intersectPattern(a.Die, b.r.Die); !ok {
+		if base.Die, ok = a.Die.Intersect(b.r.Die); !ok {
 			return dst
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.r.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.r.Col); !ok {
 			return dst
 		}
 		if b.u2 != 1 {
@@ -311,10 +311,10 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 	case Dim3:
 		base := a
 		var ok bool
-		if base.Bank, ok = intersectPattern(a.Bank, b.r.Bank); !ok {
+		if base.Bank, ok = a.Bank.Intersect(b.r.Bank); !ok {
 			return dst
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.r.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.r.Col); !ok {
 			return dst
 		}
 		if b.u3 != 1 {
@@ -334,16 +334,16 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 func (an *Analyzer) appendSplitNotUnit(dst []fault.Region, base fault.Region, d0, b0 uint32) []fault.Region {
 	for j := 0; j < an.dieBits; j++ {
 		m := uint32(1) << uint(j)
-		if die, ok := intersectPattern(base.Die, fault.MaskPattern(m, ^d0&m)); ok {
+		if die, ok := base.Die.Intersect(fault.MaskPattern(m, ^d0&m)); ok {
 			r := base
 			r.Die = die
 			dst = append(dst, r)
 		}
 	}
-	if die, ok := intersectPattern(base.Die, fault.ExactPattern(d0)); ok {
+	if die, ok := base.Die.Intersect(fault.ExactPattern(d0)); ok {
 		for j := 0; j < an.bankBits; j++ {
 			m := uint32(1) << uint(j)
-			if bank, ok2 := intersectPattern(base.Bank, fault.MaskPattern(m, ^b0&m)); ok2 {
+			if bank, ok2 := base.Bank.Intersect(fault.MaskPattern(m, ^b0&m)); ok2 {
 				r := base
 				r.Die, r.Bank = die, bank
 				dst = append(dst, r)
@@ -356,16 +356,16 @@ func (an *Analyzer) appendSplitNotUnit(dst []fault.Region, base fault.Region, d0
 func (an *Analyzer) appendSplitNotBankRow(dst []fault.Region, base fault.Region, b0, r0 uint32) []fault.Region {
 	for j := 0; j < an.bankBits; j++ {
 		m := uint32(1) << uint(j)
-		if bank, ok := intersectPattern(base.Bank, fault.MaskPattern(m, ^b0&m)); ok {
+		if bank, ok := base.Bank.Intersect(fault.MaskPattern(m, ^b0&m)); ok {
 			r := base
 			r.Bank = bank
 			dst = append(dst, r)
 		}
 	}
-	if bank, ok := intersectPattern(base.Bank, fault.ExactPattern(b0)); ok {
+	if bank, ok := base.Bank.Intersect(fault.ExactPattern(b0)); ok {
 		for j := 0; j < an.rowBits; j++ {
 			m := uint32(1) << uint(j)
-			if row, ok2 := intersectPattern(base.Row, fault.MaskPattern(m, ^r0&m)); ok2 {
+			if row, ok2 := base.Row.Intersect(fault.MaskPattern(m, ^r0&m)); ok2 {
 				r := base
 				r.Bank, r.Row = bank, row
 				dst = append(dst, r)
@@ -378,16 +378,16 @@ func (an *Analyzer) appendSplitNotBankRow(dst []fault.Region, base fault.Region,
 func (an *Analyzer) appendSplitNotDieRow(dst []fault.Region, base fault.Region, d0, r0 uint32) []fault.Region {
 	for j := 0; j < an.dieBits; j++ {
 		m := uint32(1) << uint(j)
-		if die, ok := intersectPattern(base.Die, fault.MaskPattern(m, ^d0&m)); ok {
+		if die, ok := base.Die.Intersect(fault.MaskPattern(m, ^d0&m)); ok {
 			r := base
 			r.Die = die
 			dst = append(dst, r)
 		}
 	}
-	if die, ok := intersectPattern(base.Die, fault.ExactPattern(d0)); ok {
+	if die, ok := base.Die.Intersect(fault.ExactPattern(d0)); ok {
 		for j := 0; j < an.rowBits; j++ {
 			m := uint32(1) << uint(j)
-			if row, ok2 := intersectPattern(base.Row, fault.MaskPattern(m, ^r0&m)); ok2 {
+			if row, ok2 := base.Row.Intersect(fault.MaskPattern(m, ^r0&m)); ok2 {
 				r := base
 				r.Die, r.Row = die, row
 				dst = append(dst, r)

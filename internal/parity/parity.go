@@ -80,37 +80,6 @@ func (d Dims) List() []Dim {
 	return out
 }
 
-// intersectPattern returns the intersection of two patterns and whether it
-// is non-empty. Patterns are closed under intersection: masks merge when
-// compatible and ranges tighten.
-func intersectPattern(p, q fault.Pattern) (fault.Pattern, bool) {
-	if (p.Val^q.Val)&(p.Mask&q.Mask) != 0 {
-		return fault.Pattern{}, false
-	}
-	out := fault.Pattern{
-		Mask: p.Mask | q.Mask,
-		Val:  (p.Val | q.Val) & (p.Mask | q.Mask),
-		Lo:   p.Lo,
-		Hi:   p.Hi,
-	}
-	if q.Lo > out.Lo {
-		out.Lo = q.Lo
-	}
-	if out.Hi == 0 || (q.Hi != 0 && q.Hi < out.Hi) {
-		out.Hi = q.Hi
-	}
-	// Emptiness check within the 32-bit domain.
-	probe := fault.Pattern{Mask: out.Mask, Val: out.Val, Lo: out.Lo, Hi: out.Hi}
-	if out.Hi != 0 {
-		if probe.CountBelow(out.Hi) == 0 {
-			return fault.Pattern{}, false
-		}
-	} else if probe.CountBelow(^uint32(0)) == 0 && !probe.Contains(^uint32(0)) {
-		return fault.Pattern{}, false
-	}
-	return out, true
-}
-
 // intersectRegion intersects two footprints dimension-wise.
 func intersectRegion(a, b fault.Region) (fault.Region, bool) {
 	if a.Stack != b.Stack {
@@ -118,16 +87,16 @@ func intersectRegion(a, b fault.Region) (fault.Region, bool) {
 	}
 	out := fault.Region{Stack: a.Stack}
 	var ok bool
-	if out.Die, ok = intersectPattern(a.Die, b.Die); !ok {
+	if out.Die, ok = a.Die.Intersect(b.Die); !ok {
 		return fault.Region{}, false
 	}
-	if out.Bank, ok = intersectPattern(a.Bank, b.Bank); !ok {
+	if out.Bank, ok = a.Bank.Intersect(b.Bank); !ok {
 		return fault.Region{}, false
 	}
-	if out.Row, ok = intersectPattern(a.Row, b.Row); !ok {
+	if out.Row, ok = a.Row.Intersect(b.Row); !ok {
 		return fault.Region{}, false
 	}
-	if out.Col, ok = intersectPattern(a.Col, b.Col); !ok {
+	if out.Col, ok = a.Col.Intersect(b.Col); !ok {
 		return fault.Region{}, false
 	}
 	return out, true
@@ -204,10 +173,10 @@ func (an *Analyzer) blockedPieces(d Dim, a, b fault.Region) []fault.Region {
 		// Group of cell x: same (row, col), any (die, bank).
 		base := a
 		var ok bool
-		if base.Row, ok = intersectPattern(a.Row, b.Row); !ok {
+		if base.Row, ok = a.Row.Intersect(b.Row); !ok {
 			return nil
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.Col); !ok {
 			return nil
 		}
 		units := b.Die.CountBelow(uint32(an.dieDomain)) * b.Bank.CountBelow(uint32(an.cfg.BanksPerDie))
@@ -223,10 +192,10 @@ func (an *Analyzer) blockedPieces(d Dim, a, b fault.Region) []fault.Region {
 		// Group of cell x: same (die, col), any (bank, row).
 		base := a
 		var ok bool
-		if base.Die, ok = intersectPattern(a.Die, b.Die); !ok {
+		if base.Die, ok = a.Die.Intersect(b.Die); !ok {
 			return nil
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.Col); !ok {
 			return nil
 		}
 		units := b.Bank.CountBelow(uint32(an.cfg.BanksPerDie)) * b.Row.CountBelow(an.rowsPerBank)
@@ -240,10 +209,10 @@ func (an *Analyzer) blockedPieces(d Dim, a, b fault.Region) []fault.Region {
 		// Group of cell x: same (bank index, col), any (die, row).
 		base := a
 		var ok bool
-		if base.Bank, ok = intersectPattern(a.Bank, b.Bank); !ok {
+		if base.Bank, ok = a.Bank.Intersect(b.Bank); !ok {
 			return nil
 		}
-		if base.Col, ok = intersectPattern(a.Col, b.Col); !ok {
+		if base.Col, ok = a.Col.Intersect(b.Col); !ok {
 			return nil
 		}
 		units := b.Die.CountBelow(uint32(an.dieDomain)) * b.Row.CountBelow(an.rowsPerBank)
@@ -264,15 +233,15 @@ func (an *Analyzer) splitNotUnit(base fault.Region, d0, b0 uint32) []fault.Regio
 	var out []fault.Region
 	for _, dp := range notExact(d0, an.dieBits) {
 		r := base
-		if die, ok := intersectPattern(base.Die, dp); ok {
+		if die, ok := base.Die.Intersect(dp); ok {
 			r.Die = die
 			out = append(out, r)
 		}
 	}
 	for _, bp := range notExact(b0, an.bankBits) {
 		r := base
-		if die, ok := intersectPattern(base.Die, fault.ExactPattern(d0)); ok {
-			if bank, ok2 := intersectPattern(base.Bank, bp); ok2 {
+		if die, ok := base.Die.Intersect(fault.ExactPattern(d0)); ok {
+			if bank, ok2 := base.Bank.Intersect(bp); ok2 {
 				r.Die, r.Bank = die, bank
 				out = append(out, r)
 			}
@@ -286,15 +255,15 @@ func (an *Analyzer) splitNotBankRow(base fault.Region, b0, r0 uint32) []fault.Re
 	var out []fault.Region
 	for _, bp := range notExact(b0, an.bankBits) {
 		r := base
-		if bank, ok := intersectPattern(base.Bank, bp); ok {
+		if bank, ok := base.Bank.Intersect(bp); ok {
 			r.Bank = bank
 			out = append(out, r)
 		}
 	}
 	for _, rp := range notExact(r0, an.rowBits) {
 		r := base
-		if bank, ok := intersectPattern(base.Bank, fault.ExactPattern(b0)); ok {
-			if row, ok2 := intersectPattern(base.Row, rp); ok2 {
+		if bank, ok := base.Bank.Intersect(fault.ExactPattern(b0)); ok {
+			if row, ok2 := base.Row.Intersect(rp); ok2 {
 				r.Bank, r.Row = bank, row
 				out = append(out, r)
 			}
@@ -308,15 +277,15 @@ func (an *Analyzer) splitNotDieRow(base fault.Region, d0, r0 uint32) []fault.Reg
 	var out []fault.Region
 	for _, dp := range notExact(d0, an.dieBits) {
 		r := base
-		if die, ok := intersectPattern(base.Die, dp); ok {
+		if die, ok := base.Die.Intersect(dp); ok {
 			r.Die = die
 			out = append(out, r)
 		}
 	}
 	for _, rp := range notExact(r0, an.rowBits) {
 		r := base
-		if die, ok := intersectPattern(base.Die, fault.ExactPattern(d0)); ok {
-			if row, ok2 := intersectPattern(base.Row, rp); ok2 {
+		if die, ok := base.Die.Intersect(fault.ExactPattern(d0)); ok {
+			if row, ok2 := base.Row.Intersect(rp); ok2 {
 				r.Die, r.Row = die, row
 				out = append(out, r)
 			}
