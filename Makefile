@@ -93,14 +93,15 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, the TSV-SWAP and sparing layers, the
+# (incremental vs batch evaluation, back-to-back short campaigns, whose
+# tails a single long run hides, the TSV-SWAP and sparing layers, the
 # footprint algebra and fault sampling, CRC variants, and the Figure-4
 # striping study) funneled through cmd/benchjson
 # into a benchstat-compatible JSON report.
 # `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
 # keep two reports around to benchstat before/after a change.
 bench.out:
-	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd' \
+	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd|BenchmarkShortCampaigns' \
 		-benchmem ./internal/faultsim/ > bench.out
 	$(GO) test -run xxx -bench 'BenchmarkSwapperApply|BenchmarkDDSOffer' -benchmem \
 		./internal/tsv/ ./internal/sparing/ >> bench.out

@@ -255,7 +255,8 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 }
 
 // Validate reports why a run of scheme under o cannot execute, or nil.
-// It is the one home of every rejected feature combination:
+// It is the one home of every rejected setting and feature combination:
+//   - a negative Trials (zero selects the default);
 //   - an unknown scheme, fault model or scenario parameter, or a parameter
 //     value the scheme or fault-model plugin refuses;
 //   - a BiasFactor without RareEvent, or below 1;
@@ -281,6 +282,8 @@ func (o ReliabilityOptions) setup(scheme Scheme, split bool) (pol faultsim.Polic
 		return pol, eo, err
 	}
 	switch {
+	case o.Trials < 0:
+		return pol, eo, fmt.Errorf("citadel: trials must be non-negative, got %d", o.Trials)
 	case o.BiasFactor != 0 && !o.RareEvent:
 		return pol, eo, fmt.Errorf("citadel: biasFactor requires rareEvent")
 	case o.BiasFactor != 0 && o.BiasFactor < 1:
@@ -342,8 +345,12 @@ func SimulateScenarioReliabilityAdaptive(opts ReliabilityOptions, schemeName str
 // targetFailures or maxTrials, with the scheme and arrival process
 // resolved through the scenario registry. With opts.RareEvent every batch
 // is importance-sampled and the Result is Weighted; the target counts
-// failing trials.
+// failing trials. Zero targetFailures or maxTrials selects the default
+// (see faultsim.AdaptiveOptions); a negative one is an error.
 func SimulateScenarioReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
+	if targetFailures < 0 || maxTrials < 0 {
+		return Result{}, fmt.Errorf("citadel: targetFailures and maxTrials must be non-negative, got %d and %d", targetFailures, maxTrials)
+	}
 	pol, eo, err := opts.withDefaults().setup(Scheme(schemeName), false)
 	if err != nil {
 		return Result{}, err

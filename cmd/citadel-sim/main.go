@@ -187,7 +187,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *jobDir != "" {
-		if *targetFail > 0 || *forensics != "" || *traceOut != "" || *ratesPath != "" {
+		if *targetFail != 0 || *forensics != "" || *traceOut != "" || *ratesPath != "" {
 			fmt.Fprintln(os.Stderr, "-job-dir is incompatible with -target-failures, -forensics, -trace and -rates")
 			os.Exit(2)
 		}
@@ -264,7 +264,7 @@ func main() {
 
 	var res citadel.Result
 	var err error
-	if *targetFail > 0 {
+	if *targetFail != 0 {
 		res, err = citadel.SimulateScenarioReliabilityAdaptiveContext(ctx, opts, *schemeName, *targetFail, *maxTrials)
 	} else {
 		res, err = citadel.SimulateScenarioReliabilityContext(ctx, opts, *schemeName)

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"testing"
+	"time"
 
 	citadel "repro"
 )
@@ -27,6 +30,28 @@ func runSim(t *testing.T, args ...string) {
 	cmd.Env = append(os.Environ(), "CITADEL_SIM_MAIN=1")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("citadel-sim %v: %v\n%s", args, err, out)
+	}
+}
+
+// TestNegativeTrialsExitTwo: a negative -trials, -target-failures or
+// -max-trials is a usage error (exit 2), in adaptive mode too. The
+// timeout turns a run that never ends into a failure.
+func TestNegativeTrialsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-trials", "-5"},
+		{"-trials", "-5", "-target-failures", "10", "-max-trials", "40000"},
+		{"-trials", "1000", "-target-failures", "-1"},
+		{"-trials", "1000", "-target-failures", "10", "-max-trials", "-1"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-progress", "0", "-scheme", "Citadel"}, args...)...)
+		cmd.Env = append(os.Environ(), "CITADEL_SIM_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("citadel-sim %v: %v, want exit status 2\n%s", args, err, out)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package citadel
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // scaledTable1 multiplies every Table I class rate by k.
@@ -103,6 +104,8 @@ func TestValidateRejections(t *testing.T) {
 		{"bias below one", ReliabilityOptions{RareEvent: true, BiasFactor: 0.5}, SchemeCitadel, false, ">= 1"},
 		{"rare non-poisson", ReliabilityOptions{RareEvent: true, FaultModel: "rowhammer"}, SchemeCitadel, false, "poisson"},
 		{"split non-poisson", ReliabilityOptions{FaultModel: "rowhammer"}, SchemeCitadel, true, "poisson"},
+		{"negative trials", ReliabilityOptions{Trials: -5}, SchemeCitadel, false, "non-negative"},
+		{"negative trials split", ReliabilityOptions{Trials: -5}, SchemeCitadel, true, "non-negative"},
 	} {
 		err := tc.opts.Validate(tc.scheme, tc.split)
 		switch {
@@ -115,5 +118,39 @@ func TestValidateRejections(t *testing.T) {
 	// The Scheme-typed entry points report the same error in the Result.
 	if res := SimulateReliability(ReliabilityOptions{Trials: 10}, "no-such-scheme"); res.Err == nil || res.Trials != 0 {
 		t.Errorf("unknown scheme ran: %+v", res)
+	}
+}
+
+// TestNegativeTrialCountsRejected: a negative trial count, failure target
+// or trial cap is an error from every entry point, returned at once; an
+// adaptive run must not start batches that add no trials.
+func TestNegativeTrialCountsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name                      string
+		trials, target, maxTrials int
+	}{
+		{"trials", -5, 10, 40000},
+		{"target", 1000, -1, 40000},
+		{"cap", 1000, 10, -1},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := SimulateScenarioReliabilityAdaptive(ReliabilityOptions{Trials: tc.trials}, "Citadel", tc.target, tc.maxTrials)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "non-negative") {
+				t.Errorf("adaptive, negative %s: got %v, want a non-negative error", tc.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("adaptive, negative %s: no return within 10 s", tc.name)
+		}
+	}
+	if _, err := SimulateScenarioReliability(ReliabilityOptions{Trials: -5}, "Citadel"); err == nil {
+		t.Error("a run of -5 trials was accepted")
+	}
+	if res := SimulateReliabilitySplit(ReliabilityOptions{Trials: -5}, SchemeCitadel, nil); res.Err == nil {
+		t.Error("a split run of -5 trials per stage was accepted")
 	}
 }

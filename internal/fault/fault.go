@@ -405,18 +405,16 @@ func (s *Sampler) Config() stack.Config { return s.cfg }
 
 // limits returns the Knuth threshold of each of s.draws for a window of
 // the given span, computing them only when the span differs from the one
-// last asked for.
-func (s *Sampler) limits(span float64) [maxDraws]float64 {
-	s.mu.Lock()
+// last asked for. The caller holds s.mu, and reads the thresholds in place
+// until it releases it.
+func (s *Sampler) limits(span float64) *[maxDraws]float64 {
 	if span != s.cachedSpan {
 		for i, d := range s.draws[:s.nDraws] {
 			s.cached[i] = knuthLimit(d.perHour * span * d.dies)
 		}
 		s.cachedSpan = span
 	}
-	limit := s.cached
-	s.mu.Unlock()
-	return limit
+	return &s.cached
 }
 
 // knuthLimit returns exp(−λ), poisson's threshold for a Poisson(λ) draw,
@@ -472,43 +470,40 @@ func (s *Sampler) AppendLifetime(rng *rand.Rand, hours float64, dst []Fault) []F
 // exact), keeping seeded runs and goldens unchanged.
 func (s *Sampler) AppendWindow(rng *rand.Rand, start, span float64, dst []Fault) []Fault {
 	base := len(dst)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	limit := s.limits(span)
 	for i, d := range s.draws[:s.nDraws] {
 		for n := poisson(rng, limit[i]); n > 0; n-- {
-			var f Fault
+			dst = append(dst, Fault{})
+			f := &dst[len(dst)-1]
 			switch {
 			case d.class != DataTSV:
-				f = s.place(rng, d.class, d.pers)
+				s.place(rng, f, d.class, d.pers)
 			case rng.Intn(s.cfg.DataTSVs+s.cfg.AddrTSVs) < s.cfg.DataTSVs:
-				f = s.place(rng, DataTSV, Permanent)
+				s.place(rng, f, DataTSV, Permanent)
 			default:
-				f = s.place(rng, AddrTSV, Permanent)
+				s.place(rng, f, AddrTSV, Permanent)
 			}
 			f.Hours = start + rng.Float64()*span
-			dst = append(dst, f)
 		}
 	}
 	sortByTime(dst[base:])
 	return dst
 }
 
-// place chooses a uniformly random location for a fault of class c and
-// builds its footprint.
-func (s *Sampler) place(rng *rand.Rand, c Class, p Persistence) Fault {
-	cfg := s.cfg
-	stk := rng.Intn(cfg.Stacks)
-	die := rng.Intn(s.diesPerStack) // may land on the metadata die
-	bank := rng.Intn(cfg.BanksPerDie)
-	row := rng.Intn(cfg.RowsPerBank)
+// place fills f, a zero Fault, with a fault of class c and persistence p
+// at a uniformly random location. It writes in place: a Fault is 104
+// bytes, and returning one by value costs a copy per event.
+func (s *Sampler) place(rng *rand.Rand, f *Fault, c Class, p Persistence) {
+	cfg := &s.cfg
+	f.Class, f.Persistence = c, p
+	reg := &f.Region
+	reg.Stack = rng.Intn(cfg.Stacks)
+	reg.Die = ExactPattern(uint32(rng.Intn(s.diesPerStack))) // may land on the metadata die
+	reg.Bank = ExactPattern(uint32(rng.Intn(cfg.BanksPerDie)))
+	reg.Row = ExactPattern(uint32(rng.Intn(cfg.RowsPerBank)))
 	rowBits := uint32(cfg.RowBytes * 8)
-	f := Fault{Class: c, Persistence: p}
-	reg := Region{
-		Stack: stk,
-		Die:   ExactPattern(uint32(die)),
-		Bank:  ExactPattern(uint32(bank)),
-		Row:   ExactPattern(uint32(row)),
-		Col:   AllPattern(),
-	}
 	switch c {
 	case Bit:
 		reg.Col = ExactPattern(uint32(rng.Intn(int(rowBits))))
@@ -543,8 +538,6 @@ func (s *Sampler) place(rng *rand.Rand, c Class, p Persistence) Fault {
 		v := uint32(rng.Intn(2)) << k
 		reg.Row = MaskPattern(1<<k, v)
 	}
-	f.Region = reg
-	return f
 }
 
 // subArrayRows returns the row pattern of a random sub-array.
@@ -571,12 +564,21 @@ func bitsFor(n int) int {
 }
 
 // sortByTime sorts faults by arrival hour (insertion sort; fault lists are
-// short — a handful of events per lifetime).
+// short — a handful of events per lifetime). An element out of place is
+// held aside while the ones before it that arrive later shift up one
+// slot, so each Fault moves once rather than once per swap.
 func sortByTime(fs []Fault) {
 	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].Hours < fs[j-1].Hours; j-- {
-			fs[j], fs[j-1] = fs[j-1], fs[j]
+		j := i
+		for j > 0 && fs[i].Hours < fs[j-1].Hours {
+			j--
 		}
+		if j == i {
+			continue
+		}
+		f := fs[i]
+		copy(fs[j+1:i+1], fs[j:i])
+		fs[j] = f
 	}
 }
 

@@ -259,7 +259,8 @@ func TestFootprintShapes(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		var classes = []Class{Bit, Word, Column, Row, SubArray, Bank, DataTSV, AddrTSV}
 		c := classes[rng.Intn(len(classes))]
-		f := s.place(rng, c, Permanent)
+		var f Fault
+		s.place(rng, &f, c, Permanent)
 		rows := f.Region.Row.CountBelow(uint32(cfg.RowsPerBank))
 		cols := f.Region.Col.CountBelow(rowBits)
 		switch c {
@@ -311,11 +312,13 @@ func TestRowsNeedingSparing(t *testing.T) {
 	cfg := stack.DefaultConfig()
 	s := NewSampler(cfg, Table1())
 	rng := rand.New(rand.NewSource(16))
-	f := s.place(rng, Bank, Permanent)
+	var f Fault
+	s.place(rng, &f, Bank, Permanent)
 	if got := f.RowsNeedingSparing(cfg); got != 65536 {
 		t.Errorf("bank fault needs %d rows, want 65536", got)
 	}
-	f = s.place(rng, Bit, Permanent)
+	f = Fault{}
+	s.place(rng, &f, Bit, Permanent)
 	if got := f.RowsNeedingSparing(cfg); got != 1 {
 		t.Errorf("bit fault needs %d rows, want 1", got)
 	}

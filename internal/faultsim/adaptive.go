@@ -20,7 +20,8 @@ type AdaptiveOptions struct {
 	TargetFailures int
 	// MaxTrials bounds the total work (default 10x Options.Trials).
 	MaxTrials int
-	// BatchTrials is the step size (default Options.Trials).
+	// BatchTrials is the step size (default Options.Trials). The run ends
+	// early, without error, if it is negative.
 	BatchTrials int
 }
 
@@ -201,6 +202,10 @@ func RunAdaptiveContext(ctx context.Context, opt AdaptiveOptions, pol Policy) Re
 		bo.Trials = opt.BatchTrials
 		if remaining := opt.MaxTrials - total.Trials; bo.Trials > remaining {
 			bo.Trials = remaining
+		}
+		if bo.Trials <= 0 {
+			// A batch of no trials would never advance the run.
+			break
 		}
 		// The batch continues the trial sequence of opt.Seed, so the
 		// result does not depend on BatchTrials.

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ecc"
@@ -43,6 +44,27 @@ func BenchmarkTrialsIncremental(b *testing.B) { benchRun(b, false) }
 // BenchmarkTrialsBatch is the pre-optimization oracle path, kept as the
 // speedup baseline.
 func BenchmarkTrialsBatch(b *testing.B) { benchRun(b, true) }
+
+// BenchmarkShortCampaigns runs back-to-back 8,000-trial campaigns of
+// 3DP+DDS at 20x Table I rates on every CPU, the shape of the repo
+// benchmark's engine-multifault workload. BenchmarkTrialsIncremental runs
+// one campaign of b.N trials, so it cannot see a campaign's tail, where
+// one worker still runs while the others have no work left; here the
+// tail recurs every 8,000 trials. b.N counts trials.
+func BenchmarkShortCampaigns(b *testing.B) {
+	const campaign = 8000
+	opt := testOptions(0, 20, 0)
+	opt.Workers = runtime.GOMAXPROCS(0)
+	pol := Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP), NewSparer: ddsSparer}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += campaign {
+		opt.Trials = min(campaign, b.N-done)
+		opt.Seed = int64(done)
+		Run(opt, pol)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+}
 
 // BenchmarkTrialStateRun isolates the trial loop from sampling: replay a
 // fixed multi-fault lifetime through ts.run.

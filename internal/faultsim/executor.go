@@ -35,17 +35,22 @@ func (o Options) arrivals() Arrivals {
 
 // execute is the engine's one trial executor; RunContext (and through it
 // adaptive and importance-sampled runs) and RunCensusContext are folds
-// over its lanes. It splits opt.Trials into one contiguous slice per
-// worker and draws trial t from deriveSeed(opt.Seed, t) (drawLifetime),
-// so the worker count sets only the parallelism. On each worker's own
-// goroutine it builds the arrival source, then the lane (newLane), then
-// runs the slice. It alone checks ctx, every cancelCheckInterval trials;
-// it flushes the live progress and metric counters, drives opt.Progress,
-// and records the trace spans of sampled trials and of the whole run.
+// over its lanes. Workers claim blocks of cancelCheckInterval trials from
+// a shared cursor, so a worker that finishes early takes the next block
+// rather than idling, and draw trial t from deriveSeed(opt.Seed, t)
+// (drawLifetime), so the worker count sets only the parallelism. On each
+// worker's own goroutine it builds the arrival source, then the lane
+// (newLane), then runs blocks until none is left. It alone checks ctx,
+// once per block, so cancellation lands within one block per worker; it
+// flushes the live progress and metric counters once per block, drives
+// opt.Progress, and records the trace spans of sampled trials and of the
+// whole run.
 //
-// It returns the lanes in worker order, which is trial order, with the
-// completed trial and failure counts, and err set to ctx's cause when the
-// run stopped short of opt.Trials.
+// It returns the lanes in worker order with the completed trial and
+// failure counts, and err set to ctx's cause when the run stopped short of
+// opt.Trials. Which trials a lane ran depends on scheduling, but each lane
+// ran its trials in increasing order, so a fold that needs trial order
+// merges the lanes by trial index.
 func execute[L lane](ctx context.Context, opt Options, name string, newLane func(worker int, src Arrivals) L) (lanes []L, trials, failures int, err error) {
 	opt = opt.withDefaults()
 	mRunsActive.Inc()
@@ -93,20 +98,16 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 	} else {
 		close(progDone)
 	}
-	lanes = make([]L, opt.Workers)
-	done := make([]int, opt.Workers)
-	failed := make([]int, opt.Workers)
-	used := 0
+	workers := max(0, min(opt.Workers, (opt.Trials+cancelCheckInterval-1)/cancelCheckInterval))
+	lanes = make([]L, workers)
+	done := make([]int, workers)
+	failed := make([]int, workers)
+	// next is the first trial of the next unclaimed block.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	per := (opt.Trials + opt.Workers - 1) / opt.Workers
-	for ; used < opt.Workers; used++ {
-		lo := used * per
-		hi := min(lo+per, opt.Trials)
-		if lo >= hi {
-			break
-		}
+	for worker := 0; worker < workers; worker++ {
 		wg.Add(1)
-		go func(worker, lo, hi int) {
+		go func(worker int) {
 			defer wg.Done()
 			rng := newTrialRand()
 			src := opt.arrivals()
@@ -124,12 +125,19 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 				mScrubs.Add(s)
 				flushedDone, flushedFailures, flushedScrubs = flushedDone+d, flushedFailures+f, flushedScrubs+s
 			}
-			for t := lo; t < hi; t++ {
-				if (t-lo)%cancelCheckInterval == 0 {
+			// The worker runs the block [t, hi) it claimed last; at hi it
+			// flushes, checks ctx and claims the next block.
+			for t, hi := 0, 0; ; t++ {
+				if t == hi {
 					flush()
 					if ctx.Err() != nil {
 						break
 					}
+					t = int(next.Add(cancelCheckInterval)) - cancelCheckInterval
+					if t >= opt.Trials {
+						break
+					}
+					hi = min(t+cancelCheckInterval, opt.Trials)
 				}
 				nDone++
 				buf = drawLifetime(rng, src, opt.Seed, t, opt.LifetimeHours, buf[:0])
@@ -159,16 +167,14 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 					tr.Emit(ev)
 				}
 			}
-			flush()
 			l.finish()
 			lanes[worker], done[worker], failed[worker] = l, nDone, nFailed
-		}(used, lo, hi)
+		}(worker)
 	}
 	wg.Wait()
 	close(stopProg)
 	<-progDone
-	lanes = lanes[:used]
-	for w := 0; w < used; w++ {
+	for w := range lanes {
 		trials += done[w]
 		failures += failed[w]
 	}

@@ -2,11 +2,15 @@ package faultsim
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/ecc"
 	"repro/internal/fault"
@@ -136,5 +140,137 @@ func TestExecutorPerWorkerConstruction(t *testing.T) {
 		if log.flushed[id] != 1 {
 			t.Errorf("goroutine %d flushed its observer %d times, want once", id, log.flushed[id])
 		}
+	}
+}
+
+// oneFaultArrivals yields one fault per lifetime, so every trial reaches
+// its lane.
+type oneFaultArrivals struct{}
+
+func (oneFaultArrivals) AppendLifetime(_ *rand.Rand, hours float64, dst []fault.Fault) []fault.Fault {
+	return append(dst, fault.Fault{Hours: hours / 2})
+}
+
+// recordingLane records the trials it evaluates into counts, shared by
+// every lane of a run, and its own trials in order. Trials that are
+// multiples of 7 fail.
+type recordingLane struct {
+	counts []atomic.Int32
+	trials []int
+	// onTrial, when non-nil, runs before the trial is counted.
+	onTrial func(t int)
+}
+
+func (l *recordingLane) trial(t int, _ []fault.Fault) bool {
+	if l.onTrial != nil {
+		l.onTrial(t)
+	}
+	l.counts[t].Add(1)
+	l.trials = append(l.trials, t)
+	return t%7 == 0
+}
+
+func (*recordingLane) scrubs() int64 { return 0 }
+func (*recordingLane) finish()       {}
+
+// executeRecorded runs execute over recording lanes and returns them with
+// the per-trial evaluation counts.
+func executeRecorded(ctx context.Context, trials, workers int, onTrial func(int)) ([]*recordingLane, []atomic.Int32, int, int, error) {
+	counts := make([]atomic.Int32, trials)
+	opt := Options{Trials: trials, Workers: workers, NewArrivals: func() Arrivals { return oneFaultArrivals{} }}
+	lanes, done, failures, err := execute(ctx, opt, "test", func(int, Arrivals) *recordingLane {
+		return &recordingLane{counts: counts, onTrial: onTrial}
+	})
+	return lanes, counts, done, failures, err
+}
+
+// TestExecutorEvaluatesEveryTrialOnce: whatever the worker count, and
+// whether or not the trial count fills whole blocks, every trial index is
+// evaluated exactly once, and each lane sees its trials in increasing
+// order, which RunContext's merges by trial index rely on.
+func TestExecutorEvaluatesEveryTrialOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
+	for _, workers := range []int{1, 2, 3, 16} {
+		for _, trials := range []int{1, 63, 64, 65, 1000, 4097} {
+			lanes, counts, done, failures, err := executeRecorded(context.Background(), trials, workers, nil)
+			if err != nil || done != trials {
+				t.Fatalf("workers %d, trials %d: ran %d trials, err %v", workers, trials, done, err)
+			}
+			if want := (trials + 6) / 7; failures != want {
+				t.Errorf("workers %d, trials %d: %d failures, want %d", workers, trials, failures, want)
+			}
+			if len(lanes) > workers {
+				t.Errorf("workers %d, trials %d: %d lanes", workers, trials, len(lanes))
+			}
+			for i := range counts {
+				if n := counts[i].Load(); n != 1 {
+					t.Fatalf("workers %d, trials %d: trial %d evaluated %d times", workers, trials, i, n)
+				}
+			}
+			for w, l := range lanes {
+				if !slices.IsSorted(l.trials) {
+					t.Fatalf("workers %d, trials %d: lane %d ran its trials out of order", workers, trials, w)
+				}
+			}
+		}
+	}
+}
+
+// TestExecutorCancelCountsEvaluatedTrials: a run cancelled midway reports
+// as completed exactly the trials its lanes evaluated, each once, and
+// returns the cancellation cause, which RunContext turns into Partial.
+func TestExecutorCancelCountsEvaluatedTrials(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const trials = 100000
+	for _, workers := range []int{1, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, counts, done, _, err := executeRecorded(ctx, trials, workers, func(t int) {
+			if t == trials/3 {
+				cancel()
+			}
+		})
+		cancel()
+		evaluated := 0
+		for i := range counts {
+			n := counts[i].Load()
+			if n > 1 {
+				t.Fatalf("workers %d: trial %d evaluated %d times", workers, i, n)
+			}
+			evaluated += int(n)
+		}
+		if err != context.Canceled || done >= trials || done != evaluated {
+			t.Errorf("workers %d: reported %d trials (err %v), evaluated %d of %d", workers, done, err, evaluated, trials)
+		}
+	}
+}
+
+// TestExecutorNoWorkerStallsTheRun: while one worker is held on trial 0,
+// the others take over the rest of the run. The held trial waits until
+// three quarters of the trials are evaluated, more than a fixed half
+// per worker would ever allow, and fails on a deadline rather than
+// hanging.
+func TestExecutorNoWorkerStallsTheRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const trials = 4096
+	var evaluated atomic.Int64
+	release := make(chan struct{})
+	stalled := false
+	_, _, done, _, err := executeRecorded(context.Background(), trials, 2, func(t int) {
+		if t == 0 {
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+				stalled = true
+			}
+		}
+		if evaluated.Add(1) == 3*trials/4 {
+			close(release)
+		}
+	})
+	if err != nil || done != trials {
+		t.Fatalf("ran %d of %d trials, err %v", done, trials, err)
+	}
+	if stalled {
+		t.Fatal("the other worker evaluated fewer than 3/4 of the trials while trial 0 was held")
 	}
 }

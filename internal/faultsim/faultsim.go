@@ -27,10 +27,12 @@ import (
 // DefaultScrubIntervalHours is the paper's 12-hour scrub interval.
 const DefaultScrubIntervalHours = 12
 
-// cancelCheckInterval is how many trials a worker completes between
-// context checks: cancellation latency is bounded by roughly one
-// interval's worth of trials per worker.
-const cancelCheckInterval = 256
+// cancelCheckInterval is the size of the trial blocks execute hands out.
+// A worker checks ctx and flushes its progress once per block, so
+// cancellation latency is bounded by one block of trials per worker; a
+// smaller block also shortens the run's tail, where one worker finishes
+// its last block while the others have none left.
+const cancelCheckInterval = 64
 
 // Sparer redirects corrected permanent faults to spare storage (DDS).
 type Sparer interface {
@@ -58,7 +60,8 @@ type Arrivals interface {
 // histograms). The engine calls FlushStats once per worker after its
 // trials finish and adds the maps into Result.ScenarioStats, so every
 // counter must sum exactly (integer counts, or multiples of a
-// power-of-two quantum) for the total not to depend on the worker count.
+// power-of-two quantum) for the total not to depend on the worker count
+// or on which trials each worker happened to run.
 type ArrivalStats interface {
 	FlushStats(dst map[string]float64)
 }
@@ -638,7 +641,7 @@ func Run(opt Options, pol Policy) Result {
 }
 
 // RunContext estimates the failure probability of a policy. Worker
-// goroutines check ctx between trial batches (cancelCheckInterval); on
+// goroutines check ctx between trial blocks (cancelCheckInterval); on
 // cancellation the completed trials are merged into a Result marked
 // Partial rather than discarded. An arrival source implementing
 // ArrivalWeights makes the Result Weighted.
@@ -660,12 +663,11 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 	if opt.Forensics {
 		res.Breakdown = make(map[string]int)
 	}
-	// Lanes come in trial order, so the exemplars do too. Float addition
-	// is not associative, so the weights fold one failing trial at a time
-	// rather than as per-worker partial sums, whose bits would depend on
-	// the worker count; scenario stats sum exactly by contract. Scenario
-	// stats stay nil when no worker produced any, so plain runs keep a
-	// nil map.
+	// Integer tallies add in any order, and scenario stats sum exactly by
+	// contract; they stay nil when no worker produced any, so plain runs
+	// keep a nil map. Exemplars and weights depend on trial order, which
+	// the lanes do not follow between them, so each is merged by trial
+	// index below.
 	for _, l := range lanes {
 		for i, v := range l.byYear {
 			res.FailuresByYear[i] += v
@@ -676,20 +678,6 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 		for k, v := range l.breakdown {
 			res.Breakdown[k] += v
 		}
-		res.Exemplars = append(res.Exemplars, l.exemplars...)
-		if l.weights != nil {
-			if !res.Weighted {
-				res.Weighted = true
-				res.FailWeightByYear = make([]float64, years)
-			}
-			for _, f := range l.failed {
-				res.FailWeight += f.w
-				res.FailWeightSq += f.w * f.w
-				for i := f.year; i < years; i++ {
-					res.FailWeightByYear[i] += f.w
-				}
-			}
-		}
 		for k, v := range l.stats {
 			if res.ScenarioStats == nil {
 				res.ScenarioStats = make(map[string]float64, len(l.stats))
@@ -697,10 +685,60 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 			res.ScenarioStats[k] += v
 		}
 	}
-	if len(res.Exemplars) > opt.MaxExemplars {
-		res.Exemplars = res.Exemplars[:opt.MaxExemplars]
+	if opt.Forensics {
+		// Each lane kept its own first MaxExemplars failures, so the
+		// run's first MaxExemplars are among them.
+		exemplars := make([][]Forensic, len(lanes))
+		for i, l := range lanes {
+			exemplars[i] = l.exemplars
+		}
+		mergeByTrial(exemplars, func(f *Forensic) int { return f.Trial }, func(f *Forensic) {
+			res.Exemplars = append(res.Exemplars, *f)
+		})
+		if len(res.Exemplars) > opt.MaxExemplars {
+			res.Exemplars = res.Exemplars[:opt.MaxExemplars]
+		}
+	}
+	// Float addition is not associative, so the weights fold one failing
+	// trial at a time in trial order rather than as per-worker partial
+	// sums, whose bits would depend on which trials each worker ran.
+	if len(lanes) > 0 && lanes[0].weights != nil {
+		res.Weighted = true
+		res.FailWeightByYear = make([]float64, years)
+		failed := make([][]weightedFailure, len(lanes))
+		for i, l := range lanes {
+			failed[i] = l.failed
+		}
+		mergeByTrial(failed, func(f *weightedFailure) int { return f.trial }, func(f *weightedFailure) {
+			res.FailWeight += f.w
+			res.FailWeightSq += f.w * f.w
+			for i := f.year; i < years; i++ {
+				res.FailWeightByYear[i] += f.w
+			}
+		})
 	}
 	return res
+}
+
+// mergeByTrial visits the items of lists, each already in increasing
+// trial order, in increasing trial order across all of them. The lists
+// number one per worker, so a linear scan for the smallest head is
+// cheaper than a heap.
+func mergeByTrial[T any](lists [][]T, trial func(*T) int, visit func(*T)) {
+	heads := make([]int, len(lists))
+	for {
+		best := -1
+		for i, l := range lists {
+			if heads[i] < len(l) && (best < 0 || trial(&l[heads[i]]) < trial(&lists[best][heads[best]])) {
+				best = i
+			}
+		}
+		if best < 0 {
+			return
+		}
+		visit(&lists[best][heads[best]])
+		heads[best]++
+	}
 }
 
 // runLane is RunContext's per-worker trial body: the pooled trial state
@@ -714,8 +752,8 @@ type runLane struct {
 	byYear []int
 	causes map[string]int
 	// weights is src's likelihood-ratio view under importance sampling,
-	// nil for plain sampling; failed records each failing trial's weight
-	// and failure year, in trial order, for RunContext to fold.
+	// nil for plain sampling; failed records each failing trial's index,
+	// weight and failure year, in trial order, for RunContext to fold.
 	weights   ArrivalWeights
 	failed    []weightedFailure
 	breakdown map[string]int
@@ -725,8 +763,9 @@ type runLane struct {
 
 // weightedFailure is one failing trial of an importance-sampled run.
 type weightedFailure struct {
-	w    float64
-	year int
+	trial int
+	w     float64
+	year  int
 }
 
 func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *runLane {
@@ -764,7 +803,7 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 		y = years - 1
 	}
 	if l.weights != nil {
-		l.failed = append(l.failed, weightedFailure{math.Exp(l.weights.LogWeight(fs)), y})
+		l.failed = append(l.failed, weightedFailure{t, math.Exp(l.weights.LogWeight(fs)), y})
 	}
 	for i := y; i < years; i++ {
 		l.byYear[i]++

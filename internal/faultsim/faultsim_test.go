@@ -375,6 +375,23 @@ func TestRunAdaptiveStopsAtTarget(t *testing.T) {
 	}
 }
 
+// TestRunAdaptiveNegativeBatchEnds: a negative batch size (BatchTrials
+// defaults to Options.Trials) ends the run instead of looping over
+// batches that add no trials.
+func TestRunAdaptiveNegativeBatchEnds(t *testing.T) {
+	opt := AdaptiveOptions{Options: testOptions(-5, 1, 0), TargetFailures: 10, MaxTrials: 40000}
+	done := make(chan Result, 1)
+	go func() { done <- RunAdaptive(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)}) }()
+	select {
+	case r := <-done:
+		if r.Trials != 0 || r.TargetMet {
+			t.Errorf("ran %d trials (target met %v), want none", r.Trials, r.TargetMet)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("adaptive run with a negative batch size did not return within 10 s")
+	}
+}
+
 func TestRunAdaptiveRespectsCap(t *testing.T) {
 	// Citadel at base rates almost never fails: the cap must stop the run.
 	opt := AdaptiveOptions{

@@ -43,9 +43,9 @@ import (
 // variance-optimal bias across the paper's configurations.
 const DefaultBiasFactor = 16
 
-// cancelCheckInterval matches the plain engine: the splitting estimator
-// polls ctx every this many trials.
-const cancelCheckInterval = 256
+// cancelCheckInterval matches the plain engine's trial block: the
+// splitting estimator polls ctx every this many trials.
+const cancelCheckInterval = 64
 
 // Options configures an importance-sampled run. The embedded
 // faultsim.Options keep their meaning; Rates are the *physical* rates —
