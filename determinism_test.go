@@ -1,19 +1,36 @@
 package citadel
 
 import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite golden fixtures")
+
+// goldenRecord is one entry of testdata/simulate_golden.json: what a
+// public entry point returned for one spec.
+type goldenRecord struct {
+	Spec   string
+	Result any
+}
+
 // TestEnginesDeterministicAcrossHostShapes: a seeded result is a pure
 // function of its spec, whatever the host's CPU count or the worker
 // count. One spec per engine runs at GOMAXPROCS 1, 2 and 8 × Workers 1, 3
 // and 16, and all nine Results must be DeepEqual — importance weights,
-// ScenarioStats and exemplars included.
+// ScenarioStats and exemplars included. The common result must also
+// match testdata/simulate_golden.json byte for byte (regenerate with
+// `go test . -run DeterministicAcrossHostShapes -update`), so what the
+// public entry points return is pinned, not only that hosts agree.
 func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("45 Monte Carlo runs; skipped in -short")
+		t.Skip("63 Monte Carlo runs; skipped in -short")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	hot := scaledTable1(10).WithTSV(1430)
@@ -39,6 +56,16 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 				Rates: scaledTable1(30).WithTSV(1430), Trials: 500, Seed: 11, Workers: w, Forensics: true,
 			}, "Citadel", 150, 5000)
 		}},
+		{"adaptive importance sampling", func(w int) (any, error) {
+			return SimulateScenarioReliabilityAdaptive(ReliabilityOptions{
+				Trials: 2000, Seed: 9, Workers: w, RareEvent: true,
+			}, "3DP+DDS", 10, 40000)
+		}},
+		{"adaptive stopped by its trial cap", func(w int) (any, error) {
+			return SimulateScenarioReliabilityAdaptive(ReliabilityOptions{
+				Trials: 1000, Seed: 15, Workers: w,
+			}, "3DP+DDS", 5, 2500)
+		}},
 		{"two-tier-replication under rowhammer", func(w int) (any, error) {
 			return SimulateScenarioReliability(ReliabilityOptions{
 				Trials: 2000, Seed: 13, Workers: w, FaultModel: "rowhammer",
@@ -46,6 +73,7 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 			}, "two-tier-replication")
 		}},
 	}
+	var golden []goldenRecord
 	for _, spec := range specs {
 		var want any
 		for _, procs := range []int{1, 2, 8} {
@@ -62,5 +90,55 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 				}
 			}
 		}
+		golden = append(golden, goldenRecord{Spec: spec.name, Result: want})
 	}
+	checkGolden(t, filepath.Join("testdata", "simulate_golden.json"), golden)
+}
+
+// checkGolden compares records, as indented JSON, with the fixture at
+// path, or rewrites the fixture under -update. On a mismatch it names
+// every spec whose result drifted.
+func checkGolden(t *testing.T, path string, records []goldenRecord) {
+	t.Helper()
+	gotJSON, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON = append(gotJSON, '\n')
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, gotJSON, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	wantJSON, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if string(gotJSON) == string(wantJSON) {
+		return
+	}
+	var old []struct {
+		Spec   string
+		Result json.RawMessage
+	}
+	if err := json.Unmarshal(wantJSON, &old); err != nil {
+		t.Fatalf("golden fixture unreadable: %v", err)
+	}
+	for i, r := range records {
+		got, _ := json.Marshal(r.Result)
+		if i >= len(old) || old[i].Spec != r.Spec {
+			t.Errorf("%s: not in the fixture at position %d", r.Spec, i)
+			continue
+		}
+		var want bytes.Buffer
+		if err := json.Compact(&want, old[i].Result); err != nil || want.String() != string(got) {
+			t.Errorf("%s drifted:\n got %s\nwant %s", r.Spec, got, want.String())
+		}
+	}
+	t.Fatal("results differ from golden fixture (regenerate with -update if intentional)")
 }
