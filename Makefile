@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck test race determinism fuzz check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build fmt vet staticcheck test race determinism fuzz bench-module check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 
@@ -83,7 +83,14 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
 
-check: build fmt vet staticcheck test race determinism fuzz scenario-smoke
+# The repository benchmark is its own module (benchmark/go.mod replaces
+# repro with ../), so the root `go build ./...` and `go test ./...` never
+# compile it. Vet and test it here, so a change to the root API it
+# imports fails the gate.
+bench-module:
+	cd benchmark && $(GO) vet . && $(GO) test -count=1 .
+
+check: build fmt vet staticcheck test race determinism fuzz bench-module scenario-smoke
 
 # Scenario-registry smoke: the catalog must print (every plugin's init
 # ran and validated) and a short rowhammer campaign must survive the

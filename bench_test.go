@@ -11,6 +11,7 @@ package citadel_test
 // with printed tables.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -99,7 +100,10 @@ func BenchmarkMonteCarloTrialThroughput(b *testing.B) {
 		Seed:    1,
 	}
 	b.ResetTimer()
-	r := citadel.SimulateReliability(opts, citadel.SchemeCitadel)
+	r, err := citadel.Simulate(context.Background(), opts, citadel.SchemeCitadel)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(r.Trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
@@ -147,7 +151,7 @@ func BenchmarkAblationSpareRows(b *testing.B) {
 	b.ResetTimer()
 	var escape4 float64
 	for i := 0; i < b.N; i++ {
-		c := citadel.RunFaultCensus(opts)
+		c := citadel.RunFaultCensus(context.Background(), opts)
 		total, over := 0, 0
 		for rows, n := range c.RowsHistogram {
 			total += n

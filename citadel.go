@@ -16,8 +16,12 @@
 //
 // The package offers three entry points:
 //
-//   - SimulateReliability runs FaultSim-style Monte Carlo lifetime studies
-//     for any protection Scheme (the paper's Figures 4, 9, 14, 18, 19).
+//   - Simulate runs FaultSim-style Monte Carlo lifetime studies for any
+//     protection Scheme (the paper's Figures 4, 9, 14, 18, 19): a fixed
+//     trial budget, an adaptive run toward a failure target, or an
+//     importance-sampled run for deep tails, set by ReliabilityOptions.
+//     RunFaultCensus tallies the fault anatomy behind Figure 17 and
+//     Table III.
 //   - SimulatePerformance runs the queueing performance/power model over
 //     synthetic SPEC/PARSEC/BioBench workloads (Figures 5, 13, 15, 16).
 //   - NewController builds a bit-accurate functional model of the Citadel
@@ -139,8 +143,18 @@ type ReliabilityOptions struct {
 	Config Config
 	// Rates are the FIT rates (default: Table1Rates).
 	Rates FITRates
-	// Trials is the Monte Carlo trial count (default 100000).
+	// Trials is the Monte Carlo trial count (default 100000). In an
+	// adaptive run (TargetFailures > 0) it is the batch size.
 	Trials int
+	// TargetFailures, when positive, makes the run adaptive: batches of
+	// Trials trials are added until this many failing trials are observed
+	// or MaxTrials is reached — the paper's "more trials for schemes that
+	// show lower failure rates" (§III-B). Result.TargetMet tells the two
+	// stops apart. Zero runs exactly Trials trials.
+	TargetFailures int
+	// MaxTrials caps an adaptive run (default 10 × Trials). It requires
+	// TargetFailures.
+	MaxTrials int
 	// LifetimeYears is the evaluated lifetime (default 7).
 	LifetimeYears float64
 	// ScrubIntervalHours is the scrub period (default 12).
@@ -190,10 +204,8 @@ type ReliabilityOptions struct {
 	// FaultModel names the registered arrival-process plugin ("" selects
 	// scenario.DefaultFaultModel, the Poisson FIT-rate process — bit-
 	// identical to runs predating the field). Every engine path, forensic
-	// replay included, draws from it. Only the Poisson-only estimators
-	// reject other models: importance sampling (RareEvent) biases Poisson
-	// rates, and multilevel splitting resamples memoryless Poisson
-	// suffixes.
+	// replay included, draws from it. Only importance sampling (RareEvent)
+	// rejects other models: it biases Poisson rates.
 	FaultModel string
 	// ScenarioParams are plugin knobs shared by the scheme and fault-model
 	// plugins (flat namespace; keys validated against the union of both
@@ -256,19 +268,19 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 
 // Validate reports why a run of scheme under o cannot execute, or nil.
 // It is the one home of every rejected setting and feature combination:
-//   - a negative Trials (zero selects the default);
+//   - a negative Trials, TargetFailures or MaxTrials (zero selects the
+//     default), or a MaxTrials without TargetFailures;
 //   - an unknown scheme, fault model or scenario parameter, or a parameter
 //     value the scheme or fault-model plugin refuses;
 //   - a BiasFactor without RareEvent, or below 1;
-//   - a Poisson-only estimator over another fault model: importance
-//     sampling (RareEvent) biases Poisson rates, and multilevel splitting
-//     (split) resamples memoryless Poisson suffixes.
+//   - importance sampling (RareEvent) over a fault model other than the
+//     Poisson process whose rates it biases.
 //
 // citadel-sim, POST /api/v1/reliability and submitted jobs call it before
-// running, and every Simulate entry point applies it too. Forensics,
-// Trace and adaptive targets compose with every engine.
-func (o ReliabilityOptions) Validate(scheme Scheme, split bool) error {
-	_, _, err := o.withDefaults().setup(scheme, split)
+// running, and Simulate applies it too. Forensics, Trace and adaptive
+// targets compose with every engine.
+func (o ReliabilityOptions) Validate(scheme Scheme) error {
+	_, _, err := o.withDefaults().setup(scheme)
 	return err
 }
 
@@ -276,7 +288,7 @@ func (o ReliabilityOptions) Validate(scheme Scheme, split bool) error {
 // plugin builds the policy, the fault-model plugin the arrival process,
 // and RareEvent swaps in the importance-sampled source of rare.Options.
 // opts must already have defaults applied.
-func (o ReliabilityOptions) setup(scheme Scheme, split bool) (pol faultsim.Policy, eo faultsim.Options, err error) {
+func (o ReliabilityOptions) setup(scheme Scheme) (pol faultsim.Policy, eo faultsim.Options, err error) {
 	params := scenario.Params(o.ScenarioParams)
 	if err = scenario.ValidateParams(string(scheme), o.FaultModel, params); err != nil {
 		return pol, eo, err
@@ -284,12 +296,16 @@ func (o ReliabilityOptions) setup(scheme Scheme, split bool) (pol faultsim.Polic
 	switch {
 	case o.Trials < 0:
 		return pol, eo, fmt.Errorf("citadel: trials must be non-negative, got %d", o.Trials)
+	case o.TargetFailures < 0 || o.MaxTrials < 0:
+		return pol, eo, fmt.Errorf("citadel: targetFailures and maxTrials must be non-negative, got %d and %d", o.TargetFailures, o.MaxTrials)
+	case o.MaxTrials != 0 && o.TargetFailures == 0:
+		return pol, eo, fmt.Errorf("citadel: maxTrials requires targetFailures")
 	case o.BiasFactor != 0 && !o.RareEvent:
 		return pol, eo, fmt.Errorf("citadel: biasFactor requires rareEvent")
 	case o.BiasFactor != 0 && o.BiasFactor < 1:
 		return pol, eo, fmt.Errorf("citadel: biasFactor must be >= 1, got %g", o.BiasFactor)
-	case (o.RareEvent || split) && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel:
-		return pol, eo, fmt.Errorf("citadel: rare-event sampling and splitting support only the %q fault model, not %q",
+	case o.RareEvent && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel:
+		return pol, eo, fmt.Errorf("citadel: rare-event sampling supports only the %q fault model, not %q",
 			scenario.DefaultFaultModel, o.FaultModel)
 	}
 	if pol, err = buildPolicy(string(scheme), o.Config, params, o.TSVSwap); err != nil {
@@ -299,145 +315,43 @@ func (o ReliabilityOptions) setup(scheme Scheme, split bool) (pol faultsim.Polic
 	if eo.NewArrivals, err = scenario.BuildFaultModel(o.FaultModel, o.Config, o.Rates, params); err != nil {
 		return pol, eo, err
 	}
-	if o.RareEvent && !split {
+	if o.RareEvent {
 		eo = rare.Options{Options: eo, BiasFactor: o.BiasFactor}.Engine()
 	}
 	return pol, eo, nil
 }
 
-// resultOrErr folds a configuration error into a zero-trial Result for
-// the Scheme-typed entry points, whose signatures predate error returns.
-func resultOrErr(scheme Scheme, res Result, err error) Result {
-	if err != nil {
-		return Result{Policy: string(scheme), Err: err, Partial: true}
-	}
-	return res
-}
-
-// SimulateScenarioReliability runs a reliability study for a registered
-// scheme/fault-model pair selected by name; it cannot be interrupted
-// (see SimulateScenarioReliabilityContext).
-func SimulateScenarioReliability(opts ReliabilityOptions, schemeName string) (Result, error) {
-	return SimulateScenarioReliabilityContext(context.Background(), opts, schemeName)
-}
-
-// SimulateScenarioReliabilityContext is the core every reliability path
-// runs through: the scheme plugin builds the policy, the fault-model
-// plugin builds the arrival process, and the engine simulates them —
-// importance-sampled when opts.RareEvent is set. Errors are configuration
-// errors (see Validate); a cancelled context still returns a partial
-// Result with a nil error.
-func SimulateScenarioReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemeName string) (Result, error) {
-	pol, eo, err := opts.withDefaults().setup(Scheme(schemeName), false)
+// Simulate runs a reliability study of scheme: the scheme plugin builds
+// the policy, the fault-model plugin the arrival process, and the engine
+// simulates them — importance-sampled when opts.RareEvent is set (the
+// Result is then Weighted), and adaptive when opts.TargetFailures is
+// positive. An error is a configuration error (see Validate). Cancelling
+// ctx stops the workers within one trial block: the completed trials
+// come back as a Result marked Partial, with a nil error and the
+// cancellation cause in Result.Err. The estimate stays unbiased, just
+// wider.
+func Simulate(ctx context.Context, opts ReliabilityOptions, scheme Scheme) (Result, error) {
+	pol, eo, err := opts.withDefaults().setup(scheme)
 	if err != nil {
 		return Result{}, err
+	}
+	if opts.TargetFailures > 0 {
+		return faultsim.RunAdaptiveContext(ctx, faultsim.AdaptiveOptions{
+			Options:        eo,
+			TargetFailures: opts.TargetFailures,
+			MaxTrials:      opts.MaxTrials,
+		}, pol), nil
 	}
 	return faultsim.RunContext(ctx, eo, pol), nil
 }
 
-// SimulateScenarioReliabilityAdaptive is the adaptive (failure-count-
-// targeted) variant of SimulateScenarioReliability.
-func SimulateScenarioReliabilityAdaptive(opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
-	return SimulateScenarioReliabilityAdaptiveContext(context.Background(), opts, schemeName, targetFailures, maxTrials)
-}
-
-// SimulateScenarioReliabilityAdaptiveContext adds trials in batches until
-// targetFailures or maxTrials, with the scheme and arrival process
-// resolved through the scenario registry. With opts.RareEvent every batch
-// is importance-sampled and the Result is Weighted; the target counts
-// failing trials. Zero targetFailures or maxTrials selects the default
-// (see faultsim.AdaptiveOptions); a negative one is an error.
-func SimulateScenarioReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, schemeName string, targetFailures, maxTrials int) (Result, error) {
-	if targetFailures < 0 || maxTrials < 0 {
-		return Result{}, fmt.Errorf("citadel: targetFailures and maxTrials must be non-negative, got %d and %d", targetFailures, maxTrials)
-	}
-	pol, eo, err := opts.withDefaults().setup(Scheme(schemeName), false)
-	if err != nil {
-		return Result{}, err
-	}
-	return faultsim.RunAdaptiveContext(ctx, faultsim.AdaptiveOptions{
-		Options:        eo,
-		TargetFailures: targetFailures,
-		MaxTrials:      maxTrials,
-	}, pol), nil
-}
-
-// SimulateReliability estimates the probability of system failure for one
-// scheme under the given options; it cannot be interrupted (see
-// SimulateReliabilityContext).
-func SimulateReliability(opts ReliabilityOptions, scheme Scheme) Result {
-	return SimulateReliabilityContext(context.Background(), opts, scheme)
-}
-
-// SimulateReliabilityContext estimates the probability of system failure
-// for one scheme. Cancelling ctx stops the Monte Carlo workers within
-// one trial batch; the completed trials are returned as a Result marked
-// Partial (the estimate stays unbiased, just wider). With
-// opts.RareEvent the trial budget runs through the importance-sampled
-// engine instead and the Result comes back Weighted. A configuration
-// error (see Validate) comes back as a zero-trial Result carrying it.
-func SimulateReliabilityContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme) Result {
-	res, err := SimulateScenarioReliabilityContext(ctx, opts, string(scheme))
-	return resultOrErr(scheme, res, err)
-}
-
-// CompareReliability runs several schemes under identical options.
-func CompareReliability(opts ReliabilityOptions, schemes ...Scheme) []Result {
-	return CompareReliabilityContext(context.Background(), opts, schemes...)
-}
-
-// CompareReliabilityContext runs several schemes under identical options.
-// Once ctx is cancelled, the in-flight scheme returns a partial Result
-// and the remaining schemes return immediately with zero trials, all
-// marked Partial.
-func CompareReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemes ...Scheme) []Result {
-	out := make([]Result, len(schemes))
-	for i, s := range schemes {
-		out[i] = SimulateReliabilityContext(ctx, opts, s)
-	}
-	return out
-}
-
-// SimulateReliabilityAdaptive adds trials in batches until targetFailures
-// failures are observed (tight relative confidence on rare-event schemes
-// like Citadel) or maxTrials is reached — the paper's "more trials for
-// schemes that show lower failure rates" methodology (§III-B).
-func SimulateReliabilityAdaptive(opts ReliabilityOptions, scheme Scheme, targetFailures, maxTrials int) Result {
-	return SimulateReliabilityAdaptiveContext(context.Background(), opts, scheme, targetFailures, maxTrials)
-}
-
-// SimulateReliabilityAdaptiveContext is SimulateReliabilityAdaptive under
-// a context: cancellation stops the batch loop and returns the trials
-// accumulated so far as a Result marked Partial.
-func SimulateReliabilityAdaptiveContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, targetFailures, maxTrials int) Result {
-	res, err := SimulateScenarioReliabilityAdaptiveContext(ctx, opts, string(scheme), targetFailures, maxTrials)
-	return resultOrErr(scheme, res, err)
-}
-
-// SplitResult is a multilevel-splitting reliability estimate — the
-// cross-validation counterpart of the importance-sampled engine.
-type SplitResult = rare.SplitResult
-
-// SimulateReliabilitySplit estimates failure probability by multilevel
-// splitting on the number of simultaneously live faults, using
-// opts.Trials trajectories per stage at the given levels (nil selects
-// the default [1, 2]). It shares no bias machinery with the
-// importance-sampled path, so agreement between the two is a meaningful
-// check; it cannot be interrupted (see SimulateReliabilitySplitContext).
-func SimulateReliabilitySplit(opts ReliabilityOptions, scheme Scheme, levels []int) SplitResult {
-	return SimulateReliabilitySplitContext(context.Background(), opts, scheme, levels)
-}
-
-// SimulateReliabilitySplitContext is SimulateReliabilitySplit under a
-// context: cancellation abandons the run and returns a SplitResult
-// marked Partial, as does a configuration error (see Validate).
-// RareEvent and BiasFactor do not apply to splitting.
-func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOptions, scheme Scheme, levels []int) SplitResult {
-	pol, eo, err := opts.withDefaults().setup(scheme, true)
-	if err != nil {
-		return SplitResult{Policy: string(scheme), Err: err, Partial: true}
-	}
-	return rare.RunSplitContext(ctx, rare.SplitOptions{Options: eo, Levels: levels}, pol)
+// SimulateScenarioReliabilityContext is Simulate with the scheme named by
+// a string.
+//
+// Deprecated: use Simulate. It remains only because the repository
+// benchmark (benchmark/engine.go) calls it.
+func SimulateScenarioReliabilityContext(ctx context.Context, opts ReliabilityOptions, schemeName string) (Result, error) {
+	return Simulate(ctx, opts, Scheme(schemeName))
 }
 
 // FaultCensus tallies permanent-fault anatomy over lifetimes: the bimodal
@@ -445,14 +359,9 @@ func SimulateReliabilitySplitContext(ctx context.Context, opts ReliabilityOption
 // distribution (Table III).
 type FaultCensus = faultsim.Census
 
-// RunFaultCensus performs the census behind Figure 17 and Table III.
-func RunFaultCensus(opts ReliabilityOptions) FaultCensus {
-	return RunFaultCensusContext(context.Background(), opts)
-}
-
-// RunFaultCensusContext is RunFaultCensus under a context: a cancelled
-// census returns the tallies gathered so far, marked Partial.
-func RunFaultCensusContext(ctx context.Context, opts ReliabilityOptions) FaultCensus {
+// RunFaultCensus performs the census behind Figure 17 and Table III. A
+// cancelled census returns the tallies gathered so far, marked Partial.
+func RunFaultCensus(ctx context.Context, opts ReliabilityOptions) FaultCensus {
 	opts = opts.withDefaults()
 	return faultsim.RunCensusContext(ctx, opts.engineOptions(), opts.TSVSwap)
 }

@@ -23,8 +23,19 @@ func TestSchemeNames(t *testing.T) {
 	}
 }
 
+// simulate runs Simulate to completion and fails the test on a
+// configuration error.
+func simulate(t *testing.T, opts ReliabilityOptions, scheme Scheme) Result {
+	t.Helper()
+	res, err := Simulate(context.Background(), opts, scheme)
+	if err != nil {
+		t.Fatalf("%s: %v", scheme, err)
+	}
+	return res
+}
+
 func TestSimulateReliabilityDefaults(t *testing.T) {
-	r := SimulateReliability(ReliabilityOptions{Trials: 3000, Seed: 1}, Scheme3DP)
+	r := simulate(t, ReliabilityOptions{Trials: 3000, Seed: 1}, Scheme3DP)
 	if r.Trials != 3000 {
 		t.Errorf("trials = %d", r.Trials)
 	}
@@ -42,7 +53,10 @@ func TestCompareReliabilityOrdering(t *testing.T) {
 	rates.BankPermanent *= 50
 	rates.RowPermanent *= 50
 	opts := ReliabilityOptions{Rates: rates, Trials: 4000, Seed: 3}
-	rs := CompareReliability(opts, SchemeNone, Scheme1DP, Scheme3DP, SchemeCitadel)
+	var rs []Result
+	for _, s := range []Scheme{SchemeNone, Scheme1DP, Scheme3DP, SchemeCitadel} {
+		rs = append(rs, simulate(t, opts, s))
+	}
 	if !(rs[0].Failures >= rs[1].Failures && rs[1].Failures >= rs[2].Failures && rs[2].Failures >= rs[3].Failures) {
 		t.Errorf("ordering violated: %v", []int{rs[0].Failures, rs[1].Failures, rs[2].Failures, rs[3].Failures})
 	}
@@ -58,9 +72,9 @@ func TestTSVSwapOptionPropagates(t *testing.T) {
 		Seed:    4,
 		TSVSwap: true,
 	}
-	with := SimulateReliability(opts, SchemeSymbol8SameBank)
+	with := simulate(t, opts, SchemeSymbol8SameBank)
 	opts.TSVSwap = false
-	without := SimulateReliability(opts, SchemeSymbol8SameBank)
+	without := simulate(t, opts, SchemeSymbol8SameBank)
 	if with.Failures >= without.Failures {
 		t.Errorf("TSV-Swap did not reduce failures: with=%d without=%d",
 			with.Failures, without.Failures)
@@ -90,7 +104,7 @@ func TestStorageOverheadMatchesPaper(t *testing.T) {
 func TestRunFaultCensus(t *testing.T) {
 	rates := Table1Rates()
 	rates.BankPermanent *= 100
-	c := RunFaultCensus(ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true})
+	c := RunFaultCensus(context.Background(), ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true})
 	if c.FaultyBankTotal() == 0 {
 		t.Error("census empty")
 	}
@@ -227,7 +241,7 @@ func TestWorkersClampPropagates(t *testing.T) {
 	rates := Table1Rates()
 	rates.BankPermanent *= 50
 	opts := ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 9, Workers: -5}
-	r := SimulateReliability(opts, Scheme3DP)
+	r := simulate(t, opts, Scheme3DP)
 	if r.Trials != 2000 {
 		t.Errorf("clamped run completed %d trials, want 2000", r.Trials)
 	}
@@ -236,7 +250,7 @@ func TestWorkersClampPropagates(t *testing.T) {
 	}
 	one := opts
 	one.Workers = 1
-	if got := SimulateReliability(one, Scheme3DP); !reflect.DeepEqual(got, r) {
+	if got := simulate(t, one, Scheme3DP); !reflect.DeepEqual(got, r) {
 		t.Errorf("Workers=-5 (%s) != Workers=1 (%s)", r, got)
 	}
 }
@@ -248,7 +262,10 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	r := SimulateReliabilityContext(ctx, ReliabilityOptions{Trials: 4_000_000, Seed: 1}, SchemeNone)
+	r, err := Simulate(ctx, ReliabilityOptions{Trials: 4_000_000, Seed: 1}, SchemeNone)
+	if err != nil {
+		t.Fatalf("a cancelled run returned an error: %v", err)
+	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
 		t.Fatalf("cancelled simulation took %v", elapsed)
 	}
@@ -257,20 +274,6 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 	}
 	if r.Trials <= 0 || r.Trials >= 4_000_000 {
 		t.Errorf("partial Trials = %d", r.Trials)
-	}
-}
-
-func TestCompareReliabilityContextCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rs := CompareReliabilityContext(ctx, ReliabilityOptions{Trials: 10000, Seed: 1}, SchemeNone, Scheme3DP)
-	if len(rs) != 2 {
-		t.Fatalf("results = %d", len(rs))
-	}
-	for i, r := range rs {
-		if !r.Partial || r.Trials != 0 {
-			t.Errorf("result %d not an empty partial: %+v", i, r)
-		}
 	}
 }
 

@@ -124,7 +124,7 @@ func main() {
 		list       = flag.Bool("list", false, "list schemes and exit")
 		ratesPath  = flag.String("rates", "", "JSON file with custom FIT rates (overrides Table I)")
 		targetFail = flag.Int("target-failures", 0, "adaptive mode: add trials until this many failures")
-		maxTrials  = flag.Int("max-trials", 0, "adaptive mode: trial cap (default 10x -trials)")
+		maxTrials  = flag.Int("max-trials", 0, "adaptive mode: trial cap (default 10x -trials; requires -target-failures)")
 		progress   = flag.Duration("progress", 2*time.Second, "progress report interval on stderr (0 disables)")
 		forensics  = flag.String("forensics", "", "write a replayable failure-forensics report (JSON) to this file")
 		exemplars  = flag.Int("exemplars", 8, "forensics: max exemplar records captured")
@@ -138,7 +138,6 @@ func main() {
 		workerWait = flag.Duration("worker-grace", 10*time.Second, "cluster mode: how long to wait for a live worker before running locally")
 		rareEvent  = flag.Bool("rare-event", false, "importance-sampled rare-event engine: bias large-granularity faults, unbias via likelihood ratios (resolves <1e-6 tails)")
 		biasFactor = flag.Float64("bias-factor", 0, "rare-event mode: large-granularity rate inflation (0 = default 16)")
-		splitCheck = flag.Bool("split", false, "cross-validate with multilevel splitting on the live-fault count (direct mode only)")
 		faultModel = flag.String("fault-model", "", "arrival-process plugin (empty = poisson; see -list-scenarios)")
 		listScen   = flag.Bool("list-scenarios", false, "list registered scenario schemes and fault models with their parameters, then exit")
 	)
@@ -182,13 +181,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-cluster-listen requires -job-dir (chunks checkpoint through the job store)")
 		os.Exit(2)
 	}
-	if *splitCheck && *jobDir != "" {
-		fmt.Fprintln(os.Stderr, "-split runs in direct mode only (not with -job-dir)")
-		os.Exit(2)
-	}
 	if *jobDir != "" {
-		if *targetFail != 0 || *forensics != "" || *traceOut != "" || *ratesPath != "" {
-			fmt.Fprintln(os.Stderr, "-job-dir is incompatible with -target-failures, -forensics, -trace and -rates")
+		if *targetFail != 0 || *maxTrials != 0 || *forensics != "" || *traceOut != "" || *ratesPath != "" {
+			fmt.Fprintln(os.Stderr, "-job-dir is incompatible with -target-failures, -max-trials, -forensics, -trace and -rates")
 			os.Exit(2)
 		}
 		runDurable(durableRun{
@@ -219,6 +214,8 @@ func main() {
 	opts := citadel.ReliabilityOptions{
 		Rates:              rates.WithTSV(*tsvFIT),
 		Trials:             *trials,
+		TargetFailures:     *targetFail,
+		MaxTrials:          *maxTrials,
 		LifetimeYears:      *years,
 		ScrubIntervalHours: *scrub,
 		TSVSwap:            *tsvSwap,
@@ -232,7 +229,7 @@ func main() {
 		ScenarioParams:     scenarioParams,
 	}
 	scheme := citadel.Scheme(*schemeName)
-	if err := opts.Validate(scheme, *splitCheck); err != nil {
+	if err := opts.Validate(scheme); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -262,19 +259,11 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var res citadel.Result
-	var err error
-	if *targetFail != 0 {
-		res, err = citadel.SimulateScenarioReliabilityAdaptiveContext(ctx, opts, *schemeName, *targetFail, *maxTrials)
-	} else {
-		res, err = citadel.SimulateScenarioReliabilityContext(ctx, opts, *schemeName)
-	}
+	res, err := citadel.Simulate(ctx, opts, scheme)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Do not stop() here: -split reuses ctx below, and NotifyContext's
-	// stop cancels the context rather than just unregistering signals.
 	if res.Partial {
 		fmt.Fprintf(os.Stderr, "interrupted: partial result over %d completed trials\n", res.Trials)
 	}
@@ -318,14 +307,6 @@ func main() {
 	fmt.Printf("%-6s %s\n", "year", "P(failure)")
 	for y := 1; y <= int(*years); y++ {
 		fmt.Printf("%-6d %.3e\n", y, res.ProbabilityByYear(y))
-	}
-	if *splitCheck {
-		sp := citadel.SimulateReliabilitySplitContext(ctx, opts, scheme, nil)
-		if sp.Partial {
-			fmt.Fprintf(os.Stderr, "split: interrupted: %v\n", sp.Err)
-		} else {
-			fmt.Println(sp)
-		}
 	}
 }
 

@@ -34,14 +34,17 @@ func runSim(t *testing.T, args ...string) {
 }
 
 // TestNegativeTrialsExitTwo: a negative -trials, -target-failures or
-// -max-trials is a usage error (exit 2), in adaptive mode too. The
-// timeout turns a run that never ends into a failure.
+// -max-trials is a usage error (exit 2), in adaptive mode too, and so is
+// a -max-trials without -target-failures, in direct and durable mode.
+// The timeout turns a run that never ends into a failure.
 func TestNegativeTrialsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-trials", "-5"},
 		{"-trials", "-5", "-target-failures", "10", "-max-trials", "40000"},
 		{"-trials", "1000", "-target-failures", "-1"},
 		{"-trials", "1000", "-target-failures", "10", "-max-trials", "-1"},
+		{"-trials", "1000", "-max-trials", "5"},
+		{"-trials", "1000", "-max-trials", "5", "-job-dir", t.TempDir()},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-progress", "0", "-scheme", "Citadel"}, args...)...)
@@ -87,10 +90,10 @@ func TestRareEventComposes(t *testing.T) {
 	}
 }
 
-// TestRegistrySchemeSplitForensics: a scenario-registry scheme takes the
-// splitting cross-check and writes a replayable report.
-func TestRegistrySchemeSplitForensics(t *testing.T) {
+// TestRegistrySchemeForensics: a scenario-registry scheme writes a
+// replayable forensics report.
+func TestRegistrySchemeForensics(t *testing.T) {
 	f := filepath.Join(t.TempDir(), "f.json")
-	runSim(t, "-scheme", "cerberus-cross-layer", "-split", "-trials", "3000", "-tsv-fit", "1430", "-forensics", f)
+	runSim(t, "-scheme", "cerberus-cross-layer", "-trials", "3000", "-tsv-fit", "1430", "-forensics", f)
 	verifyReportFile(t, f)
 }

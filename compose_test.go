@@ -1,6 +1,7 @@
 package citadel
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func TestRareEventForensicsReplay(t *testing.T) {
 		Rates: Table1Rates().WithTSV(143), Trials: 3000, Seed: 5, Workers: 2,
 		RareEvent: true, BiasFactor: 8, Forensics: true,
 	}
-	res := SimulateReliability(opts, Scheme3DP)
+	res := simulate(t, opts, Scheme3DP)
 	if !res.Weighted {
 		t.Fatalf("rare-event result not Weighted: %s", res)
 	}
@@ -49,8 +50,11 @@ func TestRareEventForensicsReplay(t *testing.T) {
 // TestAdaptiveRareEvent: the adaptive driver importance-samples every
 // batch when RareEvent is set, instead of silently running plain trials.
 func TestAdaptiveRareEvent(t *testing.T) {
-	opts := ReliabilityOptions{Trials: 2000, Seed: 9, Workers: 2, RareEvent: true}
-	res := SimulateReliabilityAdaptive(opts, Scheme3DPDDS, 10, 40000)
+	opts := ReliabilityOptions{
+		Trials: 2000, Seed: 9, Workers: 2, RareEvent: true,
+		TargetFailures: 10, MaxTrials: 40000,
+	}
+	res := simulate(t, opts, Scheme3DPDDS)
 	if !res.Weighted || !res.TargetMet {
 		t.Fatalf("adaptive rare-event run: Weighted=%t TargetMet=%t (%s)", res.Weighted, res.TargetMet, res)
 	}
@@ -69,10 +73,7 @@ func TestScenarioForensicsReplay(t *testing.T) {
 		ScenarioParams: map[string]float64{"breakthroughProb": 1e-7, "fetchLatencyMicros": 2},
 	}
 	scheme := Scheme("two-tier-replication")
-	res, err := SimulateScenarioReliability(opts, string(scheme))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := simulate(t, opts, scheme)
 	verifyForensics(t, opts, scheme, res)
 	// A report that forgets the fault model must not replay.
 	report := NewForensicsReport(opts, scheme, res)
@@ -89,25 +90,26 @@ func TestValidateRejections(t *testing.T) {
 		name   string
 		opts   ReliabilityOptions
 		scheme Scheme
-		split  bool
 		want   string // "" means accepted
 	}{
-		{"plain", ReliabilityOptions{}, SchemeCitadel, false, ""},
-		{"rare+forensics", ReliabilityOptions{RareEvent: true, BiasFactor: 4, Forensics: true}, SchemeCitadel, false, ""},
-		{"registry scheme split", ReliabilityOptions{}, "cerberus-cross-layer", true, ""},
-		{"rowhammer forensics", ReliabilityOptions{FaultModel: "rowhammer", Forensics: true}, "two-tier-replication", false, ""},
-		{"unknown scheme", ReliabilityOptions{}, "no-such-scheme", false, "unknown scheme"},
-		{"unknown fault model", ReliabilityOptions{FaultModel: "meteor"}, SchemeCitadel, false, "unknown fault model"},
-		{"unknown param", ReliabilityOptions{ScenarioParams: map[string]float64{"warp": 1}}, SchemeCitadel, false, "unknown parameter"},
-		{"bad param value", ReliabilityOptions{ScenarioParams: map[string]float64{"ondieWordBits": 100}}, "cerberus-cross-layer", false, "ondieWordBits"},
-		{"bias without rare", ReliabilityOptions{BiasFactor: 4}, SchemeCitadel, false, "requires rareEvent"},
-		{"bias below one", ReliabilityOptions{RareEvent: true, BiasFactor: 0.5}, SchemeCitadel, false, ">= 1"},
-		{"rare non-poisson", ReliabilityOptions{RareEvent: true, FaultModel: "rowhammer"}, SchemeCitadel, false, "poisson"},
-		{"split non-poisson", ReliabilityOptions{FaultModel: "rowhammer"}, SchemeCitadel, true, "poisson"},
-		{"negative trials", ReliabilityOptions{Trials: -5}, SchemeCitadel, false, "non-negative"},
-		{"negative trials split", ReliabilityOptions{Trials: -5}, SchemeCitadel, true, "non-negative"},
+		{"plain", ReliabilityOptions{}, SchemeCitadel, ""},
+		{"rare+forensics", ReliabilityOptions{RareEvent: true, BiasFactor: 4, Forensics: true}, SchemeCitadel, ""},
+		{"adaptive rare", ReliabilityOptions{RareEvent: true, TargetFailures: 10, MaxTrials: 40000}, SchemeCitadel, ""},
+		{"registry scheme", ReliabilityOptions{}, "cerberus-cross-layer", ""},
+		{"rowhammer forensics", ReliabilityOptions{FaultModel: "rowhammer", Forensics: true}, "two-tier-replication", ""},
+		{"unknown scheme", ReliabilityOptions{}, "no-such-scheme", "unknown scheme"},
+		{"unknown fault model", ReliabilityOptions{FaultModel: "meteor"}, SchemeCitadel, "unknown fault model"},
+		{"unknown param", ReliabilityOptions{ScenarioParams: map[string]float64{"warp": 1}}, SchemeCitadel, "unknown parameter"},
+		{"bad param value", ReliabilityOptions{ScenarioParams: map[string]float64{"ondieWordBits": 100}}, "cerberus-cross-layer", "ondieWordBits"},
+		{"bias without rare", ReliabilityOptions{BiasFactor: 4}, SchemeCitadel, "requires rareEvent"},
+		{"bias below one", ReliabilityOptions{RareEvent: true, BiasFactor: 0.5}, SchemeCitadel, ">= 1"},
+		{"rare non-poisson", ReliabilityOptions{RareEvent: true, FaultModel: "rowhammer"}, SchemeCitadel, "poisson"},
+		{"negative trials", ReliabilityOptions{Trials: -5}, SchemeCitadel, "non-negative"},
+		{"negative target", ReliabilityOptions{TargetFailures: -1}, SchemeCitadel, "non-negative"},
+		{"negative cap", ReliabilityOptions{TargetFailures: 10, MaxTrials: -1}, SchemeCitadel, "non-negative"},
+		{"cap without target", ReliabilityOptions{MaxTrials: 5}, SchemeCitadel, "requires targetFailures"},
 	} {
-		err := tc.opts.Validate(tc.scheme, tc.split)
+		err := tc.opts.Validate(tc.scheme)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)
@@ -115,15 +117,15 @@ func TestValidateRejections(t *testing.T) {
 			t.Errorf("%s: got %v, want an error mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	// The Scheme-typed entry points report the same error in the Result.
-	if res := SimulateReliability(ReliabilityOptions{Trials: 10}, "no-such-scheme"); res.Err == nil || res.Trials != 0 {
-		t.Errorf("unknown scheme ran: %+v", res)
+	// Simulate returns the same error, with a zero Result.
+	if res, err := Simulate(context.Background(), ReliabilityOptions{Trials: 10}, "no-such-scheme"); err == nil || res.Trials != 0 {
+		t.Errorf("unknown scheme ran: %+v, %v", res, err)
 	}
 }
 
 // TestNegativeTrialCountsRejected: a negative trial count, failure target
-// or trial cap is an error from every entry point, returned at once; an
-// adaptive run must not start batches that add no trials.
+// or trial cap is an error from Simulate, returned at once; an adaptive
+// run must not start batches that add no trials.
 func TestNegativeTrialCountsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name                      string
@@ -135,7 +137,9 @@ func TestNegativeTrialCountsRejected(t *testing.T) {
 	} {
 		done := make(chan error, 1)
 		go func() {
-			_, err := SimulateScenarioReliabilityAdaptive(ReliabilityOptions{Trials: tc.trials}, "Citadel", tc.target, tc.maxTrials)
+			_, err := Simulate(context.Background(), ReliabilityOptions{
+				Trials: tc.trials, TargetFailures: tc.target, MaxTrials: tc.maxTrials,
+			}, SchemeCitadel)
 			done <- err
 		}()
 		select {
@@ -147,10 +151,7 @@ func TestNegativeTrialCountsRejected(t *testing.T) {
 			t.Fatalf("adaptive, negative %s: no return within 10 s", tc.name)
 		}
 	}
-	if _, err := SimulateScenarioReliability(ReliabilityOptions{Trials: -5}, "Citadel"); err == nil {
+	if _, err := Simulate(context.Background(), ReliabilityOptions{Trials: -5}, SchemeCitadel); err == nil {
 		t.Error("a run of -5 trials was accepted")
-	}
-	if res := SimulateReliabilitySplit(ReliabilityOptions{Trials: -5}, SchemeCitadel, nil); res.Err == nil {
-		t.Error("a split run of -5 trials per stage was accepted")
 	}
 }

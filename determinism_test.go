@@ -2,6 +2,7 @@ package citadel
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -34,40 +35,43 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	hot := scaledTable1(10).WithTSV(1430)
+	ctx := context.Background()
 	specs := []struct {
 		name string
 		run  func(workers int) (any, error)
 	}{
 		{"plain Citadel with forensics", func(w int) (any, error) {
-			return SimulateScenarioReliability(ReliabilityOptions{
+			return Simulate(ctx, ReliabilityOptions{
 				Rates: scaledTable1(30).WithTSV(1430), Trials: 3000, Seed: 3, Workers: w, Forensics: true,
-			}, "Citadel")
+			}, SchemeCitadel)
 		}},
 		{"importance sampling at bias 16", func(w int) (any, error) {
-			return SimulateScenarioReliability(ReliabilityOptions{
+			return Simulate(ctx, ReliabilityOptions{
 				Rates: hot, Trials: 2000, Seed: 5, Workers: w, RareEvent: true, BiasFactor: 16,
-			}, "Citadel")
+			}, SchemeCitadel)
 		}},
 		{"census", func(w int) (any, error) {
-			return RunFaultCensus(ReliabilityOptions{Rates: hot, Trials: 2000, Seed: 7, Workers: w, TSVSwap: true}), nil
+			return RunFaultCensus(ctx, ReliabilityOptions{Rates: hot, Trials: 2000, Seed: 7, Workers: w, TSVSwap: true}), nil
 		}},
 		{"adaptive in 500-trial batches", func(w int) (any, error) {
-			return SimulateScenarioReliabilityAdaptive(ReliabilityOptions{
+			return Simulate(ctx, ReliabilityOptions{
 				Rates: scaledTable1(30).WithTSV(1430), Trials: 500, Seed: 11, Workers: w, Forensics: true,
-			}, "Citadel", 150, 5000)
+				TargetFailures: 150, MaxTrials: 5000,
+			}, SchemeCitadel)
 		}},
 		{"adaptive importance sampling", func(w int) (any, error) {
-			return SimulateScenarioReliabilityAdaptive(ReliabilityOptions{
+			return Simulate(ctx, ReliabilityOptions{
 				Trials: 2000, Seed: 9, Workers: w, RareEvent: true,
-			}, "3DP+DDS", 10, 40000)
+				TargetFailures: 10, MaxTrials: 40000,
+			}, Scheme3DPDDS)
 		}},
 		{"adaptive stopped by its trial cap", func(w int) (any, error) {
-			return SimulateScenarioReliabilityAdaptive(ReliabilityOptions{
-				Trials: 1000, Seed: 15, Workers: w,
-			}, "3DP+DDS", 5, 2500)
+			return Simulate(ctx, ReliabilityOptions{
+				Trials: 1000, Seed: 15, Workers: w, TargetFailures: 5, MaxTrials: 2500,
+			}, Scheme3DPDDS)
 		}},
 		{"two-tier-replication under rowhammer", func(w int) (any, error) {
-			return SimulateScenarioReliability(ReliabilityOptions{
+			return Simulate(ctx, ReliabilityOptions{
 				Trials: 2000, Seed: 13, Workers: w, FaultModel: "rowhammer",
 				ScenarioParams: map[string]float64{"breakthroughProb": 1e-8},
 			}, "two-tier-replication")

@@ -2,6 +2,7 @@ package citadel_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	citadel "repro"
@@ -32,12 +33,15 @@ func ExampleNewController() {
 	// corrections: 1 rows spared: 1
 }
 
-// ExampleSimulateReliability runs a small Monte Carlo study.
-func ExampleSimulateReliability() {
-	res := citadel.SimulateReliability(citadel.ReliabilityOptions{
+// ExampleSimulate runs a small Monte Carlo study.
+func ExampleSimulate() {
+	res, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 		Trials: 2000,
 		Seed:   1,
 	}, citadel.SchemeCitadel)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Policy, "trials:", res.Trials)
 	// Output:
 	// Citadel trials: 2000

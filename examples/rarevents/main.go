@@ -7,12 +7,23 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
 
 	citadel "repro"
 )
+
+// simulate runs one study to completion; every option here is valid, so
+// an error is a bug.
+func simulate(opts citadel.ReliabilityOptions, scheme citadel.Scheme) citadel.Result {
+	res, err := citadel.Simulate(context.Background(), opts, scheme)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
 
 func main() {
 	opts := citadel.ReliabilityOptions{
@@ -26,7 +37,7 @@ func main() {
 	// point estimate is luck and the interval spans two decades. Note a
 	// zero-failure run prints a rule-of-three upper bound, not "± 0".
 	start := time.Now()
-	naive := citadel.SimulateReliability(opts, scheme)
+	naive := simulate(opts, scheme)
 	fmt.Printf("naive      %s  (%.1fs)\n", naive, time.Since(start).Seconds())
 
 	// Importance-sampled: same trial budget, large-granularity fault
@@ -35,7 +46,7 @@ func main() {
 	rare := opts
 	rare.RareEvent = true // BiasFactor 0 selects citadel.DefaultBiasFactor
 	start = time.Now()
-	is := citadel.SimulateReliability(rare, scheme)
+	is := simulate(rare, scheme)
 	fmt.Printf("rare-event %s  (%.1fs)\n", is, time.Since(start).Seconds())
 	fmt.Printf("           worth %.0fx the naive trial budget (effective trials %.3g)\n\n",
 		is.EffectiveTrials()/float64(is.Trials), is.EffectiveTrials())
@@ -44,8 +55,11 @@ func main() {
 	// failures accumulate. Works, but pays the full naive cost per
 	// failure; TargetMet distinguishes converging from giving up.
 	fmt.Println("adaptive Monte Carlo: accumulate trials until 20 failures")
+	adaptive := opts
+	adaptive.TargetFailures = 20
+	adaptive.MaxTrials = 4_000_000
 	start = time.Now()
-	res := citadel.SimulateReliabilityAdaptive(opts, scheme, 20, 4_000_000)
+	res := simulate(adaptive, scheme)
 	fmt.Printf("%-16s P(fail,7y) = %-10.3g (%d failures / %d trials, target met: %v, %.1fs)\n",
 		res.Policy, res.Probability(), res.Failures, res.Trials,
 		res.TargetMet, time.Since(start).Seconds())

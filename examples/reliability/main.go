@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -32,7 +33,10 @@ func main() {
 	var baseline float64
 	for _, s := range schemes {
 		start := time.Now()
-		r := citadel.SimulateReliability(opts, s)
+		r, err := citadel.Simulate(context.Background(), opts, s)
+		if err != nil {
+			panic(err)
+		}
 		p := r.Probability()
 		note := ""
 		if s == citadel.SchemeSymbol8AcrossChannels {

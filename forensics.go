@@ -99,7 +99,7 @@ func SchemeByName(name string) (Scheme, bool) {
 // when the replayed trial does not fail — the options/scheme no longer
 // match the recording — or the options do not validate.
 func ReplayExemplar(opts ReliabilityOptions, scheme Scheme, ex Forensic) (Forensic, bool) {
-	pol, eo, err := opts.withDefaults().setup(scheme, false)
+	pol, eo, err := opts.withDefaults().setup(scheme)
 	if err != nil {
 		return Forensic{}, false
 	}

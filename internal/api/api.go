@@ -565,9 +565,16 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "trials capped at %d per call", maxTrialsPerCall)
 		return
 	}
+	if req.TargetFailures > 0 && req.MaxTrials == 0 {
+		// The engine's default cap, 10 × trials, would exceed the per-call
+		// bound for trials above a tenth of it.
+		req.MaxTrials = min(10*req.Trials, maxTrialsPerCall)
+	}
 	opts := citadel.ReliabilityOptions{
 		Rates:              citadel.Table1Rates().WithTSV(req.TSVFIT),
 		Trials:             req.Trials,
+		TargetFailures:     req.TargetFailures,
+		MaxTrials:          req.MaxTrials,
 		LifetimeYears:      req.LifetimeYears,
 		ScrubIntervalHours: req.ScrubHours,
 		TSVSwap:            req.TSVSwap,
@@ -578,7 +585,7 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		FaultModel:         req.FaultModel,
 		ScenarioParams:     req.ScenarioParams,
 	}
-	if err := opts.Validate(citadel.Scheme(req.Scheme), false); err != nil {
+	if err := opts.Validate(citadel.Scheme(req.Scheme)); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -596,13 +603,7 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.opts.Logf("api: run=%s kind=reliability scheme=%s trials=%d targetFailures=%d seed=%d start",
 		runID, req.Scheme, req.Trials, req.TargetFailures, req.Seed)
-	var res citadel.Result
-	var err error
-	if req.TargetFailures > 0 {
-		res, err = citadel.SimulateScenarioReliabilityAdaptiveContext(ctx, opts, req.Scheme, req.TargetFailures, req.MaxTrials)
-	} else {
-		res, err = citadel.SimulateScenarioReliabilityContext(ctx, opts, req.Scheme)
-	}
+	res, err := citadel.Simulate(ctx, opts, citadel.Scheme(req.Scheme))
 	if err != nil {
 		// Plugin builders reject parameter values (not just keys) at build
 		// time; surface that as a client error.

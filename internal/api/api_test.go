@@ -131,11 +131,34 @@ func TestReliabilityAdaptiveEndpoint(t *testing.T) {
 	}
 }
 
+// TestReliabilityAdaptiveCapBounded: an adaptive request that leaves
+// maxTrials unset stops at the per-call trial cap, not at the engine's
+// default of 10 × trials.
+func TestReliabilityAdaptiveCapBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("5M Monte Carlo trials; skipped in -short")
+	}
+	srv := testServer(t)
+	var out ReliabilityResponse
+	resp := postJSON(t, srv.URL+"/api/v1/reliability", ReliabilityRequest{
+		Scheme: "None", Trials: 600_000, TargetFailures: 1 << 30, Seed: 1,
+	}, &out)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if out.Trials > maxTrialsPerCall || out.Partial {
+		t.Errorf("adaptive run answered %d trials (partial %t), want at most the %d per-call cap",
+			out.Trials, out.Partial, maxTrialsPerCall)
+	}
+}
+
 func TestReliabilityValidation(t *testing.T) {
 	srv := testServer(t)
 	cases := []ReliabilityRequest{
 		{Scheme: "NoSuchScheme"},
 		{Scheme: "3DP", Trials: 100_000_000},
+		{Scheme: "3DP", Trials: 1000, TargetFailures: 10, MaxTrials: maxTrialsPerCall + 1},
+		{Scheme: "1DP", Trials: 1000, MaxTrials: 5},
 	}
 	for _, c := range cases {
 		resp := postJSON(t, srv.URL+"/api/v1/reliability", c, nil)

@@ -107,6 +107,9 @@ func Run(id string, opt Options) (Report, error) {
 // computed so far and Partial set; already-started Monte Carlo runs
 // return within one trial batch.
 func RunContext(ctx context.Context, id string, opt Options) (Report, error) {
+	if opt.Trials < 0 {
+		return Report{}, fmt.Errorf("experiments: trials must be non-negative, got %d", opt.Trials)
+	}
 	opt.ctx = ctx
 	switch id {
 	case "table1":
@@ -187,6 +190,30 @@ func relOpts(opt Options, tsvFIT float64, swap bool) citadel.ReliabilityOptions 
 	}
 }
 
+// simulate runs one reliability study under the experiment's context. A
+// cancelled run comes back Partial. RunContext has rejected a negative
+// Trials, so an error can only mean an unregistered scheme constant — a
+// bug, hence the panic.
+func simulate(opt Options, o citadel.ReliabilityOptions, scheme citadel.Scheme) citadel.Result {
+	res, err := citadel.Simulate(opt.context(), o, scheme)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %s: %v", scheme, err))
+	}
+	return res
+}
+
+// compare runs several schemes under identical options, in order. Once
+// the context is cancelled, the in-flight scheme returns a partial Result
+// and the remaining schemes return at once with zero trials, all marked
+// Partial.
+func compare(opt Options, o citadel.ReliabilityOptions, schemes ...citadel.Scheme) []citadel.Result {
+	out := make([]citadel.Result, len(schemes))
+	for i, s := range schemes {
+		out[i] = simulate(opt, o, s)
+	}
+	return out
+}
+
 // Fig4 sweeps TSV FIT rates for the symbol code under the three stripings.
 func Fig4(opt Options) Report {
 	ctx := opt.context()
@@ -201,7 +228,7 @@ func Fig4(opt Options) Report {
 		}
 		phaseStart := time.Now()
 		o := relOpts(opt, fit, false)
-		rs := citadel.CompareReliabilityContext(ctx, o,
+		rs := compare(opt, o,
 			citadel.SchemeSymbol8SameBank,
 			citadel.SchemeSymbol8AcrossBanks,
 			citadel.SchemeSymbol8AcrossChannels)
@@ -303,9 +330,9 @@ func Fig9(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		noSwap := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 1430, false), s)
-		withSwap := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 1430, true), s)
-		noTSV := citadel.SimulateReliabilityContext(ctx, relOpts(opt, 0, false), s)
+		noSwap := simulate(opt, relOpts(opt, 1430, false), s)
+		withSwap := simulate(opt, relOpts(opt, 1430, true), s)
+		noTSV := simulate(opt, relOpts(opt, 0, false), s)
 		rep.Partial = rep.Partial || noSwap.Partial || withSwap.Partial || noTSV.Partial
 		fmt.Fprintf(&b, "%-26s %-16s %-16s %-16s\n", s,
 			probString(noSwap), probString(withSwap), probString(noTSV))
@@ -397,7 +424,7 @@ func yearCurves(b *strings.Builder, rs []citadel.Result) {
 func Fig14(opt Options) Report {
 	phaseStart := time.Now()
 	o := relOpts(opt, 0, true) // all systems employ TSV-Swap (paper §V-D)
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
+	rs := compare(opt, o,
 		citadel.SchemeSymbol8AcrossChannels,
 		citadel.Scheme1DP, citadel.Scheme2DP, citadel.Scheme3DP)
 	opt.phase("fig14", "monte-carlo", phaseStart)
@@ -526,7 +553,7 @@ func Fig17(opt Options) Report {
 	o.Rates.RowPermanent *= 50
 	o.Rates.BankPermanent *= 50
 	phaseStart := time.Now()
-	c := citadel.RunFaultCensusContext(opt.context(), o)
+	c := citadel.RunFaultCensus(opt.context(), o)
 	opt.phase("fig17", "census", phaseStart)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %12s %10s\n", "Rows needed for sparing", "Faulty banks", "Percent")
@@ -556,7 +583,7 @@ func pctBelow(c citadel.FaultCensus, limit int) float64 {
 func Table3(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
-	c := citadel.RunFaultCensusContext(opt.context(), o)
+	c := citadel.RunFaultCensus(opt.context(), o)
 	opt.phase("table3", "census", phaseStart)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %12s\n", "Num faulty banks", "Probability")
@@ -572,7 +599,7 @@ func Table3(opt Options) Report {
 func Fig18(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
+	rs := compare(opt, o,
 		citadel.SchemeSymbol8AcrossChannels,
 		citadel.Scheme3DP,
 		citadel.Scheme3DPDDS)
@@ -593,7 +620,7 @@ func Fig18(opt Options) Report {
 func Fig19(opt Options) Report {
 	o := relOpts(opt, 0, false)
 	phaseStart := time.Now()
-	rs := citadel.CompareReliabilityContext(opt.context(), o,
+	rs := compare(opt, o,
 		citadel.SchemeBCH6EC7ED,
 		citadel.SchemeRAID5,
 		citadel.Scheme3DPDDS)

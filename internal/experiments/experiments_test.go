@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	citadel "repro"
 )
 
 // tinyOptions keeps test runs fast.
@@ -56,6 +58,34 @@ func TestAblationsRun(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run("fig99", tinyOptions()); err == nil {
 		t.Error("unknown id accepted")
+	}
+}
+
+// TestNegativeTrialsRejected: a negative trial count is an error from
+// RunContext, before any figure runs (figures panic on a Simulate error).
+func TestNegativeTrialsRejected(t *testing.T) {
+	for _, id := range []string{"fig4", "fig9", "orgs"} {
+		if _, err := Run(id, Options{Trials: -5, Requests: 5000}); err == nil || !strings.Contains(err.Error(), "non-negative") {
+			t.Errorf("%s with -5 trials: got %v, want a non-negative error", id, err)
+		}
+	}
+}
+
+// TestCompareReliabilityContextCancelled: once the context is cancelled,
+// every scheme of a comparison returns at once as an empty partial
+// Result, in the order the schemes were given and under their names.
+func TestCompareReliabilityContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opt := Options{Trials: 10000, Seed: 1, ctx: ctx}
+	rs := compare(opt, relOpts(opt, 0, false), citadel.SchemeNone, citadel.Scheme3DP)
+	if len(rs) != 2 || rs[0].Policy != "None" || rs[1].Policy != "3DP" {
+		t.Fatalf("results out of order or misnamed: %+v", rs)
+	}
+	for i, r := range rs {
+		if !r.Partial || r.Trials != 0 {
+			t.Errorf("result %d not an empty partial: %+v", i, r)
+		}
 	}
 }
 

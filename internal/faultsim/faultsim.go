@@ -851,20 +851,3 @@ func (l *runLane) finish() {
 		l.ts.obs.FlushStats(l.stats)
 	}
 }
-
-// RunAll evaluates several policies under the same options. Each policy
-// sees an identical fault stream seed, making comparisons paired.
-func RunAll(opt Options, pols []Policy) []Result {
-	return RunAllContext(context.Background(), opt, pols)
-}
-
-// RunAllContext is RunAll under a context: once ctx is cancelled the
-// in-flight policy returns a partial Result and the remaining policies
-// return immediately with zero completed trials, all marked Partial.
-func RunAllContext(ctx context.Context, opt Options, pols []Policy) []Result {
-	out := make([]Result, len(pols))
-	for i, p := range pols {
-		out[i] = RunContext(ctx, opt, p)
-	}
-	return out
-}

@@ -266,18 +266,6 @@ func TestCensusTable3Shape(t *testing.T) {
 	}
 }
 
-func TestRunAllPreservesOrder(t *testing.T) {
-	opt := testOptions(500, 10, 0)
-	pols := []Policy{
-		{Predicate: ecc.NoProtection{}},
-		{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)},
-	}
-	rs := RunAll(opt, pols)
-	if len(rs) != 2 || rs[0].Policy != "None" || rs[1].Policy != "3DP" {
-		t.Errorf("RunAll order/naming wrong: %+v", rs)
-	}
-}
-
 func TestScrubClearsTransients(t *testing.T) {
 	// Two transient bank faults in different scrub intervals must not
 	// collide; simulate directly through trialState.

@@ -113,17 +113,20 @@ func TestRareSeedShiftReproducesStreams(t *testing.T) {
 	}
 }
 
-func TestRunAllPairedSeedsReproducible(t *testing.T) {
+func TestPairedSeedsReproducible(t *testing.T) {
 	// Paired comparisons (same fault stream per policy) must be exactly
-	// reproducible for a fixed worker count, across repeated RunAll calls.
+	// reproducible for a fixed worker count, across repeated runs.
 	opt := testOptions(3000, 30, 0)
 	opt.Workers = 4
 	pols := []Policy{
 		{Predicate: ecc.NewParity(opt.Config, parity.OneDP)},
 		{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)},
 	}
-	a := RunAll(opt, pols)
-	b := RunAll(opt, pols)
+	var a, b []Result
+	for _, p := range pols {
+		a = append(a, Run(opt, p))
+		b = append(b, Run(opt, p))
+	}
 	for i := range pols {
 		if a[i].Failures != b[i].Failures || a[i].Trials != b[i].Trials {
 			t.Errorf("policy %s: run 1 %d/%d failures, run 2 %d/%d — not reproducible",

@@ -42,7 +42,8 @@ func SeedAt(base int64, k uint64) int64 {
 }
 
 // SplitStreamSeed derives the RNG seed of one multilevel-splitting stage
-// (internal/rare), which draws many trajectories from one stream.
+// (the oracle in internal/rare's tests), which draws many trajectories
+// from one stream.
 func SplitStreamSeed(base int64, stage int) int64 {
 	return deriveSeed(base, splitStreamBase+uint64(stage))
 }

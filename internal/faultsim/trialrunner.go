@@ -7,8 +7,8 @@ import (
 
 // TrialRunner exposes the engine's per-trial state machine — scrubbing,
 // TSV-SWAP, sparing, incremental correctability — to out-of-package
-// estimators (internal/rare) without exporting the pooled trialState
-// internals. One runner serves many trials; like the in-package workers
+// estimators (the multilevel-splitting oracle in internal/rare's tests)
+// without exporting the pooled trialState internals. One runner serves many trials; like the in-package workers
 // it is not safe for concurrent use, and its observable statistics
 // (verdict, failure time, proximate cause, scrub tally) are bit-identical
 // to the Monte Carlo loop's for the same fault list.

@@ -72,7 +72,7 @@ func RunChunk(ctx context.Context, r *ReliabilitySpec, chunk int, runID string, 
 	opts.Seed = faultsim.SeedAt(r.Seed, uint64(chunk)*uint64(r.CheckpointTrials))
 	opts.RunID = runID
 	opts.Progress = progress
-	return citadel.SimulateScenarioReliabilityContext(ctx, opts, r.Scheme)
+	return citadel.Simulate(ctx, opts, citadel.Scheme(r.Scheme))
 }
 
 // options maps the spec onto the library's reliability options; RunChunk

@@ -132,7 +132,7 @@ func TestChunkedCampaignMatchesDirectRun(t *testing.T) {
 			total = faultsim.Merge(total, res)
 			total.Policy = res.Policy
 		}
-		direct, err := citadel.SimulateScenarioReliability(r.options(), scheme)
+		direct, err := citadel.Simulate(context.Background(), r.options(), citadel.Scheme(scheme))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -207,7 +207,7 @@ func (s Spec) Validate() error {
 		// The shared validator also dry-runs the plugin builders, so value
 		// errors (a bad codeword width, a non-positive rate) are rejected
 		// at submission instead of surfacing as failed chunks.
-		if err := r.options().Validate(citadel.Scheme(r.Scheme), false); err != nil {
+		if err := r.options().Validate(citadel.Scheme(r.Scheme)); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
 	case KindPerformance:

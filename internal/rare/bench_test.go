@@ -23,7 +23,7 @@ func BenchmarkRareEventTail(b *testing.B) {
 		BiasFactor: 16,
 	}
 	b.ResetTimer()
-	res := RunIS(opt, threeDP(cfg))
+	res := faultsim.Run(opt.Engine(), threeDP(cfg))
 	secs := b.Elapsed().Seconds()
 	if secs > 0 {
 		b.ReportMetric(float64(res.Trials)/secs, "trials/s")

@@ -50,13 +50,13 @@ func runEngineGolden() engineGolden {
 	}
 	for _, workers := range []int{1, 3} {
 		for _, bias := range []float64{1, 4, 16} {
-			g.IS[fmt.Sprintf("bias=%g/workers=%d", bias, workers)] = RunIS(Options{
+			g.IS[fmt.Sprintf("bias=%g/workers=%d", bias, workers)] = faultsim.Run(Options{
 				Options: faultsim.Options{
 					Config: cfg, Rates: scaledRates(10, 1430),
 					Trials: 2000, Seed: 31, Workers: workers,
 				},
 				BiasFactor: bias,
-			}, goldenCitadelLike(cfg))
+			}.Engine(), goldenCitadelLike(cfg))
 		}
 		key := fmt.Sprintf("workers=%d", workers)
 		g.Census[key] = faultsim.RunCensus(faultsim.Options{

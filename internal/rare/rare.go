@@ -1,22 +1,18 @@
 // Package rare estimates tail failure probabilities that naive Monte
 // Carlo cannot resolve. Citadel-class schemes push 7-year uncorrectable
 // probabilities to ~1e-5 and below, so a realistic trial budget sees
-// zero failures and learns only an upper bound. This package supplies
-// the standard rare-event toolkit over the faultsim engine:
+// zero failures and learns only an upper bound.
 //
-//   - Importance sampling (RunIS): the Poisson fault-arrival process is
-//     biased toward the large-granularity classes (column and above —
-//     bank, TSV) that dominate uncorrectable states, and every failing
-//     trial is unbiased by its likelihood ratio. The bias is an Arrivals
-//     source run by faultsim's own executor (Options.Engine), and results
-//     ride the ordinary faultsim.Result (Weighted fields), so forensics,
-//     traces, adaptive runs, Merge, chunked campaigns and the cluster
-//     executor carry them unchanged.
-//
-//   - Multilevel splitting (RunSplit): an independent estimator that
-//     conditions on the number of simultaneously-live faults, used to
-//     cross-validate the importance-sampled answer without sharing its
-//     bias machinery.
+// The estimator is importance sampling: the Poisson fault-arrival process
+// is biased toward the large-granularity classes (column and above —
+// bank, TSV) that dominate uncorrectable states, and every failing trial
+// is unbiased by its likelihood ratio. The bias is an Arrivals source run
+// by faultsim's own executor (Options.Engine), and results ride the
+// ordinary faultsim.Result (Weighted fields), so forensics, traces,
+// adaptive runs, Merge, chunked campaigns and the cluster executor carry
+// them unchanged. The package's tests cross-validate it against naive
+// runs, a closed form, and multilevel splitting, an independent estimator
+// kept in split_test.go.
 //
 // Biasing only the arrival rates leaves placement and arrival-time
 // distributions untouched, so the per-trial likelihood ratio depends
@@ -29,7 +25,6 @@
 package rare
 
 import (
-	"context"
 	"math"
 
 	"repro/internal/fault"
@@ -42,10 +37,6 @@ import (
 // empirically this lands within a factor of a few of the
 // variance-optimal bias across the paper's configurations.
 const DefaultBiasFactor = 16
-
-// cancelCheckInterval matches the plain engine's trial block: the
-// splitting estimator polls ctx every this many trials.
-const cancelCheckInterval = 64
 
 // Options configures an importance-sampled run. The embedded
 // faultsim.Options keep their meaning; Rates are the *physical* rates —
@@ -105,27 +96,4 @@ func (b *biasedArrivals) LogWeight(lifetime []fault.Fault) float64 {
 		}
 	}
 	return b.delta - float64(n)*b.lnB
-}
-
-// policyName mirrors faultsim's effective policy naming.
-func policyName(pol faultsim.Policy) string {
-	if pol.Name != "" {
-		return pol.Name
-	}
-	return pol.Predicate.Name()
-}
-
-// RunIS estimates failure probability with importance sampling; it
-// cannot be interrupted (see RunISContext).
-func RunIS(opt Options, pol faultsim.Policy) faultsim.Result {
-	return RunISContext(context.Background(), opt, pol)
-}
-
-// RunISContext runs the importance-sampled estimator: faultsim.RunContext
-// over opt.Engine(). Failing trials carry their likelihood ratio, so the
-// returned Result is Weighted and its Probability/CI95/ESS report the
-// unbiased estimate. Cancellation keeps the completed trials and marks
-// the Result Partial, as in the plain engine.
-func RunISContext(ctx context.Context, opt Options, pol faultsim.Policy) faultsim.Result {
-	return faultsim.RunContext(ctx, opt.Engine(), pol)
 }

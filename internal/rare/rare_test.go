@@ -5,14 +5,11 @@ import (
 	"math"
 	"testing"
 
-	"strings"
-
 	"repro/internal/analytic"
 	"repro/internal/ecc"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/parity"
-	"repro/internal/sparing"
 	"repro/internal/stack"
 )
 
@@ -67,12 +64,12 @@ func TestBiasFactorOneMatchesUnitWeights(t *testing.T) {
 		},
 		BiasFactor: 1,
 	}
-	res := RunIS(opt, oneDP(cfg))
+	res := faultsim.Run(opt.Engine(), oneDP(cfg))
 	if res.Failures == 0 {
 		t.Fatal("test signal too weak: no failures at scale 30")
 	}
 	if !res.Weighted {
-		t.Error("RunIS result not marked Weighted")
+		t.Error("IS result not marked Weighted")
 	}
 	if res.FailWeight != float64(res.Failures) {
 		t.Errorf("FailWeight = %v, want exactly %d", res.FailWeight, res.Failures)
@@ -100,8 +97,8 @@ func TestISDeterministic(t *testing.T) {
 		},
 		BiasFactor: 4,
 	}
-	a := RunIS(opt, oneDP(cfg))
-	b := RunIS(opt, oneDP(cfg))
+	a := faultsim.Run(opt.Engine(), oneDP(cfg))
+	b := faultsim.Run(opt.Engine(), oneDP(cfg))
 	if a.FailWeight != b.FailWeight || a.FailWeightSq != b.FailWeightSq {
 		t.Errorf("same seed produced FailWeight %v/%v and FailWeightSq %v/%v",
 			a.FailWeight, b.FailWeight, a.FailWeightSq, b.FailWeightSq)
@@ -123,7 +120,7 @@ func TestISMatchesNaiveOnInflatedConfig(t *testing.T) {
 		Trials: 30000, Seed: 5,
 	}
 	naive := faultsim.Run(base, oneDP(cfg))
-	is := RunIS(Options{Options: base, BiasFactor: 2}, oneDP(cfg))
+	is := faultsim.Run(Options{Options: base, BiasFactor: 2}.Engine(), oneDP(cfg))
 	if naive.Failures < 50 {
 		t.Fatalf("test signal too weak: naive saw only %d failures", naive.Failures)
 	}
@@ -152,7 +149,7 @@ func TestISMatchesAnalytic3DP(t *testing.T) {
 		},
 		BiasFactor: 4,
 	}
-	res := RunIS(opt, threeDP(cfg))
+	res := faultsim.Run(opt.Engine(), threeDP(cfg))
 	want := analytic.PFail3DPNoDDS(cfg, rates, fault.LifetimeHours)
 	if res.Failures < 20 {
 		t.Fatalf("IS signal too weak: %d failures", res.Failures)
@@ -167,57 +164,6 @@ func TestISMatchesAnalytic3DP(t *testing.T) {
 	}
 }
 
-// TestSplitCrossValidatesNaive checks the splitting estimator against
-// the batch oracle on an inflated config.
-func TestSplitCrossValidatesNaive(t *testing.T) {
-	skipInShort(t)
-	cfg := stack.DefaultConfig()
-	base := faultsim.Options{
-		Config: cfg, Rates: scaledRates(10, 0),
-		Trials: 30000, Seed: 9,
-	}
-	naive := faultsim.Run(base, oneDP(cfg))
-	split := RunSplit(SplitOptions{Options: base}, oneDP(cfg))
-	if naive.Failures < 50 {
-		t.Fatalf("test signal too weak: naive saw only %d failures", naive.Failures)
-	}
-	if split.Partial {
-		t.Fatalf("split unexpectedly partial: %v", split.Err)
-	}
-	if len(split.StageProbs) != 3 {
-		t.Fatalf("default levels [1 2] should give 3 stages, got %v", split.StageProbs)
-	}
-	diff := math.Abs(naive.Probability() - split.Probability)
-	tol := 3 * (naive.CI95() + split.CI95())
-	if diff > tol {
-		t.Errorf("split %.4g vs naive %.4g: |diff| %.4g > tol %.4g (stages %v)",
-			split.Probability, naive.Probability(), diff, tol, split.StageProbs)
-	}
-}
-
-// TestSplitCrossValidatesISOnTail is the tail-config cross-check the
-// tentpole asks for: two estimators sharing no bias machinery agreeing
-// on a ~1e-6 probability.
-func TestSplitCrossValidatesISOnTail(t *testing.T) {
-	skipInShort(t)
-	cfg := stack.DefaultConfig()
-	base := faultsim.Options{Config: cfg, Rates: tailRates(), Trials: 150000, Seed: 17}
-	is := RunIS(Options{Options: base, BiasFactor: 16}, threeDP(cfg))
-	split := RunSplit(SplitOptions{Options: base}, threeDP(cfg))
-	if is.Failures < 30 {
-		t.Fatalf("IS signal too weak on the tail: %d failures", is.Failures)
-	}
-	if split.Probability == 0 {
-		t.Fatalf("splitting resolved nothing on the tail: stages %v", split.StageProbs)
-	}
-	diff := math.Abs(is.Probability() - split.Probability)
-	tol := 3 * (is.CI95() + split.CI95())
-	if diff > tol {
-		t.Errorf("split %.4g vs IS %.4g: |diff| %.4g > tol %.4g (stages %v, IS %s)",
-			split.Probability, is.Probability(), diff, tol, split.StageProbs, is)
-	}
-}
-
 // TestRareEventSpeedupOnTail pins the acceptance criterion: on a
 // ~1e-6-tail config the engine reaches a <= +-20% relative CI while its
 // variance matches >= 100x as many naive trials.
@@ -228,7 +174,7 @@ func TestRareEventSpeedupOnTail(t *testing.T) {
 		Options:    faultsim.Options{Config: cfg, Rates: tailRates(), Trials: 200000, Seed: 1},
 		BiasFactor: 16,
 	}
-	res := RunIS(opt, threeDP(cfg))
+	res := faultsim.Run(opt.Engine(), threeDP(cfg))
 	p := res.Probability()
 	if p <= 0 || p > 1e-4 {
 		t.Fatalf("tail config drifted: P(fail) = %.3g, want ~1e-6..1e-4 (%s)", p, res)
@@ -252,7 +198,7 @@ func TestISCancellation(t *testing.T) {
 	opt := Options{
 		Options: faultsim.Options{Config: cfg, Rates: scaledRates(10, 0), Trials: 50000, Seed: 2},
 	}
-	res := RunISContext(ctx, opt, oneDP(cfg))
+	res := faultsim.RunContext(ctx, opt.Engine(), oneDP(cfg))
 	if !res.Partial {
 		t.Error("cancelled run not marked Partial")
 	}
@@ -261,73 +207,5 @@ func TestISCancellation(t *testing.T) {
 	}
 	if res.Trials >= opt.Trials {
 		t.Errorf("cancelled run completed all %d trials", res.Trials)
-	}
-}
-
-// TestSplitRejectsBadLevels pins level validation.
-func TestSplitRejectsBadLevels(t *testing.T) {
-	cfg := stack.DefaultConfig()
-	for _, levels := range [][]int{{0}, {2, 2}, {3, 1}} {
-		res := RunSplit(SplitOptions{
-			Options: faultsim.Options{Config: cfg, Rates: scaledRates(10, 0), Trials: 10},
-			Levels:  levels,
-		}, oneDP(cfg))
-		if res.Err == nil {
-			t.Errorf("levels %v accepted, want error", levels)
-		}
-	}
-}
-
-// citadelLike is the full production policy shape — 3DP plus DDS
-// sparing — whose scrub-time sparing removes permanent faults from the
-// live set and thereby decouples the live-fault count from the failure
-// mechanism at realistic rates.
-func citadelLike(cfg stack.Config) faultsim.Policy {
-	return faultsim.Policy{
-		Name:      "CitadelLike",
-		Predicate: ecc.NewParity(cfg, parity.ThreeDP),
-		NewSparer: func(c stack.Config) faultsim.Sparer { return sparing.New(c) },
-	}
-}
-
-// TestSplitAncestorDiversity pins the degeneracy diagnostic. On an
-// inflated config the live-fault importance function tracks failure and
-// successes descend from thousands of distinct entrances; at Table I
-// rates with sparing active almost no entrance state can fail, the
-// whole product hangs off at most a couple of lucky draws, and the
-// result must say so instead of presenting its (meaningless) binomial
-// CI at face value.
-func TestSplitAncestorDiversity(t *testing.T) {
-	skipInShort(t)
-	cfg := stack.DefaultConfig()
-
-	healthy := RunSplit(SplitOptions{
-		Options: faultsim.Options{Config: cfg, Rates: scaledRates(10, 0), Trials: 60000, Seed: 1},
-	}, citadelLike(cfg))
-	if healthy.MinAncestors < minHealthyAncestors {
-		t.Errorf("inflated config: MinAncestors %d < %d, expected healthy diversity (stages %v, ancestors %v)",
-			healthy.MinAncestors, minHealthyAncestors, healthy.StageProbs, healthy.StageAncestors)
-	}
-	if s := healthy.String(); strings.Contains(s, "unreliable") {
-		t.Errorf("healthy estimate flagged unreliable: %s", s)
-	}
-	if len(healthy.StageAncestors) != len(healthy.Levels) {
-		t.Errorf("want one ancestor count per branching stage (%d), got %v",
-			len(healthy.Levels), healthy.StageAncestors)
-	}
-
-	degenerate := RunSplit(SplitOptions{
-		Options: faultsim.Options{Config: cfg, Rates: scaledRates(1, 0), Trials: 60000, Seed: 3},
-	}, citadelLike(cfg))
-	if degenerate.MinAncestors >= minHealthyAncestors {
-		t.Fatalf("Table I config: MinAncestors %d, expected diversity collapse (stages %v, ancestors %v)",
-			degenerate.MinAncestors, degenerate.StageProbs, degenerate.StageAncestors)
-	}
-	s := degenerate.String()
-	if degenerate.RelCI95 != math.Inf(1) && !strings.Contains(s, "unreliable") {
-		t.Errorf("degenerate resolved estimate not flagged: %s", s)
-	}
-	if degenerate.RelCI95 == math.Inf(1) && !strings.Contains(s, "unresolved") {
-		t.Errorf("zero-success estimate must say unresolved, got: %s", s)
 	}
 }

@@ -1,18 +1,30 @@
 package rare
 
+// Multilevel splitting: an estimator that conditions on the number of
+// simultaneously live faults. It shares no bias machinery with importance
+// sampling, so the tests below use it as an independent oracle for the IS
+// engine, on policies without sparing where it resolves (see
+// TestSplitAncestorDiversity for where it does not). It reaches the engine
+// only through faultsim.TrialRunner and faultsim.SplitStreamSeed.
+
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"testing"
 
+	"repro/internal/ecc"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
+	"repro/internal/parity"
+	"repro/internal/sparing"
+	"repro/internal/stack"
 )
 
-// SplitOptions configures a multilevel-splitting run. The embedded
+// splitOptions configures a multilevel-splitting run. The embedded
 // faultsim.Options keep their meaning; Trials is the per-stage effort.
-type SplitOptions struct {
+type splitOptions struct {
 	faultsim.Options
 	// Levels are the live-fault thresholds of the intermediate stages,
 	// strictly increasing and >= 1 (default [1, 2]): stage k estimates
@@ -22,10 +34,10 @@ type SplitOptions struct {
 	Levels []int
 }
 
-// SplitResult is a multilevel-splitting estimate. It deliberately does
+// splitResult is a multilevel-splitting estimate. It deliberately does
 // not reuse faultsim.Result: the product-of-stages estimator has no
 // per-trial weights to merge, and its variance composes differently.
-type SplitResult struct {
+type splitResult struct {
 	Policy string
 	// Levels echoes the thresholds used.
 	Levels []int
@@ -56,18 +68,19 @@ type SplitResult struct {
 	// handful of lucky entrance draws: the importance function (live
 	// fault count) is not tracking the failure mechanism for this
 	// config, typical realizations sit below the true mean, and RelCI95
-	// is not to be trusted. Raise per-stage trials or prefer RunIS.
+	// is not to be trusted. Raise per-stage trials or prefer IS.
 	// Zero when no branching stage recorded a success.
 	MinAncestors int
 	// TrialsPerStage is the fixed effort spent at each stage.
 	TrialsPerStage int
-	// Partial and Err mirror faultsim.Result's cancellation contract.
+	// Err reports rejected levels; the run then sets Partial and
+	// estimates nothing.
 	Partial bool
 	Err     error
 }
 
 // CI95 returns the absolute half-width on Probability.
-func (r SplitResult) CI95() float64 {
+func (r splitResult) CI95() float64 {
 	if math.IsInf(r.RelCI95, 0) {
 		return math.Inf(1)
 	}
@@ -86,7 +99,7 @@ const minHealthyAncestors = 30
 // claim of zero risk. A resolved estimate resting on too few distinct
 // entrance ancestors carries an explicit unreliability warning for the
 // same reason: the number would read as more certain than it is.
-func (r SplitResult) String() string {
+func (r splitResult) String() string {
 	var s string
 	if math.IsInf(r.RelCI95, 0) {
 		s = fmt.Sprintf("%s: P(fail,7y) unresolved at %d/stage — a stage saw 0 successes; raise per-stage trials (splitting, levels %v)",
@@ -106,7 +119,7 @@ func (r SplitResult) String() string {
 }
 
 // withDefaults mirrors the IS defaults and fills Levels.
-func (o SplitOptions) withDefaults() SplitOptions {
+func (o splitOptions) withDefaults() splitOptions {
 	if o.LifetimeHours == 0 {
 		o.LifetimeHours = fault.LifetimeHours
 	}
@@ -138,14 +151,16 @@ type entrance struct {
 	failed bool
 }
 
-// RunSplit estimates failure probability by fixed-effort multilevel
-// splitting; it cannot be interrupted (see RunSplitContext).
-func RunSplit(opt SplitOptions, pol faultsim.Policy) SplitResult {
-	return RunSplitContext(context.Background(), opt, pol)
+// policyName mirrors faultsim's effective policy naming.
+func policyName(pol faultsim.Policy) string {
+	if pol.Name != "" {
+		return pol.Name
+	}
+	return pol.Predicate.Name()
 }
 
-// RunSplitContext runs the splitting estimator on the number of
-// simultaneously live faults. Stage 0 draws Trials whole lifetimes and
+// runSplit estimates failure probability by fixed-effort multilevel
+// splitting on the number of simultaneously live faults. Stage 0 draws Trials whole lifetimes and
 // keeps those that reach Levels[0] (or fail outright); each later stage
 // draws Trials trajectories by picking a random entrance state from the
 // previous stage and — Poisson arrivals being memoryless — resampling
@@ -155,12 +170,12 @@ func RunSplit(opt SplitOptions, pol faultsim.Policy) SplitResult {
 //
 // The estimator is deliberately single-threaded: entrance selection
 // feeds back between trials, so a deterministic parallel version would
-// need per-stage barriers for little gain, and this path exists to
-// cross-validate RunIS, not to replace it. Each stage draws from its own
-// faultsim.SplitStreamSeed stream.
-func RunSplitContext(ctx context.Context, opt SplitOptions, pol faultsim.Policy) SplitResult {
+// need per-stage barriers for little gain, and it exists to
+// cross-validate importance sampling, not to replace it. Each stage draws
+// from its own faultsim.SplitStreamSeed stream.
+func runSplit(opt splitOptions, pol faultsim.Policy) splitResult {
 	opt = opt.withDefaults()
-	res := SplitResult{
+	res := splitResult{
 		Policy:         policyName(pol),
 		Levels:         append([]int(nil), opt.Levels...),
 		TrialsPerStage: opt.Trials,
@@ -191,17 +206,12 @@ func RunSplitContext(ctx context.Context, opt SplitOptions, pol faultsim.Policy)
 		// Branching stages resample entrances with replacement, so their
 		// trials are exchangeable but not independent: record which
 		// distinct ancestors the successes descend from (see
-		// SplitResult.StageAncestors).
+		// splitResult.StageAncestors).
 		var ancestors map[int]struct{}
 		if stage > 0 {
 			ancestors = make(map[int]struct{})
 		}
 		for t := 0; t < opt.Trials; t++ {
-			if t%cancelCheckInterval == 0 && ctx.Err() != nil {
-				res.Partial = true
-				res.Err = ctx.Err()
-				return res
-			}
 			// Build this trial's fault list: a fresh lifetime at stage 0,
 			// afterwards a resampled continuation of a random entrance.
 			var from entrance
@@ -248,7 +258,6 @@ func RunSplitContext(ctx context.Context, opt SplitOptions, pol faultsim.Policy)
 				ancestors[fromIdx] = struct{}{}
 			}
 		}
-		mSplitStages.Inc()
 		if stage > 0 {
 			res.StageAncestors = append(res.StageAncestors, len(ancestors))
 			if stage == 1 || len(ancestors) < res.MinAncestors {
@@ -271,4 +280,123 @@ func RunSplitContext(ctx context.Context, opt SplitOptions, pol faultsim.Policy)
 	}
 	res.RelCI95 = 1.96 * math.Sqrt(varTerm)
 	return res
+}
+
+// TestSplitCrossValidatesNaive checks the splitting estimator against
+// the batch oracle on an inflated config.
+func TestSplitCrossValidatesNaive(t *testing.T) {
+	skipInShort(t)
+	cfg := stack.DefaultConfig()
+	base := faultsim.Options{
+		Config: cfg, Rates: scaledRates(10, 0),
+		Trials: 30000, Seed: 9,
+	}
+	naive := faultsim.Run(base, oneDP(cfg))
+	split := runSplit(splitOptions{Options: base}, oneDP(cfg))
+	if naive.Failures < 50 {
+		t.Fatalf("test signal too weak: naive saw only %d failures", naive.Failures)
+	}
+	if split.Partial {
+		t.Fatalf("split unexpectedly partial: %v", split.Err)
+	}
+	if len(split.StageProbs) != 3 {
+		t.Fatalf("default levels [1 2] should give 3 stages, got %v", split.StageProbs)
+	}
+	diff := math.Abs(naive.Probability() - split.Probability)
+	tol := 3 * (naive.CI95() + split.CI95())
+	if diff > tol {
+		t.Errorf("split %.4g vs naive %.4g: |diff| %.4g > tol %.4g (stages %v)",
+			split.Probability, naive.Probability(), diff, tol, split.StageProbs)
+	}
+}
+
+// TestSplitCrossValidatesISOnTail is the tail-config cross-check the
+// tentpole asks for: two estimators sharing no bias machinery agreeing
+// on a ~1e-6 probability.
+func TestSplitCrossValidatesISOnTail(t *testing.T) {
+	skipInShort(t)
+	cfg := stack.DefaultConfig()
+	base := faultsim.Options{Config: cfg, Rates: tailRates(), Trials: 150000, Seed: 17}
+	is := faultsim.Run(Options{Options: base, BiasFactor: 16}.Engine(), threeDP(cfg))
+	split := runSplit(splitOptions{Options: base}, threeDP(cfg))
+	if is.Failures < 30 {
+		t.Fatalf("IS signal too weak on the tail: %d failures", is.Failures)
+	}
+	if split.Probability == 0 {
+		t.Fatalf("splitting resolved nothing on the tail: stages %v", split.StageProbs)
+	}
+	diff := math.Abs(is.Probability() - split.Probability)
+	tol := 3 * (is.CI95() + split.CI95())
+	if diff > tol {
+		t.Errorf("split %.4g vs IS %.4g: |diff| %.4g > tol %.4g (stages %v, IS %s)",
+			split.Probability, is.Probability(), diff, tol, split.StageProbs, is)
+	}
+}
+
+// TestSplitRejectsBadLevels pins level validation.
+func TestSplitRejectsBadLevels(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	for _, levels := range [][]int{{0}, {2, 2}, {3, 1}} {
+		res := runSplit(splitOptions{
+			Options: faultsim.Options{Config: cfg, Rates: scaledRates(10, 0), Trials: 10},
+			Levels:  levels,
+		}, oneDP(cfg))
+		if res.Err == nil {
+			t.Errorf("levels %v accepted, want error", levels)
+		}
+	}
+}
+
+// citadelLike is the full production policy shape — 3DP plus DDS
+// sparing — whose scrub-time sparing removes permanent faults from the
+// live set and thereby decouples the live-fault count from the failure
+// mechanism at realistic rates.
+func citadelLike(cfg stack.Config) faultsim.Policy {
+	return faultsim.Policy{
+		Name:      "CitadelLike",
+		Predicate: ecc.NewParity(cfg, parity.ThreeDP),
+		NewSparer: func(c stack.Config) faultsim.Sparer { return sparing.New(c) },
+	}
+}
+
+// TestSplitAncestorDiversity pins the degeneracy diagnostic. On an
+// inflated config the live-fault importance function tracks failure and
+// successes descend from thousands of distinct entrances; at Table I
+// rates with sparing active almost no entrance state can fail, the
+// whole product hangs off at most a couple of lucky draws, and the
+// result must say so instead of presenting its (meaningless) binomial
+// CI at face value.
+func TestSplitAncestorDiversity(t *testing.T) {
+	skipInShort(t)
+	cfg := stack.DefaultConfig()
+
+	healthy := runSplit(splitOptions{
+		Options: faultsim.Options{Config: cfg, Rates: scaledRates(10, 0), Trials: 60000, Seed: 1},
+	}, citadelLike(cfg))
+	if healthy.MinAncestors < minHealthyAncestors {
+		t.Errorf("inflated config: MinAncestors %d < %d, expected healthy diversity (stages %v, ancestors %v)",
+			healthy.MinAncestors, minHealthyAncestors, healthy.StageProbs, healthy.StageAncestors)
+	}
+	if s := healthy.String(); strings.Contains(s, "unreliable") {
+		t.Errorf("healthy estimate flagged unreliable: %s", s)
+	}
+	if len(healthy.StageAncestors) != len(healthy.Levels) {
+		t.Errorf("want one ancestor count per branching stage (%d), got %v",
+			len(healthy.Levels), healthy.StageAncestors)
+	}
+
+	degenerate := runSplit(splitOptions{
+		Options: faultsim.Options{Config: cfg, Rates: scaledRates(1, 0), Trials: 60000, Seed: 3},
+	}, citadelLike(cfg))
+	if degenerate.MinAncestors >= minHealthyAncestors {
+		t.Fatalf("Table I config: MinAncestors %d, expected diversity collapse (stages %v, ancestors %v)",
+			degenerate.MinAncestors, degenerate.StageProbs, degenerate.StageAncestors)
+	}
+	s := degenerate.String()
+	if degenerate.RelCI95 != math.Inf(1) && !strings.Contains(s, "unreliable") {
+		t.Errorf("degenerate resolved estimate not flagged: %s", s)
+	}
+	if degenerate.RelCI95 == math.Inf(1) && !strings.Contains(s, "unresolved") {
+		t.Errorf("zero-success estimate must say unresolved, got: %s", s)
+	}
 }

@@ -13,6 +13,7 @@
 package scenario_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -114,12 +115,12 @@ func TestRegistryDifferential(t *testing.T) {
 				Seed:               diffSeed,
 			}, pol)
 
-			got, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+			got, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 				Rates:   rates,
 				Trials:  diffTrials,
 				TSVSwap: tsvSwap,
 				Seed:    diffSeed,
-			}, name)
+			}, citadel.Scheme(name))
 			if err != nil {
 				t.Fatalf("%s tsvSwap=%t: %v", name, tsvSwap, err)
 			}
@@ -181,7 +182,7 @@ func TestRowhammerEndToEnd(t *testing.T) {
 		},
 	}
 	run := func() citadel.Result {
-		res, err := citadel.SimulateScenarioReliability(opts, "Citadel")
+		res, err := citadel.Simulate(context.Background(), opts, "Citadel")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +207,9 @@ func TestRowhammerEndToEnd(t *testing.T) {
 // their observer statistics into Result.ScenarioStats.
 func TestNewSchemesEndToEnd(t *testing.T) {
 	for _, name := range []string{"two-tier-replication", "cerberus-cross-layer"} {
-		res, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+		res, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 			Trials: 500, Seed: 7, Workers: 2,
-		}, name)
+		}, citadel.Scheme(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -223,20 +224,20 @@ func TestNewSchemesEndToEnd(t *testing.T) {
 
 // Unknown scenario selections fail loudly through the public API.
 func TestScenarioErrorsSurface(t *testing.T) {
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{Trials: 1}, "no-such"); err == nil {
+	if _, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{Trials: 1}, "no-such"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, FaultModel: "no-such",
 	}, "Citadel"); err == nil {
 		t.Fatal("unknown fault model accepted")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, RareEvent: true, FaultModel: "rowhammer",
 	}, "Citadel"); err == nil {
 		t.Fatal("rare-event engine accepted a non-poisson fault model")
 	}
-	if _, err := citadel.SimulateScenarioReliability(citadel.ReliabilityOptions{
+	if _, err := citadel.Simulate(context.Background(), citadel.ReliabilityOptions{
 		Trials: 1, ScenarioParams: map[string]float64{"bogus": 1},
 	}, "Citadel"); err == nil {
 		t.Fatal("unknown scenario parameter accepted")
