@@ -498,7 +498,9 @@ type ReliabilityRequest struct {
 	ScrubHours     float64 `json:"scrubHours"`
 	Seed           int64   `json:"seed"`
 	TargetFailures int     `json:"targetFailures"` // >0 enables adaptive mode
-	MaxTrials      int     `json:"maxTrials"`
+	// MaxTrials caps an adaptive run and requires TargetFailures (default
+	// 10 × Trials, at most the per-call trial cap).
+	MaxTrials int `json:"maxTrials"`
 	// Forensics enables failure forensics: the response then carries the
 	// per-mode failure breakdown and up to MaxExemplars replayable
 	// exemplar records.
