@@ -160,8 +160,9 @@ func policyName(pol faultsim.Policy) string {
 }
 
 // runSplit estimates failure probability by fixed-effort multilevel
-// splitting on the number of simultaneously live faults. Stage 0 draws Trials whole lifetimes and
-// keeps those that reach Levels[0] (or fail outright); each later stage
+// splitting on the number of simultaneously live faults. Stage 0 draws
+// Trials whole lifetimes and keeps those that reach Levels[0] (or fail
+// outright); each later stage
 // draws Trials trajectories by picking a random entrance state from the
 // previous stage and — Poisson arrivals being memoryless — resampling
 // the suffix of the lifetime on (t, T] with fault.Sampler.AppendWindow;
