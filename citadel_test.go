@@ -277,6 +277,28 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 	}
 }
 
+// TestCompareReliabilityContextCancelled: comparing schemes under an
+// already cancelled context, plain and adaptive, each Simulate returns
+// at once an empty partial Result and no error.
+func TestCompareReliabilityContextCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range []ReliabilityOptions{
+		{Trials: 10000, Seed: 1},
+		{Trials: 10000, Seed: 1, TargetFailures: 5},
+	} {
+		for _, s := range []Scheme{SchemeNone, Scheme3DP} {
+			r, err := Simulate(ctx, opts, s)
+			if err != nil {
+				t.Fatalf("%s (target %d): a cancelled run returned an error: %v", s, opts.TargetFailures, err)
+			}
+			if !r.Partial || r.Trials != 0 {
+				t.Errorf("%s (target %d): not an empty partial: %+v", s, opts.TargetFailures, r)
+			}
+		}
+	}
+}
+
 func TestSimulatePerformanceContextCancel(t *testing.T) {
 	b, _ := BenchmarkByName("mcf")
 	ctx, cancel := context.WithCancel(context.Background())

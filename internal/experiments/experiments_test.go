@@ -71,10 +71,10 @@ func TestNegativeTrialsRejected(t *testing.T) {
 	}
 }
 
-// TestCompareReliabilityContextCancelled: once the context is cancelled,
-// every scheme of a comparison returns at once as an empty partial
-// Result, in the order the schemes were given and under their names.
-func TestCompareReliabilityContextCancelled(t *testing.T) {
+// TestCompareContextCancelled: once the context is cancelled, every
+// scheme of a comparison returns at once as an empty partial Result, in
+// the order the schemes were given and under their names.
+func TestCompareContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	opt := Options{Trials: 10000, Seed: 1, ctx: ctx}

@@ -266,6 +266,25 @@ func TestCensusTable3Shape(t *testing.T) {
 	}
 }
 
+// TestRunAllPreservesOrder: policies run in turn under the same options,
+// as a comparison runs them, report in the order given and under their
+// predicate's name, unless Policy.Name overrides it.
+func TestRunAllPreservesOrder(t *testing.T) {
+	opt := testOptions(500, 10, 0)
+	pols := []Policy{
+		{Predicate: ecc.NoProtection{}},
+		{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)},
+		{Name: "3DP (named)", Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)},
+	}
+	var rs []Result
+	for _, p := range pols {
+		rs = append(rs, Run(opt, p))
+	}
+	if len(rs) != 3 || rs[0].Policy != "None" || rs[1].Policy != "3DP" || rs[2].Policy != "3DP (named)" {
+		t.Errorf("order/naming wrong: %+v", rs)
+	}
+}
+
 func TestScrubClearsTransients(t *testing.T) {
 	// Two transient bank faults in different scrub intervals must not
 	// collide; simulate directly through trialState.
