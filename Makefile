@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck test race determinism fuzz bench-module check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
+.PHONY: all build fmt vet staticcheck test race determinism fuzz bench-module scenario-smoke check stress-jobs stress-cluster stress-stream bench bench.out bench-check bench-all clean
 
 all: check
 

@@ -151,7 +151,10 @@ func BenchmarkAblationSpareRows(b *testing.B) {
 	b.ResetTimer()
 	var escape4 float64
 	for i := 0; i < b.N; i++ {
-		c := citadel.RunFaultCensus(context.Background(), opts)
+		c, err := citadel.RunFaultCensus(context.Background(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
 		total, over := 0, 0
 		for rows, n := range c.RowsHistogram {
 			total += n

@@ -31,6 +31,7 @@ package citadel
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/fault"
@@ -253,6 +254,8 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 		Config:             o.Config,
 		Rates:              o.Rates,
 		Trials:             o.Trials,
+		TargetFailures:     o.TargetFailures,
+		MaxTrials:          o.MaxTrials,
 		LifetimeHours:      o.LifetimeYears * fault.HoursPerYear,
 		ScrubIntervalHours: o.ScrubIntervalHours,
 		Seed:               o.Seed,
@@ -270,6 +273,8 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 // It is the one home of every rejected setting and feature combination:
 //   - a negative Trials, TargetFailures or MaxTrials (zero selects the
 //     default), or a MaxTrials without TargetFailures;
+//   - a LifetimeYears that is negative, NaN or infinite, a negative or
+//     NaN ScrubIntervalHours, or a negative or NaN FIT rate;
 //   - an unknown scheme, fault model or scenario parameter, or a parameter
 //     value the scheme or fault-model plugin refuses;
 //   - a BiasFactor without RareEvent, or below 1;
@@ -300,6 +305,10 @@ func (o ReliabilityOptions) setup(scheme Scheme) (pol faultsim.Policy, eo faults
 		return pol, eo, fmt.Errorf("citadel: targetFailures and maxTrials must be non-negative, got %d and %d", o.TargetFailures, o.MaxTrials)
 	case o.MaxTrials != 0 && o.TargetFailures == 0:
 		return pol, eo, fmt.Errorf("citadel: maxTrials requires targetFailures")
+	case !(o.LifetimeYears >= 0 && o.LifetimeYears < math.Inf(1)):
+		return pol, eo, fmt.Errorf("citadel: lifetimeYears must be finite and non-negative, got %g", o.LifetimeYears)
+	case !(o.ScrubIntervalHours >= 0):
+		return pol, eo, fmt.Errorf("citadel: scrubIntervalHours must be non-negative, got %g", o.ScrubIntervalHours)
 	case o.BiasFactor != 0 && !o.RareEvent:
 		return pol, eo, fmt.Errorf("citadel: biasFactor requires rareEvent")
 	case o.BiasFactor != 0 && o.BiasFactor < 1:
@@ -307,6 +316,9 @@ func (o ReliabilityOptions) setup(scheme Scheme) (pol faultsim.Policy, eo faults
 	case o.RareEvent && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel:
 		return pol, eo, fmt.Errorf("citadel: rare-event sampling supports only the %q fault model, not %q",
 			scenario.DefaultFaultModel, o.FaultModel)
+	}
+	if err = o.Rates.Validate(); err != nil {
+		return pol, eo, err
 	}
 	if pol, err = buildPolicy(string(scheme), o.Config, params, o.TSVSwap); err != nil {
 		return pol, eo, err
@@ -335,13 +347,6 @@ func Simulate(ctx context.Context, opts ReliabilityOptions, scheme Scheme) (Resu
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.TargetFailures > 0 {
-		return faultsim.RunAdaptiveContext(ctx, faultsim.AdaptiveOptions{
-			Options:        eo,
-			TargetFailures: opts.TargetFailures,
-			MaxTrials:      opts.MaxTrials,
-		}, pol), nil
-	}
 	return faultsim.RunContext(ctx, eo, pol), nil
 }
 
@@ -359,11 +364,24 @@ func SimulateScenarioReliabilityContext(ctx context.Context, opts ReliabilityOpt
 // distribution (Table III).
 type FaultCensus = faultsim.Census
 
-// RunFaultCensus performs the census behind Figure 17 and Table III. A
-// cancelled census returns the tallies gathered so far, marked Partial.
-func RunFaultCensus(ctx context.Context, opts ReliabilityOptions) FaultCensus {
+// RunFaultCensus performs the census behind Figure 17 and Table III over
+// the lifetimes of opts.FaultModel. A census never fails a trial, so it
+// rejects the settings that weigh or count failures: RareEvent,
+// BiasFactor, TargetFailures and MaxTrials; Validate's other rejections
+// apply as well. A cancelled census returns the tallies gathered so far,
+// marked Partial.
+func RunFaultCensus(ctx context.Context, opts ReliabilityOptions) (FaultCensus, error) {
+	if opts.RareEvent || opts.BiasFactor != 0 || opts.TargetFailures != 0 || opts.MaxTrials != 0 {
+		return FaultCensus{}, fmt.Errorf("citadel: a census takes no rareEvent, biasFactor, targetFailures or maxTrials")
+	}
+	// The census runs no scheme; None declares no parameters, so setup
+	// checks the settings and builds the fault model alone.
 	opts = opts.withDefaults()
-	return faultsim.RunCensusContext(ctx, opts.engineOptions(), opts.TSVSwap)
+	_, eo, err := opts.setup(SchemeNone)
+	if err != nil {
+		return FaultCensus{}, err
+	}
+	return faultsim.RunCensusContext(ctx, eo, opts.TSVSwap), nil
 }
 
 // StorageOverhead reports Citadel's storage budget (paper §VII-E): the

@@ -101,12 +101,39 @@ func TestStorageOverheadMatchesPaper(t *testing.T) {
 	}
 }
 
+// TestRunFaultCensus: the census draws from the fault model it is given,
+// and rejects what it cannot honour.
 func TestRunFaultCensus(t *testing.T) {
+	ctx := context.Background()
 	rates := Table1Rates()
 	rates.BankPermanent *= 100
-	c := RunFaultCensus(context.Background(), ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true})
+	opts := ReliabilityOptions{Rates: rates, Trials: 2000, Seed: 5, TSVSwap: true}
+	c, err := RunFaultCensus(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.FaultyBankTotal() == 0 {
 		t.Error("census empty")
+	}
+	hammer := opts
+	hammer.FaultModel = "rowhammer"
+	if h, err := RunFaultCensus(ctx, hammer); err != nil || reflect.DeepEqual(h, c) {
+		t.Errorf("rowhammer census (err %v) equals the Poisson census", err)
+	}
+	for _, bad := range []func(*ReliabilityOptions){
+		func(o *ReliabilityOptions) { o.FaultModel = "meteor" },
+		func(o *ReliabilityOptions) { o.ScenarioParams = map[string]float64{"warp": 1} },
+		func(o *ReliabilityOptions) { o.RareEvent = true },
+		func(o *ReliabilityOptions) { o.BiasFactor = 4 },
+		func(o *ReliabilityOptions) { o.TargetFailures = 10 },
+		func(o *ReliabilityOptions) { o.MaxTrials = 10 },
+		func(o *ReliabilityOptions) { o.LifetimeYears = -1 },
+	} {
+		o := opts
+		bad(&o)
+		if c, err := RunFaultCensus(ctx, o); err == nil {
+			t.Errorf("census accepted %+v: %d trials", o, c.Trials)
+		}
 	}
 }
 

@@ -24,30 +24,6 @@ import (
 	"repro/internal/obs/trace"
 )
 
-func parseStriping(s string) (citadel.Striping, bool) {
-	switch s {
-	case "same-bank":
-		return citadel.SameBank, true
-	case "across-banks":
-		return citadel.AcrossBanks, true
-	case "across-channels":
-		return citadel.AcrossChannels, true
-	}
-	return citadel.SameBank, false
-}
-
-func parseProtection(s string) (citadel.Protection, bool) {
-	switch s {
-	case "none":
-		return citadel.NoProtection, true
-	case "3dp":
-		return citadel.Protection3DP, true
-	case "3dp-no-cache":
-		return citadel.Protection3DPNoCache, true
-	}
-	return citadel.NoProtection, false
-}
-
 func main() {
 	var (
 		benchmark  = flag.String("benchmark", "all", "benchmark name or 'all'")
@@ -68,14 +44,9 @@ func main() {
 		}
 		return
 	}
-	st, ok := parseStriping(*striping)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown striping %q\n", *striping)
-		os.Exit(2)
-	}
-	prot, ok := parseProtection(*protection)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown protection %q\n", *protection)
+	st, prot, err := citadel.ParsePerfNames(*striping, *protection)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

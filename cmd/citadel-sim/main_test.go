@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,25 +36,38 @@ func runSim(t *testing.T, args ...string) {
 
 // TestNegativeTrialsExitTwo: a negative -trials, -target-failures or
 // -max-trials is a usage error (exit 2), in adaptive mode too, and so is
-// a -max-trials without -target-failures, in direct and durable mode.
+// a -max-trials without -target-failures, in direct and durable mode, and
+// a negative or NaN -years, -scrub or FIT rate. A Go panic exits 2 as
+// well, so the output must name the offending setting and hold no panic.
 // The timeout turns a run that never ends into a failure.
 func TestNegativeTrialsExitTwo(t *testing.T) {
-	for _, args := range [][]string{
-		{"-trials", "-5"},
-		{"-trials", "-5", "-target-failures", "10", "-max-trials", "40000"},
-		{"-trials", "1000", "-target-failures", "-1"},
-		{"-trials", "1000", "-target-failures", "10", "-max-trials", "-1"},
-		{"-trials", "1000", "-max-trials", "5"},
-		{"-trials", "1000", "-max-trials", "5", "-job-dir", t.TempDir()},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "-5"}, "-5"},
+		{[]string{"-trials", "-5", "-target-failures", "10", "-max-trials", "40000"}, "-5"},
+		{[]string{"-trials", "1000", "-target-failures", "-1"}, "-1"},
+		{[]string{"-trials", "1000", "-target-failures", "10", "-max-trials", "-1"}, "-1"},
+		{[]string{"-trials", "1000", "-max-trials", "5"}, "maxTrials"},
+		{[]string{"-trials", "1000", "-max-trials", "5", "-job-dir", t.TempDir()}, "-max-trials"},
+		{[]string{"-trials", "2000", "-years", "-1"}, "-1"},
+		{[]string{"-trials", "2000", "-years", "NaN"}, "NaN"},
+		{[]string{"-trials", "2000", "-scrub", "-5"}, "-5"},
+		{[]string{"-trials", "2000", "-tsv-fit", "-5"}, "-5"},
+		{[]string{"-trials", "2000", "-years", "-1", "-job-dir", t.TempDir()}, "-1"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-progress", "0", "-scheme", "Citadel"}, args...)...)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-progress", "0", "-scheme", "Citadel"}, tc.args...)...)
 		cmd.Env = append(os.Environ(), "CITADEL_SIM_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("citadel-sim %v: %v, want exit status 2\n%s", args, err, out)
+			t.Errorf("citadel-sim %v: %v, want exit status 2\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "panic:") {
+			t.Errorf("citadel-sim %v: output should name %q and hold no panic:\n%s", tc.args, tc.want, out)
 		}
 	}
 }

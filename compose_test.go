@@ -2,6 +2,7 @@ package citadel
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -108,6 +109,13 @@ func TestValidateRejections(t *testing.T) {
 		{"negative target", ReliabilityOptions{TargetFailures: -1}, SchemeCitadel, "non-negative"},
 		{"negative cap", ReliabilityOptions{TargetFailures: 10, MaxTrials: -1}, SchemeCitadel, "non-negative"},
 		{"cap without target", ReliabilityOptions{MaxTrials: 5}, SchemeCitadel, "requires targetFailures"},
+		{"negative lifetime", ReliabilityOptions{LifetimeYears: -1}, SchemeCitadel, "lifetimeYears"},
+		{"NaN lifetime", ReliabilityOptions{LifetimeYears: math.NaN()}, SchemeCitadel, "lifetimeYears"},
+		{"infinite lifetime", ReliabilityOptions{LifetimeYears: math.Inf(1)}, SchemeCitadel, "lifetimeYears"},
+		{"negative scrub", ReliabilityOptions{ScrubIntervalHours: -5}, SchemeCitadel, "scrubIntervalHours"},
+		{"NaN scrub", ReliabilityOptions{ScrubIntervalHours: math.NaN()}, SchemeCitadel, "scrubIntervalHours"},
+		{"negative rate", ReliabilityOptions{Rates: Table1Rates().WithTSV(-5)}, SchemeCitadel, "TSVPerDie"},
+		{"NaN rate", ReliabilityOptions{Rates: FITRates{RowPermanent: math.NaN()}}, SchemeCitadel, "RowPermanent"},
 	} {
 		err := tc.opts.Validate(tc.scheme)
 		switch {
@@ -120,6 +128,9 @@ func TestValidateRejections(t *testing.T) {
 	// Simulate returns the same error, with a zero Result.
 	if res, err := Simulate(context.Background(), ReliabilityOptions{Trials: 10}, "no-such-scheme"); err == nil || res.Trials != 0 {
 		t.Errorf("unknown scheme ran: %+v, %v", res, err)
+	}
+	if res, err := Simulate(context.Background(), ReliabilityOptions{Trials: 10, LifetimeYears: -1}, SchemeCitadel); err == nil || res.Trials != 0 {
+		t.Errorf("negative lifetime ran: %+v, %v", res, err)
 	}
 }
 

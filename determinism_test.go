@@ -51,7 +51,7 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 			}, SchemeCitadel)
 		}},
 		{"census", func(w int) (any, error) {
-			return RunFaultCensus(ctx, ReliabilityOptions{Rates: hot, Trials: 2000, Seed: 7, Workers: w, TSVSwap: true}), nil
+			return RunFaultCensus(ctx, ReliabilityOptions{Rates: hot, Trials: 2000, Seed: 7, Workers: w, TSVSwap: true})
 		}},
 		{"adaptive in 500-trial batches", func(w int) (any, error) {
 			return Simulate(ctx, ReliabilityOptions{
@@ -97,6 +97,39 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 		golden = append(golden, goldenRecord{Spec: spec.name, Result: want})
 	}
 	checkGolden(t, filepath.Join("testdata", "simulate_golden.json"), golden)
+}
+
+// TestAdaptiveMatchesFixedRunReproducible: an adaptive run is the fixed
+// run with a stop rule. Trial t draws from the seed's stream t whatever
+// its batch, and the executor folds importance weights once, in trial
+// order, over the whole run, so an adaptive run that never meets its
+// target over 8 batches is DeepEqual to the fixed run of MaxTrials
+// trials, weights included.
+func TestAdaptiveMatchesFixedRunReproducible(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		opts   ReliabilityOptions
+		scheme Scheme
+	}{
+		{"plain with forensics", ReliabilityOptions{Rates: scaledTable1(30).WithTSV(1430), Seed: 3, Forensics: true}, SchemeCitadel},
+		{"importance sampling", ReliabilityOptions{Rates: scaledTable1(10).WithTSV(1430), Seed: 5, RareEvent: true, BiasFactor: 16}, SchemeCitadel},
+	} {
+		fixed, adaptive := tc.opts, tc.opts
+		fixed.Trials = 8000
+		adaptive.Trials, adaptive.TargetFailures, adaptive.MaxTrials = 1000, 1<<30, 8000
+		want, err := Simulate(ctx, fixed, tc.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Simulate(ctx, adaptive, tc.scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TargetMet || got.Trials != 8000 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: adaptive run differs from the fixed run:\n got %+v\nwant %+v", tc.name, got, want)
+		}
+	}
 }
 
 // checkGolden compares records, as indented JSON, with the fixture at

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -34,7 +35,7 @@ func within(t *testing.T, name string, mc faultsim.Result, analytic float64, rel
 func TestNoProtectionMatchesAnalytic(t *testing.T) {
 	cfg := stack.DefaultConfig()
 	r := fault.Table1().WithTSV(143)
-	mc := faultsim.Run(mcOptions(40000, r), faultsim.Policy{Predicate: ecc.NoProtection{}})
+	mc := faultsim.RunContext(context.Background(), mcOptions(40000, r), faultsim.Policy{Predicate: ecc.NoProtection{}})
 	want := PFailNone(cfg, r, fault.LifetimeHours)
 	within(t, "none", mc, want, 0.02)
 }
@@ -44,7 +45,7 @@ func TestSameBankSymbolMatchesFatalSingles(t *testing.T) {
 	// and address-TSV singles; pair terms are second-order.
 	cfg := stack.DefaultConfig()
 	r := fault.Table1().WithTSV(143)
-	mc := faultsim.Run(mcOptions(40000, r), faultsim.Policy{
+	mc := faultsim.RunContext(context.Background(), mcOptions(40000, r), faultsim.Policy{
 		Predicate: ecc.NewSymbol8(cfg, stack.SameBank),
 	})
 	want := PFailSingles(cfg, r, fault.LifetimeHours, FatalSingleRate{
@@ -62,7 +63,7 @@ func TestThreeDPMatchesPairApproximation(t *testing.T) {
 	r := fault.Table1()
 	r.BankPermanent *= 10
 	r.ColumnPermanent *= 10
-	mc := faultsim.Run(mcOptions(30000, r), faultsim.Policy{
+	mc := faultsim.RunContext(context.Background(), mcOptions(30000, r), faultsim.Policy{
 		Predicate: ecc.NewParity(cfg, parity.ThreeDP),
 	})
 	want := PFail3DPNoDDS(cfg, r, fault.LifetimeHours)

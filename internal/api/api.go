@@ -13,6 +13,7 @@
 package api
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -548,16 +549,8 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Trials < 0 || req.MaxTrials < 0 || req.TargetFailures < 0 {
-		s.writeError(w, http.StatusBadRequest, "trials, maxTrials and targetFailures must be non-negative")
-		return
-	}
 	if req.MaxExemplars < 0 || req.MaxExemplars > maxExemplarsPerCall {
 		s.writeError(w, http.StatusBadRequest, "maxExemplars must be in [0, %d]", maxExemplarsPerCall)
-		return
-	}
-	if req.LifetimeYears < 0 || req.ScrubHours < 0 || req.TSVFIT < 0 {
-		s.writeError(w, http.StatusBadRequest, "lifetimeYears, scrubHours and tsvFit must be non-negative")
 		return
 	}
 	if req.Trials == 0 {
@@ -675,28 +668,9 @@ func (s *Server) handlePerformance(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "unknown benchmark %q", req.Benchmark)
 		return
 	}
-	var striping citadel.Striping
-	switch req.Striping {
-	case "", "same-bank":
-		striping = citadel.SameBank
-	case "across-banks":
-		striping = citadel.AcrossBanks
-	case "across-channels":
-		striping = citadel.AcrossChannels
-	default:
-		s.writeError(w, http.StatusBadRequest, "unknown striping %q", req.Striping)
-		return
-	}
-	var prot citadel.Protection
-	switch req.Protection {
-	case "", "none":
-		prot = citadel.NoProtection
-	case "3dp":
-		prot = citadel.Protection3DP
-	case "3dp-no-cache":
-		prot = citadel.Protection3DPNoCache
-	default:
-		s.writeError(w, http.StatusBadRequest, "unknown protection %q", req.Protection)
+	striping, prot, err := citadel.ParsePerfNames(cmp.Or(req.Striping, "same-bank"), cmp.Or(req.Protection, "none"))
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Requests < 0 {

@@ -202,6 +202,16 @@ func simulate(opt Options, o citadel.ReliabilityOptions, scheme citadel.Scheme) 
 	return res
 }
 
+// census runs the fault census under the experiment's context; as in
+// simulate, an error can only mean a bug.
+func census(opt Options, o citadel.ReliabilityOptions) citadel.FaultCensus {
+	c, err := citadel.RunFaultCensus(opt.context(), o)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: census: %v", err))
+	}
+	return c
+}
+
 // compare runs several schemes under identical options, in order. Once
 // the context is cancelled, the in-flight scheme returns a partial Result
 // and the remaining schemes return at once with zero trials, all marked
@@ -553,7 +563,7 @@ func Fig17(opt Options) Report {
 	o.Rates.RowPermanent *= 50
 	o.Rates.BankPermanent *= 50
 	phaseStart := time.Now()
-	c := citadel.RunFaultCensus(opt.context(), o)
+	c := census(opt, o)
 	opt.phase("fig17", "census", phaseStart)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %12s %10s\n", "Rows needed for sparing", "Faulty banks", "Percent")
@@ -583,7 +593,7 @@ func pctBelow(c citadel.FaultCensus, limit int) float64 {
 func Table3(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
-	c := citadel.RunFaultCensus(opt.context(), o)
+	c := census(opt, o)
 	opt.phase("table3", "census", phaseStart)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %12s\n", "Num faulty banks", "Probability")

@@ -24,7 +24,7 @@ func ReadRates(rd io.Reader) (Rates, error) {
 	if r.SubArrayRows == 0 {
 		r.SubArrayRows = 5200
 	}
-	if err := validateRates(r); err != nil {
+	if err := r.Validate(); err != nil {
 		return Rates{}, err
 	}
 	return r, nil
@@ -40,8 +40,9 @@ func LoadRates(path string) (Rates, error) {
 	return ReadRates(f)
 }
 
-// validateRates rejects impossible inputs.
-func validateRates(r Rates) error {
+// Validate rejects impossible rates: a negative or NaN FIT rate, a
+// SubArrayFraction outside [0,1], or a negative SubArrayRows.
+func (r Rates) Validate() error {
 	fields := map[string]float64{
 		"BitTransient": r.BitTransient, "BitPermanent": r.BitPermanent,
 		"WordTransient": r.WordTransient, "WordPermanent": r.WordPermanent,
@@ -51,11 +52,11 @@ func validateRates(r Rates) error {
 		"TSVPerDie": r.TSVPerDie,
 	}
 	for name, v := range fields {
-		if v < 0 {
+		if !(v >= 0) {
 			return fmt.Errorf("fault: %s must be non-negative, got %v", name, v)
 		}
 	}
-	if r.SubArrayFraction < 0 || r.SubArrayFraction > 1 {
+	if !(r.SubArrayFraction >= 0 && r.SubArrayFraction <= 1) {
 		return fmt.Errorf("fault: SubArrayFraction must be in [0,1], got %v", r.SubArrayFraction)
 	}
 	if r.SubArrayRows < 0 {

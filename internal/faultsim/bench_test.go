@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -34,7 +35,7 @@ func benchRun(b *testing.B, disableIncremental bool) {
 		DisableIncremental: disableIncremental,
 	}.withDefaults()
 	b.ResetTimer()
-	r := Run(opt, benchPolicy(opt.Config))
+	r := RunContext(context.Background(), opt, benchPolicy(opt.Config))
 	b.ReportMetric(float64(r.Trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
@@ -61,7 +62,7 @@ func BenchmarkShortCampaigns(b *testing.B) {
 	for done := 0; done < b.N; done += campaign {
 		opt.Trials = min(campaign, b.N-done)
 		opt.Seed = int64(done)
-		Run(opt, pol)
+		RunContext(context.Background(), opt, pol)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }

@@ -80,16 +80,13 @@ func (c Census) SortedRowCounts() []int {
 	return keys
 }
 
-// RunCensus simulates lifetimes and tallies permanent-fault anatomy.
-// useTSVSwap filters TSV faults through TSV-SWAP first, as the DDS analysis
-// assumes (paper §V-D: "all systems employ TSV-Swap for the remainder").
-func RunCensus(opt Options, useTSVSwap bool) Census {
-	return RunCensusContext(context.Background(), opt, useTSVSwap)
-}
-
-// RunCensusContext is RunCensus under a context: the executor checks ctx
-// between trial batches and a cancelled run returns the tallies gathered
-// so far, marked Partial.
+// RunCensusContext simulates lifetimes and tallies permanent-fault
+// anatomy. useTSVSwap filters TSV faults through TSV-SWAP first, as the
+// DDS analysis assumes (paper §V-D: "all systems employ TSV-Swap for the
+// remainder"). The executor checks ctx between trial blocks and a
+// cancelled run returns the tallies gathered so far, marked Partial. A
+// census never fails a trial, so a TargetFailures in opt runs it to
+// MaxTrials.
 func RunCensusContext(ctx context.Context, opt Options, useTSVSwap bool) Census {
 	c := Census{
 		RowsHistogram:        make(map[int]int),

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -74,24 +75,16 @@ func TestCI95NeverZero(t *testing.T) {
 // target and giving up at MaxTrials used to produce indistinguishable
 // results.
 func TestTargetMetDistinguishesConvergenceFromCap(t *testing.T) {
-	metOpt := AdaptiveOptions{
-		Options:        testOptions(2000, 100, 0),
-		TargetFailures: 10,
-		BatchTrials:    2000,
-		MaxTrials:      20000,
-	}
-	met := RunAdaptive(metOpt, Policy{Predicate: ecc.NewParity(metOpt.Config, parity.OneDP)})
+	metOpt := testOptions(2000, 100, 0)
+	metOpt.TargetFailures, metOpt.MaxTrials = 10, 20000
+	met := RunContext(context.Background(), metOpt, Policy{Predicate: ecc.NewParity(metOpt.Config, parity.OneDP)})
 	if met.Failures >= 10 && !met.TargetMet {
 		t.Errorf("run reached %d failures (target 10) but TargetMet is false", met.Failures)
 	}
 	// Citadel-grade protection at base rates: the cap stops the run short.
-	capOpt := AdaptiveOptions{
-		Options:        testOptions(1000, 1, 0),
-		TargetFailures: 100,
-		BatchTrials:    1000,
-		MaxTrials:      3000,
-	}
-	capped := RunAdaptive(capOpt, Policy{
+	capOpt := testOptions(1000, 1, 0)
+	capOpt.TargetFailures, capOpt.MaxTrials = 100, 3000
+	capped := RunContext(context.Background(), capOpt, Policy{
 		Predicate: ecc.NewParity(capOpt.Config, parity.ThreeDP),
 		NewSparer: ddsSparer,
 	})
@@ -99,7 +92,7 @@ func TestTargetMetDistinguishesConvergenceFromCap(t *testing.T) {
 		t.Errorf("capped run (%d failures of 100) claims TargetMet", capped.Failures)
 	}
 	// Fixed-budget runs never claim convergence.
-	fixed := Run(testOptions(500, 100, 0), Policy{Predicate: ecc.NewParity(capOpt.Config, parity.OneDP)})
+	fixed := RunContext(context.Background(), testOptions(500, 100, 0), Policy{Predicate: ecc.NewParity(capOpt.Config, parity.OneDP)})
 	if fixed.TargetMet {
 		t.Error("fixed-budget Run set TargetMet")
 	}

@@ -103,42 +103,53 @@ func (a *loggedArrivals) AppendLifetime(rng *rand.Rand, hours float64, dst []fau
 // contract, which per-worker plugins and tracers rely on: each worker
 // builds its arrival source, incremental state, sparer and observer
 // exactly once, on its own goroutine, and flushes its observer once after
-// its last trial.
+// its last trial — in an adaptive run too, whose batches all run on the
+// same workers.
 func TestExecutorPerWorkerConstruction(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	log := &constructionLog{built: map[uint64]map[string]int{}, flushed: map[uint64]int{}}
-	opt := testOptions(3000, 20, 1000)
-	opt.Workers = 3
-	opt.NewArrivals = func() Arrivals {
-		return &loggedArrivals{Sampler: fault.NewSampler(opt.Config, opt.Rates), log: log, id: log.note("NewArrivals")}
-	}
-	pol := Policy{
-		Predicate: loggedPredicate{ecc.NewParity(opt.Config, parity.ThreeDP), log},
-		NewSparer: func(cfg stack.Config) Sparer {
-			log.note("NewSparer")
-			return ddsSparer(cfg)
-		},
-		NewObserver: func(stack.Config) Observer {
-			return &loggedObserver{log: log, id: log.note("NewObserver")}
-		},
-	}
-	if res := Run(opt, pol); res.Trials != opt.Trials || res.Failures == 0 {
-		t.Fatalf("run too weak to exercise the seams: %s", res)
-	}
-	for _, msg := range log.errs {
-		t.Error(msg)
-	}
-	if len(log.built) != opt.Workers {
-		t.Fatalf("seams built on %d goroutines, want one per worker (%d)", len(log.built), opt.Workers)
-	}
-	for id, seams := range log.built {
-		for _, seam := range []string{"NewArrivals", "Begin", "NewSparer", "NewObserver"} {
-			if seams[seam] != 1 {
-				t.Errorf("goroutine %d called %s %d times, want once", id, seam, seams[seam])
-			}
+	for _, tc := range []struct {
+		name                      string
+		trials, target, maxTrials int
+	}{
+		{"fixed", 3000, 0, 0},
+		{"adaptive over 4 batches", 1000, 1 << 30, 4000},
+	} {
+		log := &constructionLog{built: map[uint64]map[string]int{}, flushed: map[uint64]int{}}
+		opt := testOptions(tc.trials, 20, 1000)
+		opt.Workers = 3
+		opt.TargetFailures, opt.MaxTrials = tc.target, tc.maxTrials
+		opt.NewArrivals = func() Arrivals {
+			return &loggedArrivals{Sampler: fault.NewSampler(opt.Config, opt.Rates), log: log, id: log.note("NewArrivals")}
 		}
-		if log.flushed[id] != 1 {
-			t.Errorf("goroutine %d flushed its observer %d times, want once", id, log.flushed[id])
+		pol := Policy{
+			Predicate: loggedPredicate{ecc.NewParity(opt.Config, parity.ThreeDP), log},
+			NewSparer: func(cfg stack.Config) Sparer {
+				log.note("NewSparer")
+				return ddsSparer(cfg)
+			},
+			NewObserver: func(stack.Config) Observer {
+				return &loggedObserver{log: log, id: log.note("NewObserver")}
+			},
+		}
+		want := max(tc.trials, tc.maxTrials)
+		if res := RunContext(context.Background(), opt, pol); res.Trials != want || res.Failures == 0 {
+			t.Fatalf("%s: run too weak to exercise the seams: %s", tc.name, res)
+		}
+		for _, msg := range log.errs {
+			t.Errorf("%s: %s", tc.name, msg)
+		}
+		if len(log.built) != opt.Workers {
+			t.Fatalf("%s: seams built on %d goroutines, want one per worker (%d)", tc.name, len(log.built), opt.Workers)
+		}
+		for id, seams := range log.built {
+			for _, seam := range []string{"NewArrivals", "Begin", "NewSparer", "NewObserver"} {
+				if seams[seam] != 1 {
+					t.Errorf("%s: goroutine %d called %s %d times, want once", tc.name, id, seam, seams[seam])
+				}
+			}
+			if log.flushed[id] != 1 {
+				t.Errorf("%s: goroutine %d flushed its observer %d times, want once", tc.name, id, log.flushed[id])
+			}
 		}
 	}
 }

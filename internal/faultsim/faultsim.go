@@ -125,9 +125,21 @@ func (p Policy) name() string {
 
 // Options configures a Monte Carlo run.
 type Options struct {
-	Config             stack.Config
-	Rates              fault.Rates
-	Trials             int
+	Config stack.Config
+	Rates  fault.Rates
+	// Trials is the trial count of a fixed run, and the batch size of an
+	// adaptive one.
+	Trials int
+	// TargetFailures, when positive, makes the run adaptive: it runs
+	// batches of Trials trials until a batch ends with at least this many
+	// failing trials in the run, or MaxTrials trials have run — the
+	// paper's "more trials for schemes that show lower failure rates"
+	// (§III-B). Result.TargetMet tells the two stops apart. Zero runs
+	// exactly Trials trials.
+	TargetFailures int
+	// MaxTrials caps an adaptive run (default 10 × Trials). A fixed run
+	// ignores it.
+	MaxTrials          int
 	LifetimeHours      float64 // default: fault.LifetimeHours (7 years)
 	ScrubIntervalHours float64 // default: 12
 	// Seed selects the sample: trial t draws its lifetime from its own
@@ -213,6 +225,9 @@ func (o Options) withDefaults() Options {
 	if o.Trials == 0 {
 		o.Trials = 100000
 	}
+	if o.TargetFailures > 0 && o.MaxTrials == 0 {
+		o.MaxTrials = 10 * o.Trials
+	}
 	if max := runtime.GOMAXPROCS(0); o.Workers <= 0 || o.Workers > max {
 		o.Workers = max
 	}
@@ -267,9 +282,9 @@ type Result struct {
 	// FailWeightByYear is the weighted analogue of FailuresByYear
 	// (cumulative). Nil unless Weighted.
 	FailWeightByYear []float64
-	// TargetMet reports, for adaptive runs (RunAdaptive), that the
-	// failure target was reached before the trial cap — i.e. the run
-	// converged rather than gave up at MaxTrials. Always false for
+	// TargetMet reports, for adaptive runs (Options.TargetFailures > 0),
+	// that the failure target was reached before the trial cap — i.e. the
+	// run converged rather than gave up at MaxTrials. Always false for
 	// fixed-budget runs.
 	TargetMet bool
 	// Partial reports that the run was cancelled before all requested
@@ -634,15 +649,10 @@ func (ts *trialState) runSingle(f fault.Fault) (float64, fault.Class) {
 	return -1, 0
 }
 
-// Run estimates the failure probability of a policy over the full trial
-// budget; it cannot be interrupted (see RunContext).
-func Run(opt Options, pol Policy) Result {
-	return RunContext(context.Background(), opt, pol)
-}
-
-// RunContext estimates the failure probability of a policy. Worker
-// goroutines check ctx between trial blocks (cancelCheckInterval); on
-// cancellation the completed trials are merged into a Result marked
+// RunContext estimates the failure probability of a policy, over a fixed
+// trial budget or, with opt.TargetFailures set, adaptively (see execute).
+// Worker goroutines check ctx between trial blocks (cancelCheckInterval);
+// on cancellation the completed trials are merged into a Result marked
 // Partial rather than discarded. An arrival source implementing
 // ArrivalWeights makes the Result Weighted.
 func RunContext(ctx context.Context, opt Options, pol Policy) Result {
@@ -657,6 +667,7 @@ func RunContext(ctx context.Context, opt Options, pol Policy) Result {
 		Failures:       failures,
 		FailuresByYear: make([]int, years),
 		CauseCounts:    make(map[string]int),
+		TargetMet:      opt.TargetFailures > 0 && failures >= opt.TargetFailures,
 		Partial:        err != nil,
 		Err:            err,
 	}

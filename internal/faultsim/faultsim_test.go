@@ -54,8 +54,8 @@ func TestDeterministicWithSeed(t *testing.T) {
 	opt := testOptions(2000, 10, 0)
 	opt.Workers = 3
 	pol := Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)}
-	a := Run(opt, pol)
-	b := Run(opt, pol)
+	a := RunContext(context.Background(), opt, pol)
+	b := RunContext(context.Background(), opt, pol)
 	if a.Failures != b.Failures {
 		t.Errorf("same seed produced %d and %d failures", a.Failures, b.Failures)
 	}
@@ -65,7 +65,7 @@ func TestNoProtectionMatchesPoissonRate(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(20000, 10, 0)
 	pol := Policy{Predicate: ecc.NoProtection{}}
-	res := Run(opt, pol)
+	res := RunContext(context.Background(), opt, pol)
 	// P(fail) = P(at least one fault) = 1 - exp(-lambda).
 	lambda := opt.Rates.TotalPerDie() * 1e-9 * fault.LifetimeHours *
 		float64(opt.Config.Stacks*(opt.Config.DataDies+opt.Config.ECCDies))
@@ -79,7 +79,7 @@ func TestNoProtectionMatchesPoissonRate(t *testing.T) {
 func TestFailuresByYearMonotone(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(5000, 20, 0)
-	res := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	res := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
 	if len(res.FailuresByYear) != 7 {
 		t.Fatalf("years tracked = %d, want 7", len(res.FailuresByYear))
 	}
@@ -97,9 +97,9 @@ func TestParityDimensionOrdering(t *testing.T) {
 	skipInShort(t)
 	// Figure 14's qualitative result: more dimensions, fewer failures.
 	opt := testOptions(8000, 40, 0)
-	r1 := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
-	r2 := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.TwoDP)})
-	r3 := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
+	r1 := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	r2 := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.TwoDP)})
+	r3 := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
 	if !(r1.Failures >= r2.Failures && r2.Failures >= r3.Failures) {
 		t.Errorf("failures not monotone in dimensions: 1DP=%d 2DP=%d 3DP=%d",
 			r1.Failures, r2.Failures, r3.Failures)
@@ -115,11 +115,11 @@ func TestTSVSwapEffectiveness(t *testing.T) {
 	// even at the highest swept TSV rate.
 	opt := testOptions(8000, 1, 1430)
 	pred := ecc.NewSymbol8(opt.Config, stack.SameBank)
-	noSwap := Run(opt, Policy{Name: "no-swap", Predicate: pred})
-	withSwap := Run(opt, Policy{Name: "swap", Predicate: pred, UseTSVSwap: true})
+	noSwap := RunContext(context.Background(), opt, Policy{Name: "no-swap", Predicate: pred})
+	withSwap := RunContext(context.Background(), opt, Policy{Name: "swap", Predicate: pred, UseTSVSwap: true})
 	optNoTSV := opt
 	optNoTSV.Rates.TSVPerDie = 0
-	noTSV := Run(optNoTSV, Policy{Name: "no-tsv", Predicate: pred})
+	noTSV := RunContext(context.Background(), optNoTSV, Policy{Name: "no-tsv", Predicate: pred})
 	if noSwap.Failures <= withSwap.Failures {
 		t.Errorf("TSV-Swap did not help: noSwap=%d withSwap=%d", noSwap.Failures, withSwap.Failures)
 	}
@@ -142,8 +142,8 @@ func TestDDSImprovesOver3DP(t *testing.T) {
 		Predicate: ecc.NewParity(opt.Config, parity.ThreeDP),
 		NewSparer: ddsSparer,
 	}
-	r3 := Run(opt, p3)
-	rDDS := Run(opt, pDDS)
+	r3 := RunContext(context.Background(), opt, p3)
+	rDDS := RunContext(context.Background(), opt, pDDS)
 	if rDDS.Failures >= r3.Failures {
 		t.Errorf("DDS did not improve: 3DP=%d 3DP+DDS=%d", r3.Failures, rDDS.Failures)
 	}
@@ -160,9 +160,9 @@ func TestStripingReliabilityOrdering(t *testing.T) {
 	// fault (rate-proportional) while Across-Channels only fails on fault
 	// pairs (rate-squared); at 1430 FIT pair failures blur the two.
 	opt := testOptions(20000, 1, 143)
-	sb := Run(opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.SameBank)})
-	ab := Run(opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.AcrossBanks)})
-	ac := Run(opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.AcrossChannels)})
+	sb := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.SameBank)})
+	ab := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.AcrossBanks)})
+	ac := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewSymbol8(opt.Config, stack.AcrossChannels)})
 	if !(sb.Failures > ab.Failures && ab.Failures > ac.Failures) {
 		t.Errorf("striping order violated: same=%d banks=%d channels=%d",
 			sb.Failures, ab.Failures, ac.Failures)
@@ -177,11 +177,11 @@ func TestCitadelBeatsSymbolCode(t *testing.T) {
 	// The headline: TSV-Swap + 3DP + DDS outperforms the striped symbol
 	// code at high TSV rates.
 	opt := testOptions(6000, 20, 1430)
-	symbol := Run(opt, Policy{
+	symbol := RunContext(context.Background(), opt, Policy{
 		Predicate:  ecc.NewSymbol8(opt.Config, stack.AcrossChannels),
 		UseTSVSwap: true,
 	})
-	citadel := Run(opt, Policy{
+	citadel := RunContext(context.Background(), opt, Policy{
 		Name:       "Citadel",
 		Predicate:  ecc.NewParity(opt.Config, parity.ThreeDP),
 		UseTSVSwap: true,
@@ -222,7 +222,7 @@ func TestResultAccessors(t *testing.T) {
 func TestCensusBimodal(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(4000, 100, 0)
-	c := RunCensus(opt, true)
+	c := RunCensusContext(context.Background(), opt, true)
 	if c.FaultyBankTotal() == 0 {
 		t.Fatal("census saw no faulty banks")
 	}
@@ -247,7 +247,7 @@ func TestCensusTable3Shape(t *testing.T) {
 	// Real Table-I rates: bank failures are rare enough that one failed
 	// bank dominates two.
 	opt := testOptions(60000, 1, 0)
-	c := RunCensus(opt, true)
+	c := RunCensusContext(context.Background(), opt, true)
 	if c.TrialsWithBankFailure == 0 {
 		t.Fatal("no systems with bank failures")
 	}
@@ -278,7 +278,7 @@ func TestRunAllPreservesOrder(t *testing.T) {
 	}
 	var rs []Result
 	for _, p := range pols {
-		rs = append(rs, Run(opt, p))
+		rs = append(rs, RunContext(context.Background(), opt, p))
 	}
 	if len(rs) != 3 || rs[0].Policy != "None" || rs[1].Policy != "3DP" || rs[2].Policy != "3DP (named)" {
 		t.Errorf("order/naming wrong: %+v", rs)
@@ -367,13 +367,9 @@ func TestMergeResults(t *testing.T) {
 }
 
 func TestRunAdaptiveStopsAtTarget(t *testing.T) {
-	opt := AdaptiveOptions{
-		Options:        testOptions(2000, 100, 0),
-		TargetFailures: 10,
-		BatchTrials:    2000,
-		MaxTrials:      20000,
-	}
-	r := RunAdaptive(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	opt := testOptions(2000, 100, 0)
+	opt.TargetFailures, opt.MaxTrials = 10, 20000
+	r := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
 	if r.Failures < 10 {
 		t.Errorf("stopped with %d failures (target 10, trials %d)", r.Failures, r.Trials)
 	}
@@ -382,13 +378,15 @@ func TestRunAdaptiveStopsAtTarget(t *testing.T) {
 	}
 }
 
-// TestRunAdaptiveNegativeBatchEnds: a negative batch size (BatchTrials
-// defaults to Options.Trials) ends the run instead of looping over
-// batches that add no trials.
+// TestRunAdaptiveNegativeBatchEnds: a negative batch size (Trials) ends
+// the run instead of looping over batches that add no trials.
 func TestRunAdaptiveNegativeBatchEnds(t *testing.T) {
-	opt := AdaptiveOptions{Options: testOptions(-5, 1, 0), TargetFailures: 10, MaxTrials: 40000}
+	opt := testOptions(-5, 1, 0)
+	opt.TargetFailures, opt.MaxTrials = 10, 40000
 	done := make(chan Result, 1)
-	go func() { done <- RunAdaptive(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)}) }()
+	go func() {
+		done <- RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
+	}()
 	select {
 	case r := <-done:
 		if r.Trials != 0 || r.TargetMet {
@@ -401,17 +399,13 @@ func TestRunAdaptiveNegativeBatchEnds(t *testing.T) {
 
 func TestRunAdaptiveRespectsCap(t *testing.T) {
 	// Citadel at base rates almost never fails: the cap must stop the run.
-	opt := AdaptiveOptions{
-		Options:        testOptions(1000, 1, 0),
-		TargetFailures: 100,
-		BatchTrials:    1000,
-		MaxTrials:      3000,
-	}
+	opt := testOptions(1000, 1, 0)
+	opt.TargetFailures, opt.MaxTrials = 100, 3000
 	pol := Policy{
 		Predicate: ecc.NewParity(opt.Config, parity.ThreeDP),
 		NewSparer: ddsSparer,
 	}
-	r := RunAdaptive(opt, pol)
+	r := RunContext(context.Background(), opt, pol)
 	if r.Trials != 3000 {
 		t.Errorf("trials = %d, want exactly the 3000 cap", r.Trials)
 	}
@@ -420,7 +414,7 @@ func TestRunAdaptiveRespectsCap(t *testing.T) {
 func TestCauseCountsRecorded(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(5000, 30, 0)
-	res := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	res := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
 	if res.Failures == 0 {
 		t.Fatal("no failures to classify")
 	}
@@ -548,20 +542,17 @@ func TestRunCensusContextCancel(t *testing.T) {
 
 func TestRunAdaptiveContextCancel(t *testing.T) {
 	// Adaptive mode keeps adding batches until the failure target; a
-	// cancelled context must stop it at a batch boundary with Partial set.
-	opt := AdaptiveOptions{
-		Options:        testOptions(1000, 1, 0),
-		TargetFailures: 1_000_000, // unreachable
-		BatchTrials:    1000,
-		MaxTrials:      50_000_000,
-	}
+	// cancelled context must stop it within a block with Partial set.
+	opt := testOptions(1000, 1, 0)
+	opt.TargetFailures = 1_000_000 // unreachable
+	opt.MaxTrials = 50_000_000
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(100 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	r := RunAdaptiveContext(ctx, opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
+	r := RunContext(ctx, opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
 	if elapsed := time.Since(start); elapsed > 15*time.Second {
 		t.Fatalf("cancelled adaptive run took %v", elapsed)
 	}

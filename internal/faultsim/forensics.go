@@ -17,10 +17,9 @@ type Forensic struct {
 	Policy string `json:"policy"`
 	// RunID correlates the record with progress lines, metrics, and traces.
 	RunID string `json:"runId,omitempty"`
-	// BaseSeed is the Options.Seed of the run that drew the trial (for an
-	// adaptive batch, SeedAt of the caller's seed and the trials before
-	// the batch; for importance sampling, the shifted seed of
-	// rare.Options.Engine). Replaying requires this exact seed.
+	// BaseSeed is the Options.Seed of the run that drew the trial (for
+	// importance sampling, the shifted seed of rare.Options.Engine).
+	// Replaying requires this exact seed.
 	BaseSeed int64 `json:"baseSeed"`
 	// Trial is the trial's index in that run; it drew its lifetime from
 	// the RNG stream of (BaseSeed, Trial).

@@ -39,7 +39,7 @@ func citadelPolicy() Policy {
 func TestBreakdownSumsToFailures(t *testing.T) {
 	skipInShort(t)
 	opt := forensicOptions(4000)
-	res := Run(opt, citadelPolicy())
+	res := RunContext(context.Background(), opt, citadelPolicy())
 	if res.Failures == 0 {
 		t.Fatal("expected failures at these rates; breakdown test needs them")
 	}
@@ -77,7 +77,7 @@ func TestBreakdownSumsToFailures(t *testing.T) {
 func TestForensicsOffKeepsResultClean(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(500, 40, 1000)
-	res := Run(opt, citadelPolicy())
+	res := RunContext(context.Background(), opt, citadelPolicy())
 	if res.Breakdown != nil || res.Exemplars != nil {
 		t.Fatalf("forensics fields set without opt-in: %v %v", res.Breakdown, res.Exemplars)
 	}
@@ -91,7 +91,7 @@ func TestForensicReplayGolden(t *testing.T) {
 	skipInShort(t)
 	opt := forensicOptions(4000)
 	pol := citadelPolicy()
-	res := Run(opt, pol)
+	res := RunContext(context.Background(), opt, pol)
 	if len(res.Exemplars) == 0 {
 		t.Fatal("no exemplars to replay")
 	}
@@ -146,10 +146,10 @@ func TestForensicsIncrementalMatchesBatch(t *testing.T) {
 	opt := forensicOptions(3000)
 	opt.Workers = 1
 	pol := citadelPolicy()
-	inc := Run(opt, pol)
+	inc := RunContext(context.Background(), opt, pol)
 	bo := opt
 	bo.DisableIncremental = true
-	batch := Run(bo, pol)
+	batch := RunContext(context.Background(), bo, pol)
 	if !reflect.DeepEqual(inc.Breakdown, batch.Breakdown) {
 		t.Errorf("breakdown differs:\n inc   %v\n batch %v", inc.Breakdown, batch.Breakdown)
 	}
@@ -178,13 +178,14 @@ func TestMergeForensics(t *testing.T) {
 	}
 }
 
-// TestAdaptiveForensics: the adaptive driver must carry forensics across
-// batches, with per-batch seeds recorded so exemplars stay replayable.
+// TestAdaptiveForensics: an adaptive run must carry forensics across
+// batches, and its exemplars must replay.
 func TestAdaptiveForensics(t *testing.T) {
 	skipInShort(t)
-	opt := AdaptiveOptions{Options: forensicOptions(1000), TargetFailures: 5, MaxTrials: 20000}
+	opt := forensicOptions(1000)
+	opt.TargetFailures, opt.MaxTrials = 5, 20000
 	pol := citadelPolicy()
-	res := RunAdaptive(opt, pol)
+	res := RunContext(context.Background(), opt, pol)
 	if res.Failures == 0 {
 		t.Skip("no failures accumulated; cannot exercise forensics")
 	}
@@ -199,7 +200,7 @@ func TestAdaptiveForensics(t *testing.T) {
 		t.Fatal("no exemplars in adaptive run")
 	}
 	ex := res.Exemplars[0]
-	got, ok := ReplayForensic(opt.Options, pol, ex)
+	got, ok := ReplayForensic(opt, pol, ex)
 	if !ok {
 		t.Fatalf("adaptive exemplar did not replay: %s", ex)
 	}
@@ -216,7 +217,7 @@ func TestRunTraceEvents(t *testing.T) {
 	opt.Forensics = false
 	opt.RunID = "r-test-trace"
 	opt.Trace = trace.New(trace.Options{Capacity: 4096, RunID: opt.RunID})
-	res := Run(opt, citadelPolicy())
+	res := RunContext(context.Background(), opt, citadelPolicy())
 	events, _ := opt.Trace.Snapshot()
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")

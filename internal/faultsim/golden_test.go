@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -107,7 +108,7 @@ func runGolden(t *testing.T, gc goldenCase, mutate func(*Options)) Result {
 	if mutate != nil {
 		mutate(&opt)
 	}
-	return Run(opt, gc.pol(opt.Config))
+	return RunContext(context.Background(), opt, gc.pol(opt.Config))
 }
 
 func checkGolden(t *testing.T, gc goldenCase, res Result) {

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -43,10 +44,10 @@ func TestIncrementalMatchesBatchEngine(t *testing.T) {
 	for _, pol := range enginePolicies(opt.Config) {
 		pol := pol
 		t.Run(pol.name(), func(t *testing.T) {
-			inc := Run(opt, pol)
+			inc := RunContext(context.Background(), opt, pol)
 			optBatch := opt
 			optBatch.DisableIncremental = true
-			batch := Run(optBatch, pol)
+			batch := RunContext(context.Background(), optBatch, pol)
 			if !reflect.DeepEqual(inc, batch) {
 				t.Errorf("incremental and batch engines disagree:\nincremental: %+v\nbatch:       %+v", inc, batch)
 			}

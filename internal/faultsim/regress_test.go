@@ -18,7 +18,7 @@ import (
 
 func TestMergeMismatchedYearSlices(t *testing.T) {
 	// Pre-fix, Merge silently dropped FailuresByYear whenever the slice
-	// lengths differed (as with RunAdaptive's zero-value accumulator).
+	// lengths differed (as with a zero-value accumulator).
 	a := Result{Policy: "x", Trials: 100, Failures: 3, FailuresByYear: []int{1, 1, 2, 2, 3, 3, 3}}
 	b := Result{Policy: "x", Trials: 50, Failures: 1, FailuresByYear: []int{0, 1, 1}}
 	m := Merge(a, b)
@@ -124,8 +124,8 @@ func TestPairedSeedsReproducible(t *testing.T) {
 	}
 	var a, b []Result
 	for _, p := range pols {
-		a = append(a, Run(opt, p))
-		b = append(b, Run(opt, p))
+		a = append(a, RunContext(context.Background(), opt, p))
+		b = append(b, RunContext(context.Background(), opt, p))
 	}
 	for i := range pols {
 		if a[i].Failures != b[i].Failures || a[i].Trials != b[i].Trials {
@@ -153,7 +153,7 @@ func TestRunProgressFinalSnapshot(t *testing.T) {
 			finals++
 		}
 	}
-	res := Run(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	res := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
 	if finals != 1 {
 		t.Fatalf("got %d final snapshots, want exactly 1", finals)
 	}
@@ -173,22 +173,19 @@ func TestRunProgressFinalSnapshot(t *testing.T) {
 }
 
 func TestAdaptiveProgressContinuous(t *testing.T) {
-	opt := AdaptiveOptions{
-		Options:        testOptions(1000, 100, 0),
-		TargetFailures: 1 << 30, // never reached: exercises multiple batches
-		BatchTrials:    1000,
-		MaxTrials:      4000,
-	}
+	opt := testOptions(1000, 100, 0)
+	opt.TargetFailures = 1 << 30 // never reached: exercises multiple batches
+	opt.MaxTrials = 4000
 	opt.ProgressInterval = time.Millisecond
 	var snaps []Progress
 	opt.Progress = func(p Progress) { snaps = append(snaps, p) }
-	res := RunAdaptive(opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
+	res := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.ThreeDP)})
 	if len(snaps) == 0 {
 		t.Fatal("no progress snapshots")
 	}
-	// Snapshots are serialized (ticker joined before batch end), so the
-	// slice append above is race-free; trials must never move backwards
-	// across batch boundaries.
+	// Snapshots are serialized (the ticker is joined before the final
+	// snapshot), so the slice append above is race-free; trials must
+	// never move backwards across batch boundaries.
 	prev := 0
 	for i, p := range snaps {
 		if p.TrialsDone < prev {
@@ -210,21 +207,17 @@ func TestAdaptiveProgressContinuous(t *testing.T) {
 }
 
 func TestAdaptiveReproducibleAcrossBatchSizes(t *testing.T) {
-	// Each batch continues the trial sequence of the base seed, so the
-	// same trial budget split into different batch sizes samples the same
-	// trials and must give the same result.
-	opt := AdaptiveOptions{
-		Options:        testOptions(1000, 100, 0),
-		TargetFailures: 1 << 30,
-		BatchTrials:    500,
-		MaxTrials:      2000,
-	}
+	// Trial t draws from the base seed's stream t whatever its batch, so
+	// the same trial cap split into different batch sizes (Trials)
+	// samples the same trials and must give the same result.
+	opt := testOptions(500, 100, 0)
+	opt.TargetFailures, opt.MaxTrials = 1<<30, 2000
 	pol := Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)}
-	a := RunAdaptive(opt, pol)
-	opt.BatchTrials = 1000
-	b := RunAdaptive(opt, pol)
+	a := RunContext(context.Background(), opt, pol)
+	opt.Trials = 1000
+	b := RunContext(context.Background(), opt, pol)
 	if a.Trials != opt.MaxTrials || !reflect.DeepEqual(a, b) {
-		t.Errorf("BatchTrials 500 and 1000 diverged:\n %+v\n %+v", a, b)
+		t.Errorf("batches of 500 and 1000 trials diverged:\n %+v\n %+v", a, b)
 	}
 }
 

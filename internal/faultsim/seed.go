@@ -33,10 +33,10 @@ func deriveSeed(base int64, stream uint64) int64 {
 
 // SeedAt returns the seed of the run whose trial 0 is trial k of the run
 // seeded base: deriveSeed is affine in its base, so trial t of a run
-// seeded SeedAt(s, k) draws from deriveSeed(s, k+t). Adaptive batches and
-// checkpoint chunks run on SeedAt(s, trials before them) and so sample
-// exactly the trials of the unsplit run; importance sampling shifts by
-// 2^42 trials to draw a sample independent of the plain run's.
+// seeded SeedAt(s, k) draws from deriveSeed(s, k+t). Checkpoint chunks
+// run on SeedAt(s, trials before them) and so sample exactly the trials
+// of the unsplit run; importance sampling shifts by 2^42 trials to draw a
+// sample independent of the plain run's.
 func SeedAt(base int64, k uint64) int64 {
 	return int64(uint64(base) + streamStep*k)
 }

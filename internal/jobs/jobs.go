@@ -924,27 +924,9 @@ func (o *Orchestrator) runPerformance(ctx context.Context, j *job) (any, bool, e
 	if !ok {
 		return nil, false, fmt.Errorf("jobs: unknown benchmark %q", p.Benchmark)
 	}
-	var striping citadel.Striping
-	switch p.Striping {
-	case "same-bank":
-		striping = citadel.SameBank
-	case "across-banks":
-		striping = citadel.AcrossBanks
-	case "across-channels":
-		striping = citadel.AcrossChannels
-	default:
-		return nil, false, fmt.Errorf("jobs: unknown striping %q", p.Striping)
-	}
-	var prot citadel.Protection
-	switch p.Protection {
-	case "none":
-		prot = citadel.NoProtection
-	case "3dp":
-		prot = citadel.Protection3DP
-	case "3dp-no-cache":
-		prot = citadel.Protection3DPNoCache
-	default:
-		return nil, false, fmt.Errorf("jobs: unknown protection %q", p.Protection)
+	striping, prot, err := citadel.ParsePerfNames(p.Striping, p.Protection)
+	if err != nil {
+		return nil, false, fmt.Errorf("jobs: %w", err)
 	}
 	base := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{Requests: p.Requests, Seed: p.Seed})
 	if base.Partial {

@@ -200,6 +200,12 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := o.Submit(Spec{Reliability: &ReliabilitySpec{Scheme: "NoSuchScheme"}}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	if _, err := o.Submit(Spec{Reliability: &ReliabilitySpec{Scheme: "Citadel", LifetimeYears: -1}}); err == nil {
+		t.Error("negative lifetime accepted")
+	}
+	if _, err := o.Submit(Spec{Performance: &PerformanceSpec{Benchmark: "mcf", Striping: "diagonal"}}); err == nil {
+		t.Error("unknown striping accepted")
+	}
 	if _, err := o.Submit(Spec{
 		Reliability: &ReliabilitySpec{Scheme: "Citadel"},
 		Performance: &PerformanceSpec{Benchmark: "mcf"},

@@ -201,12 +201,10 @@ func (s Spec) Validate() error {
 		if r == nil {
 			return fmt.Errorf("jobs: kind %q requires the reliability spec", n.Kind)
 		}
-		if r.TSVFIT < 0 || r.LifetimeYears < 0 || r.ScrubHours < 0 {
-			return fmt.Errorf("jobs: tsvFit, lifetimeYears and scrubHours must be non-negative")
-		}
-		// The shared validator also dry-runs the plugin builders, so value
-		// errors (a bad codeword width, a non-positive rate) are rejected
-		// at submission instead of surfacing as failed chunks.
+		// The shared validator also checks every value and dry-runs the
+		// plugin builders, so value errors (a negative rate, a bad
+		// codeword width) are rejected at submission instead of surfacing
+		// as failed chunks.
 		if err := r.options().Validate(citadel.Scheme(r.Scheme)); err != nil {
 			return fmt.Errorf("jobs: %w", err)
 		}
@@ -218,15 +216,8 @@ func (s Spec) Validate() error {
 		if _, ok := citadel.BenchmarkByName(p.Benchmark); !ok {
 			return fmt.Errorf("jobs: unknown benchmark %q", p.Benchmark)
 		}
-		switch p.Striping {
-		case "same-bank", "across-banks", "across-channels":
-		default:
-			return fmt.Errorf("jobs: unknown striping %q", p.Striping)
-		}
-		switch p.Protection {
-		case "none", "3dp", "3dp-no-cache":
-		default:
-			return fmt.Errorf("jobs: unknown protection %q", p.Protection)
+		if _, _, err := citadel.ParsePerfNames(p.Striping, p.Protection); err != nil {
+			return fmt.Errorf("jobs: %w", err)
 		}
 	case KindExperiment:
 		e := n.Experiment

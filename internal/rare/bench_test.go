@@ -1,6 +1,7 @@
 package rare
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/faultsim"
@@ -23,7 +24,7 @@ func BenchmarkRareEventTail(b *testing.B) {
 		BiasFactor: 16,
 	}
 	b.ResetTimer()
-	res := faultsim.Run(opt.Engine(), threeDP(cfg))
+	res := faultsim.RunContext(context.Background(), opt.Engine(), threeDP(cfg))
 	secs := b.Elapsed().Seconds()
 	if secs > 0 {
 		b.ReportMetric(float64(res.Trials)/secs, "trials/s")

@@ -1,6 +1,7 @@
 package rare
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,7 +51,7 @@ func runEngineGolden() engineGolden {
 	}
 	for _, workers := range []int{1, 3} {
 		for _, bias := range []float64{1, 4, 16} {
-			g.IS[fmt.Sprintf("bias=%g/workers=%d", bias, workers)] = faultsim.Run(Options{
+			g.IS[fmt.Sprintf("bias=%g/workers=%d", bias, workers)] = faultsim.RunContext(context.Background(), Options{
 				Options: faultsim.Options{
 					Config: cfg, Rates: scaledRates(10, 1430),
 					Trials: 2000, Seed: 31, Workers: workers,
@@ -59,18 +60,14 @@ func runEngineGolden() engineGolden {
 			}.Engine(), goldenCitadelLike(cfg))
 		}
 		key := fmt.Sprintf("workers=%d", workers)
-		g.Census[key] = faultsim.RunCensus(faultsim.Options{
+		g.Census[key] = faultsim.RunCensusContext(context.Background(), faultsim.Options{
 			Config: cfg, Rates: scaledRates(25, 500),
 			Trials: 2000, Seed: 37, Workers: workers,
 		}, true)
-		g.Adaptive[key] = faultsim.RunAdaptive(faultsim.AdaptiveOptions{
-			Options: faultsim.Options{
-				Config: cfg, Rates: scaledRates(1, 0),
-				Trials: 500, Seed: 41, Workers: workers,
-			},
-			TargetFailures: 40,
-			MaxTrials:      6000,
-			BatchTrials:    500,
+		g.Adaptive[key] = faultsim.RunContext(context.Background(), faultsim.Options{
+			Config: cfg, Rates: scaledRates(1, 0),
+			Trials: 500, Seed: 41, Workers: workers,
+			TargetFailures: 40, MaxTrials: 6000,
 		}, oneDP(cfg))
 	}
 	return g

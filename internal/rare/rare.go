@@ -56,9 +56,9 @@ type Options struct {
 // reports each lifetime's likelihood ratio (faultsim.ArrivalWeights), and
 // Seed shifts 2^42 trials along the base seed's trial sequence
 // (faultsim.SeedAt), so an IS run and a naive run sharing a base seed
-// draw disjoint trials and are statistically independent. Any
-// faultsim entry point — fixed-budget, adaptive, forensic replay — then
-// runs the estimator, with the plain engine's determinism contract.
+// draw disjoint trials and are statistically independent. RunContext,
+// fixed-budget or adaptive, and forensic replay then run the estimator,
+// with the plain engine's determinism contract.
 func (o Options) Engine() faultsim.Options {
 	eo := o.Options
 	if eo.LifetimeHours == 0 {

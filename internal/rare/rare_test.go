@@ -64,7 +64,7 @@ func TestBiasFactorOneMatchesUnitWeights(t *testing.T) {
 		},
 		BiasFactor: 1,
 	}
-	res := faultsim.Run(opt.Engine(), oneDP(cfg))
+	res := faultsim.RunContext(context.Background(), opt.Engine(), oneDP(cfg))
 	if res.Failures == 0 {
 		t.Fatal("test signal too weak: no failures at scale 30")
 	}
@@ -97,8 +97,8 @@ func TestISDeterministic(t *testing.T) {
 		},
 		BiasFactor: 4,
 	}
-	a := faultsim.Run(opt.Engine(), oneDP(cfg))
-	b := faultsim.Run(opt.Engine(), oneDP(cfg))
+	a := faultsim.RunContext(context.Background(), opt.Engine(), oneDP(cfg))
+	b := faultsim.RunContext(context.Background(), opt.Engine(), oneDP(cfg))
 	if a.FailWeight != b.FailWeight || a.FailWeightSq != b.FailWeightSq {
 		t.Errorf("same seed produced FailWeight %v/%v and FailWeightSq %v/%v",
 			a.FailWeight, b.FailWeight, a.FailWeightSq, b.FailWeightSq)
@@ -119,8 +119,8 @@ func TestISMatchesNaiveOnInflatedConfig(t *testing.T) {
 		Config: cfg, Rates: scaledRates(10, 0),
 		Trials: 30000, Seed: 5,
 	}
-	naive := faultsim.Run(base, oneDP(cfg))
-	is := faultsim.Run(Options{Options: base, BiasFactor: 2}.Engine(), oneDP(cfg))
+	naive := faultsim.RunContext(context.Background(), base, oneDP(cfg))
+	is := faultsim.RunContext(context.Background(), Options{Options: base, BiasFactor: 2}.Engine(), oneDP(cfg))
 	if naive.Failures < 50 {
 		t.Fatalf("test signal too weak: naive saw only %d failures", naive.Failures)
 	}
@@ -149,7 +149,7 @@ func TestISMatchesAnalytic3DP(t *testing.T) {
 		},
 		BiasFactor: 4,
 	}
-	res := faultsim.Run(opt.Engine(), threeDP(cfg))
+	res := faultsim.RunContext(context.Background(), opt.Engine(), threeDP(cfg))
 	want := analytic.PFail3DPNoDDS(cfg, rates, fault.LifetimeHours)
 	if res.Failures < 20 {
 		t.Fatalf("IS signal too weak: %d failures", res.Failures)
@@ -174,7 +174,7 @@ func TestRareEventSpeedupOnTail(t *testing.T) {
 		Options:    faultsim.Options{Config: cfg, Rates: tailRates(), Trials: 200000, Seed: 1},
 		BiasFactor: 16,
 	}
-	res := faultsim.Run(opt.Engine(), threeDP(cfg))
+	res := faultsim.RunContext(context.Background(), opt.Engine(), threeDP(cfg))
 	p := res.Probability()
 	if p <= 0 || p > 1e-4 {
 		t.Fatalf("tail config drifted: P(fail) = %.3g, want ~1e-6..1e-4 (%s)", p, res)

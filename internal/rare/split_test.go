@@ -8,6 +8,7 @@ package rare
 // only through faultsim.TrialRunner and faultsim.SplitStreamSeed.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -292,7 +293,7 @@ func TestSplitCrossValidatesNaive(t *testing.T) {
 		Config: cfg, Rates: scaledRates(10, 0),
 		Trials: 30000, Seed: 9,
 	}
-	naive := faultsim.Run(base, oneDP(cfg))
+	naive := faultsim.RunContext(context.Background(), base, oneDP(cfg))
 	split := runSplit(splitOptions{Options: base}, oneDP(cfg))
 	if naive.Failures < 50 {
 		t.Fatalf("test signal too weak: naive saw only %d failures", naive.Failures)
@@ -318,7 +319,7 @@ func TestSplitCrossValidatesISOnTail(t *testing.T) {
 	skipInShort(t)
 	cfg := stack.DefaultConfig()
 	base := faultsim.Options{Config: cfg, Rates: tailRates(), Trials: 150000, Seed: 17}
-	is := faultsim.Run(Options{Options: base, BiasFactor: 16}.Engine(), threeDP(cfg))
+	is := faultsim.RunContext(context.Background(), Options{Options: base, BiasFactor: 16}.Engine(), threeDP(cfg))
 	split := runSplit(splitOptions{Options: base}, threeDP(cfg))
 	if is.Failures < 30 {
 		t.Fatalf("IS signal too weak on the tail: %d failures", is.Failures)

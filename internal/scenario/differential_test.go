@@ -106,7 +106,7 @@ func TestRegistryDifferential(t *testing.T) {
 	for _, name := range diffSchemes {
 		for _, tsvSwap := range []bool{false, true} {
 			pol := handWired(name, cfg, tsvSwap)
-			want := faultsim.Run(faultsim.Options{
+			want := faultsim.RunContext(context.Background(), faultsim.Options{
 				Config:             cfg,
 				Rates:              rates,
 				Trials:             diffTrials,

@@ -48,6 +48,21 @@ func (p Protection) String() string {
 	}
 }
 
+// ParsePerfNames parses the names the command line, the HTTP API and job
+// specs give a performance run's striping ("same-bank", "across-banks",
+// "across-channels") and protection ("none", "3dp", "3dp-no-cache").
+func ParsePerfNames(striping, protection string) (Striping, Protection, error) {
+	st, ok := map[string]Striping{"same-bank": SameBank, "across-banks": AcrossBanks, "across-channels": AcrossChannels}[striping]
+	if !ok {
+		return st, 0, fmt.Errorf("citadel: unknown striping %q", striping)
+	}
+	prot, ok := map[string]Protection{"none": NoProtection, "3dp": Protection3DP, "3dp-no-cache": Protection3DPNoCache}[protection]
+	if !ok {
+		return st, prot, fmt.Errorf("citadel: unknown protection %q", protection)
+	}
+	return st, prot, nil
+}
+
 // PerfOptions configures a performance/power simulation.
 type PerfOptions struct {
 	// Config is the geometry (default DefaultConfig).
