@@ -304,8 +304,21 @@ func main() {
 	if res.Trials == 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("%-6s %s\n", "year", "P(failure)")
-	for y := 1; y <= int(*years); y++ {
+	printYearTable(res, *years)
+}
+
+// printYearTable prints the probability of failure by the end of each
+// year the result tallies, up to the end of the lifetime: a lifetime that
+// is not a whole number of years ends in a partial year, whose row covers
+// the whole lifetime. years is the -years flag, where 0 stands for the
+// default lifetime. The header names the lifetime, which the result line
+// does not.
+func printYearTable(res citadel.Result, years float64) {
+	if years == 0 {
+		years = fault.LifetimeHours / fault.HoursPerYear
+	}
+	fmt.Printf("%-6s P(failure), lifetime %gy\n", "year", years)
+	for y := 1; y <= len(res.FailuresByYear); y++ {
 		fmt.Printf("%-6d %.3e\n", y, res.ProbabilityByYear(y))
 	}
 }
@@ -442,8 +455,5 @@ func runDurable(cfg durableRun) {
 	if res.Trials == 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("%-6s %s\n", "year", "P(failure)")
-	for y := 1; y <= int(cfg.spec.LifetimeYears); y++ {
-		fmt.Printf("%-6d %.3e\n", y, res.ProbabilityByYear(y))
-	}
+	printYearTable(res, cfg.spec.LifetimeYears)
 }

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -24,13 +26,59 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// runSim runs citadel-sim with args and fails the test on a non-zero exit.
-func runSim(t *testing.T, args ...string) {
+// runSim runs citadel-sim with args, fails the test on a non-zero exit,
+// and returns what it wrote to standard output.
+func runSim(t *testing.T, args ...string) string {
 	t.Helper()
 	cmd := exec.Command(os.Args[0], append([]string{"-progress", "0"}, args...)...)
 	cmd.Env = append(os.Environ(), "CITADEL_SIM_MAIN=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("citadel-sim %v: %v\n%s", args, err, out)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("citadel-sim %v: %v\n%s%s", args, err, out, stderr.Bytes())
+	}
+	return string(out)
+}
+
+// TestYearTableCoversLifetime: on the direct and the durable path, the
+// year table runs to the end of the simulated lifetime, partial last year
+// included, and the lifetime is named by the table header, not by the
+// result line. The table used to stop at int(-years), so -years 0 (the
+// default seven years) printed no rows and -years 2.5 two, while the
+// result line said "P(fail,7y)" whatever the lifetime.
+func TestYearTableCoversLifetime(t *testing.T) {
+	for _, tc := range []struct {
+		years, header string
+		rows          int
+	}{
+		{"2.5", "year   P(failure), lifetime 2.5y", 3},
+		{"0", "year   P(failure), lifetime 7y", 7},
+		{"3", "year   P(failure), lifetime 3y", 3},
+	} {
+		for _, durable := range []bool{false, true} {
+			args := []string{"-scheme", "1DP", "-trials", "2000", "-years", tc.years}
+			if durable {
+				args = append(args, "-job-dir", t.TempDir())
+			}
+			lines := strings.Split(strings.TrimSpace(runSim(t, args...)), "\n")
+			if len(lines) != 2+tc.rows {
+				t.Errorf("citadel-sim %v printed %d lines, want a result line, a header and %d rows:\n%s",
+					args, len(lines), tc.rows, strings.Join(lines, "\n"))
+				continue
+			}
+			if !strings.Contains(lines[0], ": P(fail) = ") || strings.Contains(lines[0], "y)") {
+				t.Errorf("citadel-sim %v result line %q should read \"P(fail) = \" and name no lifetime", args, lines[0])
+			}
+			if lines[1] != tc.header {
+				t.Errorf("citadel-sim %v header %q, want %q", args, lines[1], tc.header)
+			}
+			for y, row := range lines[2:] {
+				if !strings.HasPrefix(row, strconv.Itoa(y+1)+" ") {
+					t.Errorf("citadel-sim %v row %d is %q, want year %d", args, y, row, y+1)
+				}
+			}
+		}
 	}
 }
 

@@ -99,11 +99,19 @@ func (p Pattern) Intersects(q Pattern) bool {
 	return ok
 }
 
-// First returns the smallest member of the pattern in [0, n), if any.
+// First returns the smallest member of the pattern in [0, n), if any. An
+// exact pattern, the shape most footprint coordinates take, is answered
+// directly, as in CountBelow.
 func (p Pattern) First(n uint32) (uint32, bool) {
 	hi := n
 	if p.Hi != 0 && p.Hi < hi {
 		hi = p.Hi
+	}
+	if p.Mask == ^uint32(0) {
+		if p.Val >= p.Lo && p.Val < hi {
+			return p.Val, true
+		}
+		return 0, false
 	}
 	x, ok := nextMatch(p.Lo, p.Mask, p.Val)
 	if !ok || x >= hi {

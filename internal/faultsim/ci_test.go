@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ecc"
+	"repro/internal/fault"
 	"repro/internal/parity"
 )
 
@@ -30,6 +31,27 @@ func TestZeroFailureCI(t *testing.T) {
 	s := r.String()
 	if !strings.Contains(s, "= 0 (<") || !strings.Contains(s, "at 95%") {
 		t.Errorf("zero-failure String does not surface the upper bound: %q", s)
+	}
+}
+
+// TestResultStringNamesNoLifetime: a Result does not record the lifetime
+// it was simulated over, so none of String's three forms may name one. A
+// run over 2.5 years used to print "P(fail,7y)".
+func TestResultStringNamesNoLifetime(t *testing.T) {
+	opt := testOptions(2000, 10, 0)
+	opt.LifetimeHours = 2.5 * fault.HoursPerYear
+	run := RunContext(context.Background(), opt, Policy{Predicate: ecc.NewParity(opt.Config, parity.OneDP)})
+	if run.Failures == 0 {
+		t.Fatalf("want a run with failures: %+v", run)
+	}
+	for _, r := range []Result{
+		run,
+		{Policy: "x", Trials: 1000},
+		{Policy: "x", Trials: 1000, Failures: 3, Weighted: true, FailWeight: 0.1, FailWeightSq: 0.01},
+	} {
+		if s := r.String(); !strings.Contains(s, ": P(fail) = ") || strings.Contains(s, "y)") {
+			t.Errorf("String() = %q, want \"P(fail) = \" naming no lifetime", s)
+		}
 	}
 }
 

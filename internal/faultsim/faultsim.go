@@ -414,18 +414,20 @@ func (r Result) EffectiveTrials() float64 {
 
 // String renders the result in one line. Zero-failure runs print the
 // rule-of-three upper bound rather than a misleading "0 ± 0"; weighted
-// runs are tagged IS and carry their effective sample size.
+// runs are tagged IS and carry their effective sample size. A Result does
+// not record its lifetime, so the line names none: P(fail) is over the
+// lifetime the run simulated.
 func (r Result) String() string {
 	var s string
 	switch {
 	case r.Trials > 0 && r.Failures == 0:
-		s = fmt.Sprintf("%s: P(fail,7y) = 0 (< %.2g at 95%%) (0/%d trials)",
+		s = fmt.Sprintf("%s: P(fail) = 0 (< %.2g at 95%%) (0/%d trials)",
 			r.Policy, r.CI95(), r.Trials)
 	case r.Weighted:
-		s = fmt.Sprintf("%s: P(fail,7y) = %.3g ± %.2g (IS, %d/%d trials, ESS %.1f)",
+		s = fmt.Sprintf("%s: P(fail) = %.3g ± %.2g (IS, %d/%d trials, ESS %.1f)",
 			r.Policy, r.Probability(), r.CI95(), r.Failures, r.Trials, r.ESS())
 	default:
-		s = fmt.Sprintf("%s: P(fail,7y) = %.3g ± %.2g (%d/%d trials)",
+		s = fmt.Sprintf("%s: P(fail) = %.3g ± %.2g (%d/%d trials)",
 			r.Policy, r.Probability(), r.CI95(), r.Failures, r.Trials)
 	}
 	if r.Partial {

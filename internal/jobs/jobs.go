@@ -204,6 +204,11 @@ type job struct {
 func (j *job) snapshot() *Job {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.snapshotLocked()
+}
+
+// snapshotLocked is snapshot for a caller that holds j.mu.
+func (j *job) snapshotLocked() *Job {
 	return &Job{
 		ID: j.id, Key: j.key, Spec: j.spec,
 		State: j.state, Cached: j.cached, Resumed: j.resumed,
@@ -223,14 +228,46 @@ func (o *Orchestrator) publish(j *job) {
 	if o.opts.Stream == nil {
 		return
 	}
-	snap := j.snapshot()
+	o.logPublish(j, o.send(j.snapshot()))
+}
+
+// send publishes snap to the hub, if one is wired, under the event name
+// publish describes.
+func (o *Orchestrator) send(snap *Job) error {
+	if o.opts.Stream == nil {
+		return nil
+	}
 	event := "progress"
 	if snap.State.Terminal() {
 		event = string(snap.State)
 	}
-	if err := o.opts.Stream.Publish(j.id, event, snap, snap.State.Terminal()); err != nil {
-		o.opts.Logf("jobs: job=%s streaming %s event: %v", j.id, event, err)
+	if err := o.opts.Stream.Publish(snap.ID, event, snap, snap.State.Terminal()); err != nil {
+		return fmt.Errorf("streaming %s event: %w", event, err)
 	}
+	return nil
+}
+
+// logPublish logs err, a failed publish of j's snapshot, if any.
+func (o *Orchestrator) logPublish(j *job, err error) {
+	if err != nil {
+		o.opts.Logf("jobs: job=%s %v", j.id, err)
+	}
+}
+
+// settleLocked moves j, whose mu the caller holds, to the terminal state
+// st. It publishes the terminal frame before the caller releases j.mu,
+// and Status reads j under that lock, so no status read sees st before
+// the hub holds its frame: a client that reads a terminal status and
+// then subscribes is replayed the terminal frame, never a stale progress
+// one. Publishing under the lock is safe because the hub never blocks a
+// publisher. The caller logs the returned publish error after releasing
+// j.mu, since Logf may read the job.
+func (o *Orchestrator) settleLocked(j *job, st State) error {
+	j.state = st
+	j.finished = time.Now()
+	err := o.send(j.snapshotLocked())
+	close(j.done)
+	return err
 }
 
 // Orchestrator runs campaigns from a bounded priority queue on a fixed
@@ -554,10 +591,8 @@ func (o *Orchestrator) Cancel(id string) error {
 		o.mu.Unlock()
 		return ErrFinished
 	case j.state == StateQueued:
-		j.state = StateCancelled
 		j.userCancel = true
-		j.finished = time.Now()
-		close(j.done)
+		pubErr := o.settleLocked(j, StateCancelled)
 		j.mu.Unlock()
 		o.dropQueuedLocked(j)
 		delete(o.byKey, j.key)
@@ -567,7 +602,7 @@ func (o *Orchestrator) Cancel(id string) error {
 		}
 		mCancelled.Inc()
 		o.opts.Logf("jobs: job=%s cancelled while queued", j.id)
-		o.publish(j)
+		o.logPublish(j, pubErr)
 		return nil
 	default: // running
 		j.userCancel = true
@@ -726,13 +761,11 @@ func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err err
 	delete(o.byKey, j.key)
 	o.mu.Unlock()
 	j.mu.Lock()
-	j.state = st
 	j.payload = payload
 	if err != nil {
 		j.errMsg = err.Error()
 	}
-	j.finished = time.Now()
-	close(j.done)
+	pubErr := o.settleLocked(j, st)
 	j.mu.Unlock()
 	switch st {
 	case StateDone:
@@ -743,7 +776,7 @@ func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err err
 		mCancelled.Inc()
 	}
 	o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.id, j.key, st, errSuffix(err))
-	o.publish(j)
+	o.logPublish(j, pubErr)
 	// Failed campaigns should not resurrect on restart: their checkpoint
 	// would fail the same way again.
 	if st == StateFailed && o.st != nil {
@@ -774,13 +807,11 @@ func (o *Orchestrator) finishInterrupted(j *job) {
 		delete(o.byKey, j.key)
 		o.mu.Unlock()
 		j.mu.Lock()
-		j.state = StateCancelled
-		j.finished = time.Now()
-		close(j.done)
+		pubErr := o.settleLocked(j, StateCancelled)
 		j.mu.Unlock()
 		mCancelled.Inc()
 		o.opts.Logf("jobs: job=%s key=%.12s cancelled", j.id, j.key)
-		o.publish(j)
+		o.logPublish(j, pubErr)
 		return
 	}
 	// Shutdown: leave the checkpoint in place and the job formally

@@ -39,12 +39,22 @@ import "repro/internal/fault"
 
 // regionInfo caches per-region quantities that blockedPieces would
 // otherwise recompute for every (a, b) pair in every peeling sweep: the
-// per-dimension unit counts and, for single-unit regions, the coordinates
-// of that unit.
+// per-dimension unit counts, for single-unit regions the coordinates of
+// that unit, and the dimensions in which the region blocks none of its own
+// cells.
 type regionInfo struct {
 	r          fault.Region
 	u1, u2, u3 int    // units occupied in Dim1/Dim2/Dim3 group coordinates
 	fd, fb, fr uint32 // first die/bank/row value (valid when the count > 0)
+	// selfClear holds each dimension d whose pair of the region with
+	// itself has no blocked pieces, so lostIn may skip that pair. It is
+	// set when the region occupies one unit of d's groups and both unit
+	// coordinates are exact patterns: the split around that unit then
+	// keeps no value. The unit count alone is not enough, since a pattern
+	// with one member in the domain may have more past it, and the split
+	// keeps those (Die MaskPattern(7, 1) holds 1 and 9, so with 9 dies the
+	// die-bit-3 piece {9, 25, ...} survives).
+	selfClear Dims
 }
 
 // State tracks a live fault set and its correctability verdict under
@@ -79,29 +89,41 @@ func (st *State) Uncorrectable() bool { return st.bad }
 // Len returns the number of tracked regions.
 func (st *State) Len() int { return len(st.live) }
 
-func (st *State) info(r fault.Region) regionInfo {
-	an := st.an
+// setInfo fills ri with r's regionInfo in place: a regionInfo is 120
+// bytes, and returning one by value costs a copy per add.
+func (an *Analyzer) setInfo(ri *regionInfo, r fault.Region) {
 	dieDom := uint32(an.dieDomain)
 	banks := uint32(an.cfg.BanksPerDie)
 	dies := r.Die.CountBelow(dieDom)
 	bks := r.Bank.CountBelow(banks)
 	rows := r.Row.CountBelow(an.rowsPerBank)
-	return regionInfo{
-		r:  r,
-		u1: dies * bks,
-		u2: bks * rows,
-		u3: dies * rows,
-		fd: firstValue(r.Die, dieDom),
-		fb: firstValue(r.Bank, banks),
-		fr: firstValue(r.Row, an.rowsPerBank),
+	ri.r = r
+	ri.u1, ri.u2, ri.u3 = dies*bks, bks*rows, dies*rows
+	ri.fd = firstValue(r.Die, dieDom)
+	ri.fb = firstValue(r.Bank, banks)
+	ri.fr = firstValue(r.Row, an.rowsPerBank)
+	exactDie := r.Die.Mask == ^uint32(0)
+	exactBank := r.Bank.Mask == ^uint32(0)
+	exactRow := r.Row.Mask == ^uint32(0)
+	var self Dims
+	if ri.u1 == 1 && exactDie && exactBank {
+		self |= Dims(Dim1)
 	}
+	if ri.u2 == 1 && exactBank && exactRow {
+		self |= Dims(Dim2)
+	}
+	if ri.u3 == 1 && exactDie && exactRow {
+		self |= Dims(Dim3)
+	}
+	ri.selfClear = self
 }
 
 // Add inserts r and returns the updated verdict. When the set was already
 // uncorrectable no evaluation happens (monotonicity); otherwise only the
 // interference component of r is peeled.
 func (st *State) Add(r fault.Region) bool {
-	st.live = append(st.live, st.info(r))
+	st.live = append(st.live, regionInfo{})
+	st.an.setInfo(&st.live[len(st.live)-1], r)
 	if st.bad {
 		return true
 	}
@@ -226,9 +248,11 @@ func (st *State) peel(indices []int) bool {
 
 // lostIn mirrors Analyzer.lost for the fault at indices[k] against the
 // still-alive members of indices, building the per-dimension blocked-piece
-// lists into reused buffers.
+// lists into reused buffers. The fault's pair with itself is skipped in
+// each dimension of its selfClear, where it adds no piece.
 func (st *State) lostIn(indices []int, k int) bool {
 	a := st.live[indices[k]].r
+	self := st.live[indices[k]].selfClear
 	dims := st.an.dimList
 	if len(dims) == 0 {
 		return true
@@ -236,7 +260,7 @@ func (st *State) lostIn(indices []int, k int) bool {
 	for di, d := range dims {
 		buf := st.pieces[di][:0]
 		for m, idx := range indices {
-			if !st.alive[m] {
+			if !st.alive[m] || (m == k && self&Dims(d) != 0) {
 				continue
 			}
 			b := &st.live[idx]

@@ -143,24 +143,16 @@ func (d *DDS) BankSpared(stackIdx, die, bank int) bool {
 // singleBank extracts the (die, bank) a footprint is confined to, if any.
 // A footprint on a stack outside the geometry is confined to no bank.
 func (d *DDS) singleBank(r fault.Region) (die, bank int, ok bool) {
-	dies := d.cfg.DataDies + d.cfg.ECCDies
+	dies := uint32(d.cfg.DataDies + d.cfg.ECCDies)
+	banks := uint32(d.cfg.BanksPerDie)
 	if r.Stack < 0 || r.Stack >= d.cfg.Stacks ||
-		r.Die.CountBelow(uint32(dies)) != 1 || r.Bank.CountBelow(uint32(d.cfg.BanksPerDie)) != 1 {
+		r.Die.CountBelow(dies) != 1 || r.Bank.CountBelow(banks) != 1 {
 		return 0, 0, false
 	}
-	for v := 0; v < dies; v++ {
-		if r.Die.Contains(uint32(v)) {
-			die = v
-			break
-		}
-	}
-	for v := 0; v < d.cfg.BanksPerDie; v++ {
-		if r.Bank.Contains(uint32(v)) {
-			bank = v
-			break
-		}
-	}
-	return die, bank, true
+	// Each pattern has exactly one member in its domain, so First finds it.
+	dv, _ := r.Die.First(dies)
+	bv, _ := r.Bank.First(banks)
+	return int(dv), int(bv), true
 }
 
 // Offer gives DDS a corrected permanent fault (at a scrub boundary). It
