@@ -74,14 +74,17 @@ determinism:
 	$(GO) test -count=1 -cpu 1,4 -run 'Differential|Golden|Deterministic|Reproducible|Census' \
 		./internal/faultsim/ ./internal/rare/ ./internal/scenario/ .
 
-# Footprint-algebra fuzzing, 10 s per target (`go test -fuzz` takes one
-# target per run): FuzzPatternAlgebra checks intersections and counts
-# against brute force on a bounded domain, FuzzNextMatchMinimal checks the
+# Fuzzing, 10 s per target (`go test -fuzz` takes one target per run):
+# FuzzPatternAlgebra checks footprint intersections and counts against
+# brute force on a bounded domain, FuzzNextMatchMinimal checks the
 # closed-form nextMatch against the binary-search reference in
-# pattern_test.go over full 32-bit inputs.
+# pattern_test.go over full 32-bit inputs, and FuzzSpecJSON decodes
+# arbitrary bytes as a wire job spec: Validate must not panic, and a spec
+# it accepts normalizes idempotently under an unchanged content key.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
+	$(GO) test -run xxx -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/jobs/
 
 # The repository benchmark is its own module (benchmark/go.mod replaces
 # repro with ../), so the root `go build ./...` and `go test ./...` never

@@ -112,7 +112,7 @@ func BenchmarkMonteCarloTrialThroughput(b *testing.B) {
 func BenchmarkPerfSimRequestThroughput(b *testing.B) {
 	prof, _ := citadel.BenchmarkByName("mcf")
 	b.ResetTimer()
-	r := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: b.N, Seed: 1})
+	r := citadel.SimulatePerformance(context.Background(), prof, citadel.PerfOptions{Requests: b.N, Seed: 1})
 	if r.Cycles == 0 && b.N > 1000 {
 		b.Fatal("simulation produced no cycles")
 	}

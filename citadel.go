@@ -275,9 +275,10 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 //     default), or a MaxTrials without TargetFailures;
 //   - a LifetimeYears that is negative, NaN or infinite, a negative or
 //     NaN ScrubIntervalHours, or a negative or NaN FIT rate;
-//   - an unknown scheme, fault model or scenario parameter, or a parameter
-//     value the scheme or fault-model plugin refuses;
-//   - a BiasFactor without RareEvent, or below 1;
+//   - an unknown scheme, fault model or scenario parameter, a NaN or
+//     infinite parameter value, or one the scheme or fault-model plugin
+//     refuses;
+//   - a BiasFactor without RareEvent, or one below 1, NaN or infinite;
 //   - importance sampling (RareEvent) over a fault model other than the
 //     Poisson process whose rates it biases.
 //
@@ -311,8 +312,8 @@ func (o ReliabilityOptions) setup(scheme Scheme) (pol faultsim.Policy, eo faults
 		return pol, eo, fmt.Errorf("citadel: scrubIntervalHours must be non-negative, got %g", o.ScrubIntervalHours)
 	case o.BiasFactor != 0 && !o.RareEvent:
 		return pol, eo, fmt.Errorf("citadel: biasFactor requires rareEvent")
-	case o.BiasFactor != 0 && o.BiasFactor < 1:
-		return pol, eo, fmt.Errorf("citadel: biasFactor must be >= 1, got %g", o.BiasFactor)
+	case o.BiasFactor != 0 && !(o.BiasFactor >= 1 && o.BiasFactor < math.Inf(1)):
+		return pol, eo, fmt.Errorf("citadel: biasFactor must be finite and >= 1, got %g", o.BiasFactor)
 	case o.RareEvent && o.FaultModel != "" && o.FaultModel != scenario.DefaultFaultModel:
 		return pol, eo, fmt.Errorf("citadel: rare-event sampling supports only the %q fault model, not %q",
 			scenario.DefaultFaultModel, o.FaultModel)

@@ -151,11 +151,11 @@ func TestBenchmarksExposed(t *testing.T) {
 
 func TestSimulatePerformanceAPI(t *testing.T) {
 	b, _ := BenchmarkByName("gcc")
-	base := SimulatePerformance(b, PerfOptions{Requests: 10000, Seed: 1})
+	base := SimulatePerformance(context.Background(), b, PerfOptions{Requests: 10000, Seed: 1})
 	if base.Cycles == 0 || base.ActivePowerWatts <= 0 {
 		t.Fatalf("degenerate result: %+v", base)
 	}
-	striped := SimulatePerformance(b, PerfOptions{
+	striped := SimulatePerformance(context.Background(), b, PerfOptions{
 		Striping: AcrossChannels, Requests: 10000, Seed: 1,
 	})
 	if striped.Cycles <= base.Cycles {
@@ -178,7 +178,7 @@ func TestProtectionNames(t *testing.T) {
 
 func TestMeasureParityCaching(t *testing.T) {
 	b, _ := BenchmarkByName("lbm")
-	r := MeasureParityCaching(b, 50000, 1)
+	r := MeasureParityCaching(context.Background(), b, 50000, 1)
 	if r.ParityProbes == 0 {
 		t.Fatal("no parity probes")
 	}
@@ -333,7 +333,7 @@ func TestSimulatePerformanceContextCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	r := SimulatePerformanceContext(ctx, b, PerfOptions{Requests: 50_000_000, Seed: 1})
+	r := SimulatePerformance(ctx, b, PerfOptions{Requests: 50_000_000, Seed: 1})
 	if !r.Partial {
 		t.Fatal("cancelled performance run not marked Partial")
 	}

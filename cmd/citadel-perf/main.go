@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -76,8 +77,8 @@ func main() {
 	fmt.Printf("%-12s %-9s %14s %14s %16s %10s\n",
 		"benchmark", "suite", "cycles", "norm.time", "active power W", "row-hit")
 	for _, b := range benches {
-		base := citadel.SimulatePerformance(b, citadel.PerfOptions{Requests: *requests, Seed: *seed})
-		r := citadel.SimulatePerformance(b, citadel.PerfOptions{
+		base := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{Requests: *requests, Seed: *seed})
+		r := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{
 			Striping: st, Protection: prot, Requests: *requests, Seed: *seed,
 			RunID: runID, Tracer: rec,
 		})

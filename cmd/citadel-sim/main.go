@@ -32,7 +32,10 @@
 // content-addressed store every -checkpoint-trials trials, so a killed
 // run resumes where it stopped (-resume, on by default) and a repeated
 // identical run is answered from cache without simulating at all. The
-// store directory is shared with citadel-server -job-dir.
+// store directory is shared with citadel-server -job-dir. Both modes run
+// one jobs.ReliabilitySpec built from the flags; -trace and -rates stay
+// local to a direct run, and jobs.Spec.Validate rejects a campaign with
+// -target-failures, -max-trials or -forensics (exit 2).
 //
 // -cluster-listen (durable mode only) additionally serves the
 // coordinator protocol on the given address, so citadel-worker
@@ -113,18 +116,27 @@ func writeJSONFile(path string, v any) error {
 }
 
 func main() {
+	// The run's settings are one jobs.ReliabilitySpec, the form a durable
+	// campaign and POST /api/v1/reliability take; spec.Options maps it
+	// onto the library's options on every path.
+	var spec jobs.ReliabilitySpec
+	flag.StringVar(&spec.Scheme, "scheme", "Citadel", "protection scheme (see -list)")
+	flag.IntVar(&spec.Trials, "trials", 100000, "Monte Carlo trials")
+	flag.Float64Var(&spec.TSVFIT, "tsv-fit", 0, "TSV failure rate per die (FIT)")
+	flag.BoolVar(&spec.TSVSwap, "tsvswap", false, "force TSV-SWAP on")
+	flag.Float64Var(&spec.LifetimeYears, "years", 7, "lifetime in years")
+	flag.Float64Var(&spec.ScrubHours, "scrub", 12, "scrub interval in hours")
+	flag.Int64Var(&spec.Seed, "seed", 1, "random seed")
+	flag.IntVar(&spec.TargetFailures, "target-failures", 0, "adaptive mode: add trials until this many failures")
+	flag.IntVar(&spec.MaxTrials, "max-trials", 0, "adaptive mode: trial cap (default 10x -trials; requires -target-failures)")
+	flag.IntVar(&spec.CheckpointTrials, "checkpoint-trials", jobs.DefaultCheckpointTrials, "durable mode: trials per checkpoint chunk (part of the campaign identity)")
+	flag.IntVar(&spec.Workers, "workers", 0, "engine worker goroutines (0 = GOMAXPROCS; sets parallelism only, never the result)")
+	flag.BoolVar(&spec.RareEvent, "rare-event", false, "importance-sampled rare-event engine: bias large-granularity faults, unbias via likelihood ratios (resolves <1e-6 tails)")
+	flag.Float64Var(&spec.BiasFactor, "bias-factor", 0, "rare-event mode: large-granularity rate inflation (0 = default 16)")
+	flag.StringVar(&spec.FaultModel, "fault-model", "", "arrival-process plugin (empty = poisson; see -list-scenarios)")
 	var (
-		schemeName = flag.String("scheme", "Citadel", "protection scheme (see -list)")
-		trials     = flag.Int("trials", 100000, "Monte Carlo trials")
-		tsvFIT     = flag.Float64("tsv-fit", 0, "TSV failure rate per die (FIT)")
-		tsvSwap    = flag.Bool("tsvswap", false, "force TSV-SWAP on")
-		years      = flag.Float64("years", 7, "lifetime in years")
-		scrub      = flag.Float64("scrub", 12, "scrub interval in hours")
-		seed       = flag.Int64("seed", 1, "random seed")
 		list       = flag.Bool("list", false, "list schemes and exit")
 		ratesPath  = flag.String("rates", "", "JSON file with custom FIT rates (overrides Table I)")
-		targetFail = flag.Int("target-failures", 0, "adaptive mode: add trials until this many failures")
-		maxTrials  = flag.Int("max-trials", 0, "adaptive mode: trial cap (default 10x -trials; requires -target-failures)")
 		progress   = flag.Duration("progress", 2*time.Second, "progress report interval on stderr (0 disables)")
 		forensics  = flag.String("forensics", "", "write a replayable failure-forensics report (JSON) to this file")
 		exemplars  = flag.Int("exemplars", 8, "forensics: max exemplar records captured")
@@ -132,16 +144,11 @@ func main() {
 		sample     = flag.Int("sample", 64, "trace: keep roughly 1-in-N trial spans")
 		jobDir     = flag.String("job-dir", "", "durable mode: checkpoint/resume the campaign via this store directory")
 		resume     = flag.Bool("resume", true, "durable mode: resume from an existing checkpoint (false restarts from trial zero)")
-		ckptTrials = flag.Int("checkpoint-trials", jobs.DefaultCheckpointTrials, "durable mode: trials per checkpoint chunk (part of the campaign identity)")
-		jobWorkers = flag.Int("workers", 0, "durable mode: engine worker goroutines (0 = GOMAXPROCS; sets parallelism only, never the result)")
 		clusterOn  = flag.String("cluster-listen", "", "durable mode: serve the coordinator protocol on this address so citadel-worker processes can pull chunks")
 		workerWait = flag.Duration("worker-grace", 10*time.Second, "cluster mode: how long to wait for a live worker before running locally")
-		rareEvent  = flag.Bool("rare-event", false, "importance-sampled rare-event engine: bias large-granularity faults, unbias via likelihood ratios (resolves <1e-6 tails)")
-		biasFactor = flag.Float64("bias-factor", 0, "rare-event mode: large-granularity rate inflation (0 = default 16)")
-		faultModel = flag.String("fault-model", "", "arrival-process plugin (empty = poisson; see -list-scenarios)")
 		listScen   = flag.Bool("list-scenarios", false, "list registered scenario schemes and fault models with their parameters, then exit")
 	)
-	scenarioParams := map[string]float64{}
+	spec.ScenarioParams = map[string]float64{}
 	flag.Func("scenario-param", "scenario plugin knob as name=value (repeatable; see -list-scenarios)", func(s string) error {
 		name, val, ok := strings.Cut(s, "=")
 		if !ok {
@@ -151,10 +158,11 @@ func main() {
 		if err != nil {
 			return fmt.Errorf("value of %q: %v", strings.TrimSpace(name), err)
 		}
-		scenarioParams[strings.TrimSpace(name)] = v
+		spec.ScenarioParams[strings.TrimSpace(name)] = v
 		return nil
 	})
 	flag.Parse()
+	spec.Forensics = *forensics != ""
 
 	if *list {
 		for _, s := range citadel.Schemes() {
@@ -168,22 +176,15 @@ func main() {
 		printCatalogSection("fault models", cat.FaultModels)
 		return
 	}
-	rates := citadel.Table1Rates()
-	if *ratesPath != "" {
-		loaded, err := fault.LoadRates(*ratesPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		rates = loaded
-	}
 	if *clusterOn != "" && *jobDir == "" {
 		fmt.Fprintln(os.Stderr, "-cluster-listen requires -job-dir (chunks checkpoint through the job store)")
 		os.Exit(2)
 	}
 	if *jobDir != "" {
-		if *targetFail != 0 || *maxTrials != 0 || *forensics != "" || *traceOut != "" || *ratesPath != "" {
-			fmt.Fprintln(os.Stderr, "-job-dir is incompatible with -target-failures, -max-trials, -forensics, -trace and -rates")
+		// The spec cannot carry a rates table or a trace; jobs.Spec.Validate
+		// rejects every other setting a campaign cannot honour.
+		if *traceOut != "" || *ratesPath != "" {
+			fmt.Fprintln(os.Stderr, "-job-dir is incompatible with -trace and -rates")
 			os.Exit(2)
 		}
 		runDurable(durableRun{
@@ -191,44 +192,24 @@ func main() {
 			resume:        *resume,
 			clusterListen: *clusterOn,
 			workerGrace:   *workerWait,
-			spec: jobs.ReliabilitySpec{
-				Scheme:           *schemeName,
-				Trials:           *trials,
-				TSVFIT:           *tsvFIT,
-				TSVSwap:          *tsvSwap,
-				LifetimeYears:    *years,
-				ScrubHours:       *scrub,
-				Seed:             *seed,
-				Workers:          *jobWorkers,
-				CheckpointTrials: *ckptTrials,
-				RareEvent:        *rareEvent,
-				BiasFactor:       *biasFactor,
-				FaultModel:       *faultModel,
-				ScenarioParams:   scenarioParams,
-			},
+			spec:          spec,
 			progressEvery: *progress,
 		})
 		return
 	}
 
-	opts := citadel.ReliabilityOptions{
-		Rates:              rates.WithTSV(*tsvFIT),
-		Trials:             *trials,
-		TargetFailures:     *targetFail,
-		MaxTrials:          *maxTrials,
-		LifetimeYears:      *years,
-		ScrubIntervalHours: *scrub,
-		TSVSwap:            *tsvSwap,
-		Seed:               *seed,
-		RunID:              obs.NewRunID(),
-		Forensics:          *forensics != "",
-		MaxExemplars:       *exemplars,
-		RareEvent:          *rareEvent,
-		BiasFactor:         *biasFactor,
-		FaultModel:         *faultModel,
-		ScenarioParams:     scenarioParams,
+	opts := spec.Options()
+	if *ratesPath != "" {
+		loaded, err := fault.LoadRates(*ratesPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		opts.Rates = loaded.WithTSV(spec.TSVFIT)
 	}
-	scheme := citadel.Scheme(*schemeName)
+	opts.RunID = obs.NewRunID()
+	opts.MaxExemplars = *exemplars
+	scheme := citadel.Scheme(spec.Scheme)
 	if err := opts.Validate(scheme); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -237,7 +218,7 @@ func main() {
 		opts.Trace = trace.New(trace.Options{
 			RunID:       opts.RunID,
 			SampleEvery: *sample,
-			Seed:        *seed,
+			Seed:        spec.Seed,
 		})
 	}
 	// Periodic progress on stderr, so a long or interrupted run shows what
@@ -267,11 +248,11 @@ func main() {
 	if res.Partial {
 		fmt.Fprintf(os.Stderr, "interrupted: partial result over %d completed trials\n", res.Trials)
 	}
-	if *targetFail > 0 && !res.Partial && !res.TargetMet {
+	if spec.TargetFailures > 0 && !res.Partial && !res.TargetMet {
 		fmt.Fprintf(os.Stderr, "adaptive: target of %d failures NOT reached (%d observed at the trial cap); consider -rare-event\n",
-			*targetFail, res.Failures)
+			spec.TargetFailures, res.Failures)
 	}
-	if *rareEvent {
+	if spec.RareEvent {
 		fmt.Fprintf(os.Stderr, "rare-event: ESS=%.1f effective-trials=%.3g (%.0fx the %d simulated)\n",
 			res.ESS(), res.EffectiveTrials(), res.EffectiveTrials()/float64(max(res.Trials, 1)), res.Trials)
 	}
@@ -299,21 +280,22 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace: run=%s %d events (%d dropped) -> %s\n",
 			opts.RunID, opts.Trace.Len(), opts.Trace.Dropped(), *traceOut)
 	}
+	printResult(res, spec.LifetimeYears)
+}
+
+// printResult ends both modes: it prints the result line and the
+// scenario counters, exits 1 when no trial completed, and then prints the
+// probability of failure by the end of each year the result tallies, up
+// to the end of the lifetime: a lifetime that is not a whole number of
+// years ends in a partial year, whose row covers the whole lifetime.
+// years is the -years flag, where 0 stands for the default lifetime. The
+// header names the lifetime, which the result line does not.
+func printResult(res citadel.Result, years float64) {
 	fmt.Println(res)
 	printScenarioStats(res.ScenarioStats)
 	if res.Trials == 0 {
 		os.Exit(1)
 	}
-	printYearTable(res, *years)
-}
-
-// printYearTable prints the probability of failure by the end of each
-// year the result tallies, up to the end of the lifetime: a lifetime that
-// is not a whole number of years ends in a partial year, whose row covers
-// the whole lifetime. years is the -years flag, where 0 stands for the
-// default lifetime. The header names the lifetime, which the result line
-// does not.
-func printYearTable(res citadel.Result, years float64) {
 	if years == 0 {
 		years = fault.LifetimeHours / fault.HoursPerYear
 	}
@@ -450,10 +432,5 @@ func runDurable(cfg durableRun) {
 		fmt.Fprintf(os.Stderr, "rare-event: ESS=%.1f effective-trials=%.3g (%.0fx the %d simulated)\n",
 			res.ESS(), res.EffectiveTrials(), res.EffectiveTrials()/float64(max(res.Trials, 1)), res.Trials)
 	}
-	fmt.Println(res)
-	printScenarioStats(res.ScenarioStats)
-	if res.Trials == 0 {
-		os.Exit(1)
-	}
-	printYearTable(res, cfg.spec.LifetimeYears)
+	printResult(res, cfg.spec.LifetimeYears)
 }

@@ -85,9 +85,12 @@ func TestYearTableCoversLifetime(t *testing.T) {
 // TestNegativeTrialsExitTwo: a negative -trials, -target-failures or
 // -max-trials is a usage error (exit 2), in adaptive mode too, and so is
 // a -max-trials without -target-failures, in direct and durable mode, and
-// a negative or NaN -years, -scrub or FIT rate. A Go panic exits 2 as
-// well, so the output must name the offending setting and hold no panic.
-// The timeout turns a run that never ends into a failure.
+// a negative or NaN -years, -scrub or FIT rate. So are a non-finite
+// -bias-factor or -scenario-param value, and in durable mode a negative
+// -trials or -checkpoint-trials (once run at their defaults) and the
+// adaptive and forensic settings a campaign does not take. A Go panic
+// exits 2 as well, so the output must name the offending setting and
+// hold no panic. The timeout turns a run that never ends into a failure.
 func TestNegativeTrialsExitTwo(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -98,12 +101,20 @@ func TestNegativeTrialsExitTwo(t *testing.T) {
 		{[]string{"-trials", "1000", "-target-failures", "-1"}, "-1"},
 		{[]string{"-trials", "1000", "-target-failures", "10", "-max-trials", "-1"}, "-1"},
 		{[]string{"-trials", "1000", "-max-trials", "5"}, "maxTrials"},
-		{[]string{"-trials", "1000", "-max-trials", "5", "-job-dir", t.TempDir()}, "-max-trials"},
+		{[]string{"-trials", "1000", "-max-trials", "5", "-job-dir", t.TempDir()}, "maxTrials"},
 		{[]string{"-trials", "2000", "-years", "-1"}, "-1"},
 		{[]string{"-trials", "2000", "-years", "NaN"}, "NaN"},
 		{[]string{"-trials", "2000", "-scrub", "-5"}, "-5"},
 		{[]string{"-trials", "2000", "-tsv-fit", "-5"}, "-5"},
 		{[]string{"-trials", "2000", "-years", "-1", "-job-dir", t.TempDir()}, "-1"},
+		{[]string{"-scheme", "1DP", "-trials", "-5", "-job-dir", t.TempDir()}, "-5"},
+		{[]string{"-trials", "2000", "-checkpoint-trials", "-3", "-job-dir", t.TempDir()}, "-3"},
+		{[]string{"-trials", "2000", "-target-failures", "10", "-job-dir", t.TempDir()}, "targetFailures"},
+		{[]string{"-trials", "2000", "-forensics", filepath.Join(t.TempDir(), "f.json"), "-job-dir", t.TempDir()}, "forensics"},
+		{[]string{"-scheme", "3DP", "-trials", "2000", "-rare-event", "-bias-factor", "NaN"}, "NaN"},
+		{[]string{"-scheme", "3DP", "-trials", "2000", "-rare-event", "-bias-factor", "+Inf"}, "Inf"},
+		{[]string{"-scheme", "two-tier-replication", "-trials", "2000", "-scenario-param", "fetchBandwidthGBps=NaN"}, "fetchBandwidthGBps"},
+		{[]string{"-scheme", "two-tier-replication", "-trials", "2000", "-scenario-param", "fetchLatencyMicros=+Inf"}, "fetchLatencyMicros"},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-progress", "0", "-scheme", "Citadel"}, tc.args...)...)

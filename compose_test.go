@@ -104,6 +104,11 @@ func TestValidateRejections(t *testing.T) {
 		{"bad param value", ReliabilityOptions{ScenarioParams: map[string]float64{"ondieWordBits": 100}}, "cerberus-cross-layer", "ondieWordBits"},
 		{"bias without rare", ReliabilityOptions{BiasFactor: 4}, SchemeCitadel, "requires rareEvent"},
 		{"bias below one", ReliabilityOptions{RareEvent: true, BiasFactor: 0.5}, SchemeCitadel, ">= 1"},
+		{"NaN bias", ReliabilityOptions{RareEvent: true, BiasFactor: math.NaN()}, Scheme3DP, "biasFactor"},
+		{"infinite bias", ReliabilityOptions{RareEvent: true, BiasFactor: math.Inf(1)}, Scheme3DP, "biasFactor"},
+		{"NaN param", ReliabilityOptions{ScenarioParams: map[string]float64{"fetchBandwidthGBps": math.NaN()}}, "two-tier-replication", "fetchBandwidthGBps"},
+		{"infinite param", ReliabilityOptions{ScenarioParams: map[string]float64{"fetchLatencyMicros": math.Inf(1)}}, "two-tier-replication", "fetchLatencyMicros"},
+		{"infinite fault-model param", ReliabilityOptions{FaultModel: "rowhammer", ScenarioParams: map[string]float64{"rateSigma": math.Inf(1)}}, SchemeCitadel, "rateSigma"},
 		{"rare non-poisson", ReliabilityOptions{RareEvent: true, FaultModel: "rowhammer"}, SchemeCitadel, "poisson"},
 		{"negative trials", ReliabilityOptions{Trials: -5}, SchemeCitadel, "non-negative"},
 		{"negative target", ReliabilityOptions{TargetFailures: -1}, SchemeCitadel, "non-negative"},

@@ -58,8 +58,8 @@ func ExampleComputeStorageOverhead() {
 // ExampleSimulatePerformance compares striping layouts for one benchmark.
 func ExampleSimulatePerformance() {
 	b, _ := citadel.BenchmarkByName("mcf")
-	base := citadel.SimulatePerformance(b, citadel.PerfOptions{Requests: 20000, Seed: 1})
-	striped := citadel.SimulatePerformance(b, citadel.PerfOptions{
+	base := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{Requests: 20000, Seed: 1})
+	striped := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{
 		Striping: citadel.AcrossChannels, Requests: 20000, Seed: 1,
 	})
 	fmt.Println("striping is slower:", striped.Cycles > base.Cycles)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,9 +26,9 @@ func main() {
 		if !ok {
 			log.Fatalf("unknown benchmark %s", name)
 		}
-		base := citadel.SimulatePerformance(b, citadel.PerfOptions{Requests: requests})
+		base := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{Requests: requests})
 		norm := func(striping citadel.Striping, prot citadel.Protection) (float64, float64) {
-			r := citadel.SimulatePerformance(b, citadel.PerfOptions{
+			r := citadel.SimulatePerformance(context.Background(), b, citadel.PerfOptions{
 				Striping: striping, Protection: prot, Requests: requests,
 			})
 			return float64(r.Cycles) / float64(base.Cycles),
@@ -50,7 +51,7 @@ func main() {
 	fmt.Printf("\n%-12s %s\n", "benchmark", "parity-update LLC hit rate")
 	for _, name := range names {
 		b, _ := citadel.BenchmarkByName(name)
-		r := citadel.MeasureParityCaching(b, 200000, 7)
+		r := citadel.MeasureParityCaching(context.Background(), b, 200000, 7)
 		fmt.Printf("%-12s %25.1f%%\n", name, 100*r.HitRate())
 	}
 }

@@ -13,7 +13,6 @@
 package api
 
 import (
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -489,32 +488,6 @@ func (s *Server) handleOverhead(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// ReliabilityRequest is the POST /reliability body.
-type ReliabilityRequest struct {
-	Scheme         string  `json:"scheme"`
-	Trials         int     `json:"trials"`
-	TSVFIT         float64 `json:"tsvFit"`
-	TSVSwap        bool    `json:"tsvSwap"`
-	LifetimeYears  float64 `json:"lifetimeYears"`
-	ScrubHours     float64 `json:"scrubHours"`
-	Seed           int64   `json:"seed"`
-	TargetFailures int     `json:"targetFailures"` // >0 enables adaptive mode
-	// MaxTrials caps an adaptive run and requires TargetFailures (default
-	// 10 × Trials, at most the per-call trial cap).
-	MaxTrials int `json:"maxTrials"`
-	// Forensics enables failure forensics: the response then carries the
-	// per-mode failure breakdown and up to MaxExemplars replayable
-	// exemplar records.
-	Forensics    bool `json:"forensics"`
-	MaxExemplars int  `json:"maxExemplars"`
-	// FaultModel selects a registered arrival-process plugin (empty means
-	// the default Poisson process); GET /api/v1/scenarios lists them.
-	FaultModel string `json:"faultModel"`
-	// ScenarioParams are scheme/fault-model plugin knobs (flat namespace,
-	// validated against the plugins' declared parameters).
-	ScenarioParams map[string]float64 `json:"scenarioParams"`
-}
-
 // ReliabilityResponse mirrors citadel.Result. Partial marks a run cut
 // short by cancellation or the per-run deadline: Trials then counts only
 // the completed trials and the statistics cover those. RunID echoes the
@@ -541,46 +514,45 @@ type ReliabilityResponse struct {
 // maxTrialsPerCall bounds request cost.
 const maxTrialsPerCall = 5_000_000
 
+// maxRequestsPerCall bounds the cost of a performance run.
+const maxRequestsPerCall = 2_000_000
+
 // maxExemplarsPerCall bounds the forensic payload of one response.
 const maxExemplarsPerCall = 64
 
+// handleReliability runs a jobs.ReliabilitySpec synchronously, through
+// the spec's one mapping onto the library's options. It takes every
+// field a campaign takes but checkpointTrials, which only shapes a
+// campaign's chunks, plus the adaptive and forensic fields a campaign
+// rejects.
 func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
-	var req ReliabilityRequest
-	if !s.decodeJSON(w, r, &req) {
+	var spec jobs.ReliabilitySpec
+	if !s.decodeJSON(w, r, &spec) {
 		return
 	}
-	if req.MaxExemplars < 0 || req.MaxExemplars > maxExemplarsPerCall {
+	if spec.CheckpointTrials != 0 {
+		s.writeError(w, http.StatusBadRequest, "checkpointTrials shapes a durable campaign (POST /api/v1/jobs); a synchronous run takes none")
+		return
+	}
+	if spec.MaxExemplars < 0 || spec.MaxExemplars > maxExemplarsPerCall {
 		s.writeError(w, http.StatusBadRequest, "maxExemplars must be in [0, %d]", maxExemplarsPerCall)
 		return
 	}
-	if req.Trials == 0 {
-		req.Trials = 10000
+	if spec.Trials == 0 {
+		spec.Trials = 10000
 	}
-	if req.Trials > maxTrialsPerCall || req.MaxTrials > maxTrialsPerCall {
+	if spec.Trials > maxTrialsPerCall || spec.MaxTrials > maxTrialsPerCall {
 		s.writeError(w, http.StatusBadRequest, "trials capped at %d per call", maxTrialsPerCall)
 		return
 	}
-	if req.TargetFailures > 0 && req.MaxTrials == 0 {
+	if spec.TargetFailures > 0 && spec.MaxTrials == 0 {
 		// The engine's default cap, 10 × trials, would exceed the per-call
 		// bound for trials above a tenth of it.
-		req.MaxTrials = min(10*req.Trials, maxTrialsPerCall)
+		spec.MaxTrials = min(10*spec.Trials, maxTrialsPerCall)
 	}
-	opts := citadel.ReliabilityOptions{
-		Rates:              citadel.Table1Rates().WithTSV(req.TSVFIT),
-		Trials:             req.Trials,
-		TargetFailures:     req.TargetFailures,
-		MaxTrials:          req.MaxTrials,
-		LifetimeYears:      req.LifetimeYears,
-		ScrubIntervalHours: req.ScrubHours,
-		TSVSwap:            req.TSVSwap,
-		Seed:               req.Seed,
-		Forensics:          req.Forensics,
-		MaxExemplars:       req.MaxExemplars,
-		Trace:              s.opts.Trace,
-		FaultModel:         req.FaultModel,
-		ScenarioParams:     req.ScenarioParams,
-	}
-	if err := opts.Validate(citadel.Scheme(req.Scheme)); err != nil {
+	opts := spec.Options()
+	opts.Trace = s.opts.Trace
+	if err := opts.Validate(citadel.Scheme(spec.Scheme)); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -597,8 +569,8 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 	mSimRuns.Inc()
 	start := time.Now()
 	s.opts.Logf("api: run=%s kind=reliability scheme=%s trials=%d targetFailures=%d seed=%d start",
-		runID, req.Scheme, req.Trials, req.TargetFailures, req.Seed)
-	res, err := citadel.Simulate(ctx, opts, citadel.Scheme(req.Scheme))
+		runID, spec.Scheme, spec.Trials, spec.TargetFailures, spec.Seed)
+	res, err := citadel.Simulate(ctx, opts, citadel.Scheme(spec.Scheme))
 	if err != nil {
 		// Plugin builders reject parameter values (not just keys) at build
 		// time; surface that as a client error.
@@ -606,7 +578,7 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.opts.Logf("api: run=%s kind=reliability scheme=%s trials=%d failures=%d partial=%t duration=%s done",
-		runID, req.Scheme, res.Trials, res.Failures, res.Partial, time.Since(start).Round(time.Millisecond))
+		runID, spec.Scheme, res.Trials, res.Failures, res.Partial, time.Since(start).Round(time.Millisecond))
 	byYear := make([]float64, len(res.FailuresByYear))
 	for y := range byYear {
 		byYear[y] = res.ProbabilityByYear(y + 1)
@@ -625,15 +597,6 @@ func (s *Server) handleReliability(w http.ResponseWriter, r *http.Request) {
 		ScenarioStats: res.ScenarioStats,
 		Partial:       res.Partial,
 	})
-}
-
-// PerformanceRequest is the POST /performance body.
-type PerformanceRequest struct {
-	Benchmark  string `json:"benchmark"`
-	Striping   string `json:"striping"`   // same-bank | across-banks | across-channels
-	Protection string `json:"protection"` // none | 3dp | 3dp-no-cache
-	Requests   int    `json:"requests"`
-	Seed       int64  `json:"seed"`
 }
 
 // PerformanceResponse mirrors citadel.PerfResult plus the baseline ratio.
@@ -658,32 +621,23 @@ type PerformanceResponse struct {
 	Partial           bool    `json:"partial,omitempty"`
 }
 
+// handlePerformance runs a jobs.PerformanceSpec synchronously, through
+// the one implementation performance jobs run.
 func (s *Server) handlePerformance(w http.ResponseWriter, r *http.Request) {
-	var req PerformanceRequest
-	if !s.decodeJSON(w, r, &req) {
+	var p jobs.PerformanceSpec
+	if !s.decodeJSON(w, r, &p) {
 		return
 	}
-	b, ok := citadel.BenchmarkByName(req.Benchmark)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "unknown benchmark %q", req.Benchmark)
-		return
-	}
-	striping, prot, err := citadel.ParsePerfNames(cmp.Or(req.Striping, "same-bank"), cmp.Or(req.Protection, "none"))
-	if err != nil {
+	spec := jobs.Spec{Performance: &p}
+	if err := spec.Validate(); err != nil {
 		s.writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Requests < 0 {
-		s.writeError(w, http.StatusBadRequest, "requests must be non-negative")
+	if p.Requests > maxRequestsPerCall {
+		s.writeError(w, http.StatusBadRequest, "requests capped at %d per call", maxRequestsPerCall)
 		return
 	}
-	if req.Requests == 0 {
-		req.Requests = 50000
-	}
-	if req.Requests > 2_000_000 {
-		s.writeError(w, http.StatusBadRequest, "requests capped at 2000000 per call")
-		return
-	}
+	p = *spec.Normalize().Performance
 	release, ok := s.acquire(w, r)
 	if !ok {
 		return
@@ -696,14 +650,15 @@ func (s *Server) handlePerformance(w http.ResponseWriter, r *http.Request) {
 	mSimRuns.Inc()
 	start := time.Now()
 	s.opts.Logf("api: run=%s kind=performance benchmark=%s striping=%s protection=%s requests=%d seed=%d start",
-		runID, req.Benchmark, req.Striping, req.Protection, req.Requests, req.Seed)
-	base := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{Requests: req.Requests, Seed: req.Seed})
-	res := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{
-		Striping: striping, Protection: prot, Requests: req.Requests, Seed: req.Seed,
-		RunID: runID, Tracer: s.opts.Trace,
-	})
+		runID, p.Benchmark, p.Striping, p.Protection, p.Requests, p.Seed)
+	pr, err := jobs.RunPerformance(ctx, &p, runID, s.opts.Trace)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	base, res := pr.Base, pr.Run
 	s.opts.Logf("api: run=%s kind=performance benchmark=%s requestsDone=%d partial=%t duration=%s done",
-		runID, req.Benchmark, res.RequestsDone, base.Partial || res.Partial, time.Since(start).Round(time.Millisecond))
+		runID, p.Benchmark, res.RequestsDone, base.Partial || res.Partial, time.Since(start).Round(time.Millisecond))
 	// Guard the ratios: a cancelled base run can have zero cycles, and
 	// NaN/Inf are not encodable as JSON.
 	normTime, normPower := 0.0, 0.0

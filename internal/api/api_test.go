@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // quietLogf silences server logs in tests that exercise error paths.
@@ -103,7 +105,7 @@ func TestOverheadEndpoint(t *testing.T) {
 func TestReliabilityEndpoint(t *testing.T) {
 	srv := testServer(t)
 	var out ReliabilityResponse
-	resp := postJSON(t, srv.URL+"/api/v1/reliability", ReliabilityRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/reliability", jobs.ReliabilitySpec{
 		Scheme: "None", Trials: 3000, Seed: 1,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -123,7 +125,7 @@ func TestReliabilityEndpoint(t *testing.T) {
 func TestReliabilityAdaptiveEndpoint(t *testing.T) {
 	srv := testServer(t)
 	var out ReliabilityResponse
-	postJSON(t, srv.URL+"/api/v1/reliability", ReliabilityRequest{
+	postJSON(t, srv.URL+"/api/v1/reliability", jobs.ReliabilitySpec{
 		Scheme: "1DP", Trials: 2000, TargetFailures: 3, MaxTrials: 100000, Seed: 2,
 	}, &out)
 	if out.Failures < 3 && out.Trials < 100000 {
@@ -140,7 +142,7 @@ func TestReliabilityAdaptiveCapBounded(t *testing.T) {
 	}
 	srv := testServer(t)
 	var out ReliabilityResponse
-	resp := postJSON(t, srv.URL+"/api/v1/reliability", ReliabilityRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/reliability", jobs.ReliabilitySpec{
 		Scheme: "None", Trials: 600_000, TargetFailures: 1 << 30, Seed: 1,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -154,7 +156,7 @@ func TestReliabilityAdaptiveCapBounded(t *testing.T) {
 
 func TestReliabilityValidation(t *testing.T) {
 	srv := testServer(t)
-	cases := []ReliabilityRequest{
+	cases := []jobs.ReliabilitySpec{
 		{Scheme: "NoSuchScheme"},
 		{Scheme: "3DP", Trials: 100_000_000},
 		{Scheme: "3DP", Trials: 1000, TargetFailures: 10, MaxTrials: maxTrialsPerCall + 1},
@@ -183,7 +185,7 @@ func TestReliabilityValidation(t *testing.T) {
 func TestPerformanceEndpoint(t *testing.T) {
 	srv := testServer(t)
 	var out PerformanceResponse
-	resp := postJSON(t, srv.URL+"/api/v1/performance", PerformanceRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/performance", jobs.PerformanceSpec{
 		Benchmark: "mcf", Striping: "across-channels", Requests: 10000, Seed: 1,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -199,7 +201,7 @@ func TestPerformanceEndpoint(t *testing.T) {
 
 func TestPerformanceValidation(t *testing.T) {
 	srv := testServer(t)
-	cases := []PerformanceRequest{
+	cases := []jobs.PerformanceSpec{
 		{Benchmark: "nope"},
 		{Benchmark: "mcf", Striping: "diagonal"},
 		{Benchmark: "mcf", Protection: "raid0"},
@@ -299,7 +301,7 @@ func TestBodySizeLimit(t *testing.T) {
 
 func TestNegativeParameterValidation(t *testing.T) {
 	srv := testServer(t)
-	relCases := []ReliabilityRequest{
+	relCases := []jobs.ReliabilitySpec{
 		{Scheme: "3DP", Trials: -1},
 		{Scheme: "3DP", LifetimeYears: -2},
 		{Scheme: "3DP", ScrubHours: -1},
@@ -312,7 +314,7 @@ func TestNegativeParameterValidation(t *testing.T) {
 			t.Errorf("reliability %+v: status %d, want 400", c, resp.StatusCode)
 		}
 	}
-	resp := postJSON(t, srv.URL+"/api/v1/performance", PerformanceRequest{Benchmark: "mcf", Requests: -5}, nil)
+	resp := postJSON(t, srv.URL+"/api/v1/performance", jobs.PerformanceSpec{Benchmark: "mcf", Requests: -5}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("performance negative requests: status %d, want 400", resp.StatusCode)
 	}
@@ -340,7 +342,7 @@ func TestPanicRecovery(t *testing.T) {
 func TestReliabilityClientDisconnectPartial(t *testing.T) {
 	s := New(Options{Logf: quietLogf})
 	h := s.Handler()
-	body, err := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
+	body, err := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +382,7 @@ func TestReliabilityDeadlinePartial(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	var out ReliabilityResponse
-	resp := postJSON(t, srv.URL+"/api/v1/reliability", ReliabilityRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/reliability", jobs.ReliabilitySpec{
 		Scheme: "None", Trials: maxTrialsPerCall, Seed: 1,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -399,7 +401,7 @@ func TestPerformanceDeadlinePartial(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	var out PerformanceResponse
-	resp := postJSON(t, srv.URL+"/api/v1/performance", PerformanceRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/performance", jobs.PerformanceSpec{
 		Benchmark: "mcf", Requests: 2_000_000, Seed: 1,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -421,7 +423,7 @@ func TestBackpressureSheds429(t *testing.T) {
 	defer cancel()
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
+		body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/reliability", bytes.NewReader(body)).WithContext(ctx)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
@@ -433,7 +435,7 @@ func TestBackpressureSheds429(t *testing.T) {
 	if s.InFlight() != 1 {
 		t.Fatal("long run never acquired the simulation slot")
 	}
-	body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: 1000, Seed: 2})
+	body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: 1000, Seed: 2})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/reliability", bytes.NewReader(body)))
 	if rec.Code != http.StatusTooManyRequests {
@@ -470,7 +472,7 @@ func TestQueueWaitAdmitsWhenSlotFrees(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
+		body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/reliability", bytes.NewReader(body)).WithContext(ctx)
 		h.ServeHTTP(httptest.NewRecorder(), req)
 	}()
@@ -482,7 +484,7 @@ func TestQueueWaitAdmitsWhenSlotFrees(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: 1000, Seed: 2})
+	body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: 1000, Seed: 2})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/reliability", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {

@@ -25,15 +25,12 @@ import (
 // from the orchestrator's bounded queue instead: a full queue answers
 // 429 with a Retry-After hint derived from the queue depth.
 
-// JobRequest is the POST /api/v1/jobs body. Kind may be omitted when
-// exactly one sub-spec is present.
-type JobRequest struct {
-	Kind        string                `json:"kind,omitempty"`
-	Priority    int                   `json:"priority,omitempty"`
-	Reliability *jobs.ReliabilitySpec `json:"reliability,omitempty"`
-	Performance *jobs.PerformanceSpec `json:"performance,omitempty"`
-	Experiment  *jobs.ExperimentSpec  `json:"experiment,omitempty"`
-}
+// JobRequest is the POST /api/v1/jobs body, the wire form of a campaign.
+// Kind may be omitted when exactly one sub-spec is present.
+//
+// Deprecated: use jobs.Spec. The alias remains only because the
+// repository benchmark (benchmark/service.go) constructs it.
+type JobRequest = jobs.Spec
 
 // JobResponse mirrors jobs.Job for the wire.
 type JobResponse struct {
@@ -65,47 +62,20 @@ func retryAfterSeconds(depth int) int {
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !s.decodeJSON(w, r, &req) {
+	var spec jobs.Spec
+	if !s.decodeJSON(w, r, &spec) {
 		return
 	}
-	if rel := req.Reliability; rel != nil {
-		if rel.Trials < 0 || rel.TSVFIT < 0 || rel.LifetimeYears < 0 || rel.ScrubHours < 0 {
-			s.writeError(w, http.StatusBadRequest,
-				"trials, tsvFit, lifetimeYears and scrubHours must be non-negative")
-			return
-		}
-		if rel.Trials > maxTrialsPerCall {
-			s.writeError(w, http.StatusBadRequest, "trials capped at %d per job", maxTrialsPerCall)
-			return
-		}
+	// The caps are this server's policy; Submit runs jobs.Spec.Validate,
+	// the one check of the spec itself.
+	if (spec.Reliability != nil && spec.Reliability.Trials > maxTrialsPerCall) ||
+		(spec.Experiment != nil && spec.Experiment.Trials > maxTrialsPerCall) {
+		s.writeError(w, http.StatusBadRequest, "trials capped at %d per job", maxTrialsPerCall)
+		return
 	}
-	if p := req.Performance; p != nil {
-		if p.Requests < 0 {
-			s.writeError(w, http.StatusBadRequest, "requests must be non-negative")
-			return
-		}
-		if p.Requests > 2_000_000 {
-			s.writeError(w, http.StatusBadRequest, "requests capped at 2000000 per job")
-			return
-		}
-	}
-	if e := req.Experiment; e != nil {
-		if e.Trials < 0 || e.Requests < 0 {
-			s.writeError(w, http.StatusBadRequest, "trials and requests must be non-negative")
-			return
-		}
-		if e.Trials > maxTrialsPerCall {
-			s.writeError(w, http.StatusBadRequest, "trials capped at %d per job", maxTrialsPerCall)
-			return
-		}
-	}
-	spec := jobs.Spec{
-		Kind:        req.Kind,
-		Priority:    req.Priority,
-		Reliability: req.Reliability,
-		Performance: req.Performance,
-		Experiment:  req.Experiment,
+	if spec.Performance != nil && spec.Performance.Requests > maxRequestsPerCall {
+		s.writeError(w, http.StatusBadRequest, "requests capped at %d per job", maxRequestsPerCall)
+		return
 	}
 	job, err := s.opts.Jobs.Submit(spec)
 	switch {

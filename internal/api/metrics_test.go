@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/jobs"
 )
 
 // scrapeMetrics fetches and returns the /metrics body.
@@ -65,7 +67,7 @@ func TestMetricsScrapeDuringLiveSimulation(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
+		body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: maxTrialsPerCall, Seed: 1})
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/reliability", bytes.NewReader(body)).WithContext(ctx)
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
 	}()
@@ -124,7 +126,7 @@ func TestMetricsExposePerformanceCounters(t *testing.T) {
 	reqBefore, _ := metricValue(before, "citadel_perfsim_requests_total")
 
 	var out PerformanceResponse
-	resp := postJSON(t, srv.URL+"/api/v1/performance", PerformanceRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/performance", jobs.PerformanceSpec{
 		Benchmark: "mcf", Requests: 5000, Seed: 3,
 	}, &out)
 	if resp.StatusCode != http.StatusOK {
@@ -162,7 +164,7 @@ func TestRunIDHeaderAndStructuredLogs(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
-	body, _ := json.Marshal(ReliabilityRequest{Scheme: "None", Trials: 1000, Seed: 1})
+	body, _ := json.Marshal(jobs.ReliabilitySpec{Scheme: "None", Trials: 1000, Seed: 1})
 	resp, err := http.Post(srv.URL+"/api/v1/reliability", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +196,7 @@ func TestRunIDHeaderAndStructuredLogs(t *testing.T) {
 func TestPerformanceRunIDHeader(t *testing.T) {
 	srv := testServer(t)
 	var out PerformanceResponse
-	resp := postJSON(t, srv.URL+"/api/v1/performance", PerformanceRequest{
+	resp := postJSON(t, srv.URL+"/api/v1/performance", jobs.PerformanceSpec{
 		Benchmark: "gcc", Requests: 2000, Seed: 1,
 	}, &out)
 	if resp.Header.Get("X-Run-Id") == "" {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"repro/internal/jobs"
 	"repro/internal/scenario"
 )
 
@@ -81,13 +82,13 @@ func TestScenariosCatalogGzip(t *testing.T) {
 // unknown ones with a client error, not a failed job.
 func TestReliabilityScenarioSelection(t *testing.T) {
 	srv := testServer(t)
-	post := func(body ReliabilityRequest) (*http.Response, ReliabilityResponse) {
+	post := func(body jobs.ReliabilitySpec) (*http.Response, ReliabilityResponse) {
 		var out ReliabilityResponse
 		resp := postJSON(t, srv.URL+"/api/v1/reliability", body, &out)
 		return resp, out
 	}
 
-	resp, out := post(ReliabilityRequest{
+	resp, out := post(jobs.ReliabilitySpec{
 		Scheme: "Citadel", Trials: 200, Seed: 5,
 		FaultModel:     "rowhammer",
 		ScenarioParams: map[string]float64{"breakthroughProb": 1e-7},
@@ -99,16 +100,16 @@ func TestReliabilityScenarioSelection(t *testing.T) {
 		t.Fatalf("hammerTrials = %g, want 200 (stats: %v)", out.ScenarioStats["hammerTrials"], out.ScenarioStats)
 	}
 
-	resp, _ = post(ReliabilityRequest{Scheme: "two-tier-replication", Trials: 100})
+	resp, _ = post(jobs.ReliabilitySpec{Scheme: "two-tier-replication", Trials: 100})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("two-tier request status = %d", resp.StatusCode)
 	}
 
-	resp, _ = post(ReliabilityRequest{Scheme: "Citadel", Trials: 10, FaultModel: "no-such"})
+	resp, _ = post(jobs.ReliabilitySpec{Scheme: "Citadel", Trials: 10, FaultModel: "no-such"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown fault model status = %d, want 400", resp.StatusCode)
 	}
-	resp, _ = post(ReliabilityRequest{Scheme: "Citadel", Trials: 10,
+	resp, _ = post(jobs.ReliabilitySpec{Scheme: "Citadel", Trials: 10,
 		ScenarioParams: map[string]float64{"bogus": 1}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown param status = %d, want 400", resp.StatusCode)

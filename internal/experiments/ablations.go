@@ -200,13 +200,17 @@ func ParitySensitivity(opt Options) Report {
 				rep.Partial = true
 				break
 			}
-			base := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
-			run := citadel.SimulatePerformance(prof, citadel.PerfOptions{
+			base := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+			run := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{
 				Protection:         citadel.Protection3DP,
 				ParityCacheHitRate: hit,
 				Requests:           opt.Requests,
 				Seed:               opt.Seed,
 			})
+			if base.Partial || run.Partial {
+				rep.Partial = true
+				break
+			}
 			g += math.Log(float64(run.Cycles) / float64(base.Cycles))
 			n++
 		}
@@ -258,7 +262,11 @@ func CmdLevel(opt Options) Report {
 			break
 		}
 		prof, _ := citadel.BenchmarkByName(name)
-		coarse := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		coarse := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		if coarse.Partial {
+			partial = true
+			break
+		}
 
 		// Replay channel 0's stream through the command-level model.
 		gen := workload.NewGenerator(prof, 8, opt.Seed)

@@ -287,8 +287,8 @@ func geomeanPerf(opt Options, id string, striping citadel.Striping, prot citadel
 			break
 		}
 		phaseStart := time.Now()
-		base := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
-		run := citadel.SimulatePerformanceContext(ctx, prof, citadel.PerfOptions{
+		base := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		run := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{
 			Striping: striping, Protection: prot, Requests: opt.Requests, Seed: opt.Seed,
 		})
 		if base.Partial || run.Partial || base.Cycles == 0 {
@@ -360,7 +360,7 @@ func Fig13(opt Options) Report {
 	suiteN := map[workload.Suite]int{}
 	for _, prof := range citadel.Benchmarks() {
 		phaseStart := time.Now()
-		r := citadel.MeasureParityCachingContext(ctx, prof, opt.Requests*3, opt.Seed)
+		r := citadel.MeasureParityCaching(ctx, prof, opt.Requests*3, opt.Seed)
 		if r.Partial {
 			// A truncated measurement would skew its suite's average.
 			rep.Partial = true
@@ -466,17 +466,24 @@ func Fig15(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		base := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		base := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		partial := base.Partial
 		get := func(s citadel.Striping, p citadel.Protection) float64 {
-			r := citadel.SimulatePerformance(prof, citadel.PerfOptions{
+			r := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{
 				Striping: s, Protection: p, Requests: opt.Requests, Seed: opt.Seed,
 			})
+			partial = partial || r.Partial
 			return float64(r.Cycles) / float64(base.Cycles)
 		}
 		d3 := get(citadel.SameBank, citadel.Protection3DP)
 		d3n := get(citadel.SameBank, citadel.Protection3DPNoCache)
 		ab := get(citadel.AcrossBanks, citadel.NoProtection)
 		ac := get(citadel.AcrossChannels, citadel.NoProtection)
+		if partial {
+			// Only complete benchmark runs enter the table and the mean.
+			rep.Partial = true
+			break
+		}
 		fmt.Fprintf(&b, "%-12s %10.3f %14.3f %14.3f %16.3f\n", prof.Name, d3, d3n, ab, ac)
 		sum.g3 += math.Log(d3)
 		sum.g3n += math.Log(d3n)
@@ -510,11 +517,13 @@ func Fig16(opt Options) Report {
 			break
 		}
 		phaseStart := time.Now()
-		base := citadel.SimulatePerformance(prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		base := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{Requests: opt.Requests, Seed: opt.Seed})
+		partial := base.Partial
 		get := func(s citadel.Striping, p citadel.Protection) float64 {
-			r := citadel.SimulatePerformance(prof, citadel.PerfOptions{
+			r := citadel.SimulatePerformance(ctx, prof, citadel.PerfOptions{
 				Striping: s, Protection: p, Requests: opt.Requests, Seed: opt.Seed,
 			})
+			partial = partial || r.Partial
 			return r.ActivePowerWatts / base.ActivePowerWatts
 		}
 		a := bySuite[prof.Suite]
@@ -525,6 +534,11 @@ func Fig16(opt Options) Report {
 		d3, ab, ac := math.Log(get(citadel.SameBank, citadel.Protection3DP)),
 			math.Log(get(citadel.AcrossBanks, citadel.NoProtection)),
 			math.Log(get(citadel.AcrossChannels, citadel.NoProtection))
+		if partial {
+			// Only complete benchmark runs enter the means.
+			rep.Partial = true
+			break
+		}
 		a.d3 += d3
 		a.ab += ab
 		a.ac += ac

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +154,37 @@ func TestRunContextCancelledReturnsPartial(t *testing.T) {
 	rep, err := RunContext(ctx, "table1", tinyOptions())
 	if err != nil || rep.Partial {
 		t.Errorf("table1 under cancelled ctx: err=%v partial=%v", err, rep.Partial)
+	}
+}
+
+// TestPerfFiguresStopInsideABenchmark: the performance figures and
+// ablations pass their context to every timing run, so a cancel lands
+// inside the benchmark being simulated, and a benchmark whose runs did
+// not all complete is left out of the report.
+func TestPerfFiguresStopInsideABenchmark(t *testing.T) {
+	for _, id := range []string{"fig15", "fig16", "paritysens", "cmdlevel"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		rep, err := RunContext(ctx, id, Options{Trials: 1000, Requests: 20_000_000, Seed: 42})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("%s: cancelled run took %v", id, elapsed)
+		}
+		if !rep.Partial {
+			t.Errorf("%s: cancelled run not marked Partial", id)
+		}
+		// Every row of these reports carries a number; headers carry none.
+		for _, line := range strings.Split(rep.Text, "\n") {
+			for _, f := range strings.Fields(line) {
+				if _, err := strconv.ParseFloat(strings.TrimSuffix(f, "%"), 64); err == nil {
+					t.Errorf("%s: report holds a row from runs cut short: %q", id, line)
+					break
+				}
+			}
+		}
 	}
 }
 

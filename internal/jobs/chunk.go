@@ -67,28 +67,10 @@ func RunChunk(ctx context.Context, r *ReliabilitySpec, chunk int, runID string, 
 	if chunk < 0 || chunk >= totalChunks(r) {
 		return citadel.Result{}, fmt.Errorf("jobs: chunk %d out of range [0, %d)", chunk, totalChunks(r))
 	}
-	opts := r.options()
+	opts := r.Options()
 	opts.Trials = r.ChunkTrials(chunk)
 	opts.Seed = faultsim.SeedAt(r.Seed, uint64(chunk)*uint64(r.CheckpointTrials))
 	opts.RunID = runID
 	opts.Progress = progress
 	return citadel.Simulate(ctx, opts, citadel.Scheme(r.Scheme))
-}
-
-// options maps the spec onto the library's reliability options; RunChunk
-// specializes them per chunk and Spec.Validate checks them whole.
-func (r *ReliabilitySpec) options() citadel.ReliabilityOptions {
-	return citadel.ReliabilityOptions{
-		Rates:              citadel.Table1Rates().WithTSV(r.TSVFIT),
-		Trials:             r.Trials,
-		LifetimeYears:      r.LifetimeYears,
-		ScrubIntervalHours: r.ScrubHours,
-		TSVSwap:            r.TSVSwap,
-		Seed:               r.Seed,
-		Workers:            r.Workers,
-		RareEvent:          r.RareEvent,
-		BiasFactor:         r.BiasFactor,
-		FaultModel:         r.FaultModel,
-		ScenarioParams:     r.ScenarioParams,
-	}
 }

@@ -950,26 +950,14 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 
 // runPerformance executes a base + configured timing/power pair.
 func (o *Orchestrator) runPerformance(ctx context.Context, j *job) (any, bool, error) {
-	p := j.spec.Performance
-	b, ok := citadel.BenchmarkByName(p.Benchmark)
-	if !ok {
-		return nil, false, fmt.Errorf("jobs: unknown benchmark %q", p.Benchmark)
-	}
-	striping, prot, err := citadel.ParsePerfNames(p.Striping, p.Protection)
-	if err != nil {
-		return nil, false, fmt.Errorf("jobs: %w", err)
-	}
-	base := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{Requests: p.Requests, Seed: p.Seed})
-	if base.Partial {
+	res, err := RunPerformance(ctx, j.spec.Performance, j.id, nil)
+	switch {
+	case err != nil:
+		return nil, false, err
+	case res.Base.Partial || res.Run.Partial:
 		return nil, true, nil
 	}
-	run := citadel.SimulatePerformanceContext(ctx, b, citadel.PerfOptions{
-		Striping: striping, Protection: prot, Requests: p.Requests, Seed: p.Seed, RunID: j.id,
-	})
-	if run.Partial {
-		return nil, true, nil
-	}
-	return PerformanceResult{Base: base, Run: run}, false, nil
+	return res, false, nil
 }
 
 // runExperiment regenerates one paper table/figure.

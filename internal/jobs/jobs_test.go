@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,7 +133,7 @@ func TestChunkedCampaignMatchesDirectRun(t *testing.T) {
 			total = faultsim.Merge(total, res)
 			total.Policy = res.Policy
 		}
-		direct, err := citadel.Simulate(context.Background(), r.options(), citadel.Scheme(scheme))
+		direct, err := citadel.Simulate(context.Background(), r.Options(), citadel.Scheme(scheme))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,6 +212,31 @@ func TestSubmitValidation(t *testing.T) {
 		Performance: &PerformanceSpec{Benchmark: "mcf"},
 	}); err == nil {
 		t.Error("two sub-specs accepted")
+	}
+	// Normalize turns a non-positive count into its default, so a negative
+	// count used to run at the default instead of being rejected; and a
+	// campaign names the adaptive and forensic fields it does not take.
+	for i, tc := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", Trials: -5}}, "trials"},
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", CheckpointTrials: -3}}, "checkpointTrials"},
+		{Spec{Performance: &PerformanceSpec{Benchmark: "mcf", Requests: -1}}, "requests"},
+		{Spec{Experiment: &ExperimentSpec{ID: "table1", Trials: -1}}, "trials"},
+		{Spec{Experiment: &ExperimentSpec{ID: "table1", Requests: -1}}, "requests"},
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", TargetFailures: 10}}, "targetFailures"},
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", TargetFailures: 10, MaxTrials: 40000}}, "maxTrials"},
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", Forensics: true}}, "forensics"},
+		{Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", MaxExemplars: 4}}, "maxExemplars"},
+	} {
+		j, err := o.Submit(tc.spec)
+		if err == nil {
+			o.Cancel(j.ID)
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: Submit = %v, want an error naming %q", i, err, tc.want)
+		}
 	}
 }
 

@@ -25,6 +25,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -189,7 +190,8 @@ func BuildFaultModel(name string, cfg stack.Config, rates fault.Rates, p Params)
 
 // ValidateParams rejects parameter keys that neither the named scheme nor
 // the named fault model declares — the two plugins share one flat
-// namespace, so a key is valid if either side documents it. Unknown
+// namespace, so a key is valid if either side documents it — and NaN or
+// infinite values, so no plugin needs its own check for them. Unknown
 // scheme or model names are reported too, so callers can validate a whole
 // scenario selection with one call.
 func ValidateParams(scheme, model string, p Params) error {
@@ -211,16 +213,23 @@ func ValidateParams(scheme, model string, p Params) error {
 	for _, d := range m.Params {
 		known[d.Name] = true
 	}
-	unknown := make([]string, 0, len(p))
-	for k := range p {
-		if !known[k] {
+	var unknown, nonFinite []string
+	for k, v := range p {
+		switch {
+		case !known[k]:
 			unknown = append(unknown, k)
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			nonFinite = append(nonFinite, fmt.Sprintf("%s=%g", k, v))
 		}
 	}
 	if len(unknown) > 0 {
 		sort.Strings(unknown)
 		return fmt.Errorf("scenario: unknown parameter(s) %v for scheme %q with fault model %q",
 			unknown, scheme, m.Name)
+	}
+	if len(nonFinite) > 0 {
+		sort.Strings(nonFinite)
+		return fmt.Errorf("scenario: parameter value(s) must be finite, got %v", nonFinite)
 	}
 	return nil
 }

@@ -127,16 +127,10 @@ type PerfResult struct {
 	Partial bool
 }
 
-// SimulatePerformance runs the timing/power model for one benchmark; it
-// cannot be interrupted (see SimulatePerformanceContext).
-func SimulatePerformance(b Benchmark, opts PerfOptions) PerfResult {
-	return SimulatePerformanceContext(context.Background(), b, opts)
-}
-
-// SimulatePerformanceContext runs the timing/power model for one
-// benchmark, checking ctx between request batches. A cancelled run
-// returns the statistics of the requests served so far with Partial set.
-func SimulatePerformanceContext(ctx context.Context, b Benchmark, opts PerfOptions) PerfResult {
+// SimulatePerformance runs the timing/power model for one benchmark,
+// checking ctx between request batches. A cancelled run returns the
+// statistics of the requests served so far with Partial set.
+func SimulatePerformance(ctx context.Context, b Benchmark, opts PerfOptions) PerfResult {
 	cfg := perfsim.DefaultConfig()
 	if opts.Config.Stacks != 0 {
 		cfg.Stack = opts.Config
@@ -180,15 +174,9 @@ func SimulatePerformanceContext(ctx context.Context, b Benchmark, opts PerfOptio
 type ParityCacheResult = perfsim.ParityCacheResult
 
 // MeasureParityCaching simulates on-demand Dimension-1 parity caching in
-// the LLC and returns the parity-update hit rate (Figure 13).
-func MeasureParityCaching(b Benchmark, requests int, seed int64) ParityCacheResult {
-	return MeasureParityCachingContext(context.Background(), b, requests, seed)
-}
-
-// MeasureParityCachingContext is MeasureParityCaching under a context: a
-// cancelled measurement returns the hit statistics gathered so far,
-// marked Partial.
-func MeasureParityCachingContext(ctx context.Context, b Benchmark, requests int, seed int64) ParityCacheResult {
+// the LLC and returns the parity-update hit rate (Figure 13). A cancelled
+// measurement returns the hit statistics gathered so far, marked Partial.
+func MeasureParityCaching(ctx context.Context, b Benchmark, requests int, seed int64) ParityCacheResult {
 	if requests == 0 {
 		requests = 200000
 	}
