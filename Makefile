@@ -81,10 +81,17 @@ determinism:
 # pattern_test.go over full 32-bit inputs, and FuzzSpecJSON decodes
 # arbitrary bytes as a wire job spec: Validate must not panic, and a spec
 # it accepts normalizes idempotently under an unchanged content key.
+# The durable formats: FuzzOpenCorrupt opens a store whose stale index,
+# result and checkpoint files hold arbitrary bytes, and FuzzCheckpoint
+# decodes arbitrary bytes as one campaign's checkpoint, which must not
+# panic and may admit only a checkpoint that holds exactly the trials of
+# the chunks it claims.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/jobs/
+	$(GO) test -run xxx -fuzz '^FuzzOpenCorrupt$$' -fuzztime 10s ./internal/store/
+	$(GO) test -run xxx -fuzz '^FuzzCheckpoint$$' -fuzztime 10s ./internal/jobs/
 
 # The repository benchmark is its own module (benchmark/go.mod replaces
 # repro with ../), so the root `go build ./...` and `go test ./...` never

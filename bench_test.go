@@ -29,7 +29,7 @@ func runExperiment(b *testing.B, id string) {
 	opt := benchOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(id, opt); err != nil {
+		if _, err := experiments.RunContext(context.Background(), id, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,6 +45,10 @@ func main() {
 		}
 		return
 	}
+	if *requests < 0 {
+		fmt.Fprintf(os.Stderr, "-requests must be non-negative, got %d\n", *requests)
+		os.Exit(2)
+	}
 	st, prot, err := citadel.ParsePerfNames(*striping, *protection)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 		cfg := perfsim.DefaultConfig()
 		cfg.Requests = *requests
 		cfg.Trace = src
-		st := perfsim.Run(prof, cfg)
+		st := perfsim.RunContext(context.Background(), prof, cfg)
 		fmt.Printf("perfsim:  cycles=%d rowhit=%.1f%% avgReadLat=%.1f\n",
 			st.Cycles, 100*st.RowHitRate(), st.AvgReadLatency())
 

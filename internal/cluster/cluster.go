@@ -52,7 +52,8 @@ var (
 // sized for WAN-ish deployments; tests shrink everything.
 type Options struct {
 	// LeaseTTL is how long a lease survives without a heartbeat
-	// (default 15s). Workers heartbeat at TTL/3.
+	// (default 15s). Workers heartbeat at TTL/3, and a worker counts as
+	// live for 3×TTL after it last contacted the coordinator.
 	LeaseTTL time.Duration
 	// Tick is the expiry-scan interval (default LeaseTTL/4).
 	Tick time.Duration
@@ -68,9 +69,6 @@ type Options struct {
 	// QuarantineFor is how long a quarantined worker is refused leases
 	// (default 1m).
 	QuarantineFor time.Duration
-	// LivenessWindow is how recently a worker must have contacted the
-	// coordinator to count as live (default 3×LeaseTTL).
-	LivenessWindow time.Duration
 	// NoWorkerGrace is how long a campaign with pending chunks may sit
 	// with zero live workers before the coordinator hands it back for
 	// local execution via ErrNoWorkers (default 10s; negative waits
@@ -101,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QuarantineFor <= 0 {
 		o.QuarantineFor = time.Minute
-	}
-	if o.LivenessWindow <= 0 {
-		o.LivenessWindow = 3 * o.LeaseTTL
 	}
 	if o.NoWorkerGrace == 0 {
 		o.NoWorkerGrace = 10 * time.Second
@@ -706,12 +701,17 @@ func (c *Coordinator) tick(now time.Time) {
 	c.mu.Unlock()
 }
 
-// liveWorkersLocked counts workers seen within the liveness window and
-// not quarantined.
+// live reports whether w counts as live at now: it contacted the
+// coordinator within the last three lease TTLs and is not quarantined.
+func (c *Coordinator) live(w *workerState, now time.Time) bool {
+	return now.Sub(w.lastSeen) <= 3*c.opts.LeaseTTL && !now.Before(w.quarantinedUntil)
+}
+
+// liveWorkersLocked counts the live workers.
 func (c *Coordinator) liveWorkersLocked(now time.Time) int {
 	n := 0
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.opts.LivenessWindow && !now.Before(w.quarantinedUntil) {
+		if c.live(w, now) {
 			n++
 		}
 	}
@@ -736,7 +736,7 @@ func (c *Coordinator) Workers() WorkersResponse {
 	defer c.mu.Unlock()
 	out := WorkersResponse{Workers: make([]WorkerInfo, 0, len(c.workers))}
 	for _, w := range c.workers {
-		live := now.Sub(w.lastSeen) <= c.opts.LivenessWindow && !now.Before(w.quarantinedUntil)
+		live := c.live(w, now)
 		if live {
 			out.LiveWorkers++
 		}

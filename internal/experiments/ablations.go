@@ -26,23 +26,23 @@ func Ablations() []string {
 func runAblation(id string, opt Options) (Report, bool) {
 	switch id {
 	case "orgs":
-		return Orgs(opt), true
+		return orgs(opt), true
 	case "scrub":
-		return Scrub(opt), true
+		return scrub(opt), true
 	case "spares":
-		return Spares(opt), true
+		return spares(opt), true
 	case "tsvpool":
-		return TSVPool(opt), true
+		return tsvPool(opt), true
 	case "paritysens":
-		return ParitySensitivity(opt), true
+		return paritySensitivity(opt), true
 	case "priorwork":
-		return PriorWork(opt), true
+		return priorWork(opt), true
 	case "cmdlevel":
-		return CmdLevel(opt), true
+		return cmdLevel(opt), true
 	case "bookkeeping":
-		return Bookkeeping(opt), true
+		return bookkeeping(opt), true
 	case "density":
-		return Density(opt), true
+		return density(opt), true
 	default:
 		return Report{}, false
 	}
@@ -71,11 +71,11 @@ func engineOpts(opt Options, cfg stack.Config, tsvFIT float64) faultsim.Options 
 	}
 }
 
-// Orgs re-runs the headline comparison on the three stacked-memory
+// orgs re-runs the headline comparison on the three stacked-memory
 // organizations the paper discusses (§II-C): the reliability improvement of
 // Citadel over the striped symbol code should hold for HBM-, HMC- and
 // Tezzaron-like designs alike.
-func Orgs(opt Options) Report {
+func orgs(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "orgs", Title: "Ablation: Citadel across stack organizations (TSV 1430 FIT)"}
 	var b strings.Builder
@@ -99,9 +99,9 @@ func Orgs(opt Options) Report {
 	return rep
 }
 
-// Scrub sweeps the scrubbing interval: longer intervals leave transient
+// scrub sweeps the scrubbing interval: longer intervals leave transient
 // faults live longer, widening the window for uncorrectable coincidences.
-func Scrub(opt Options) Report {
+func scrub(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "scrub", Title: "Ablation: scrub-interval sensitivity"}
 	var b strings.Builder
@@ -128,9 +128,9 @@ func Scrub(opt Options) Report {
 	return rep
 }
 
-// Spares sweeps the DDS budgets: the paper picked 4 spare rows per bank
+// spares sweeps the DDS budgets: the paper picked 4 spare rows per bank
 // (Figure 17's small mode) and 2 spare banks (Table III).
-func Spares(opt Options) Report {
+func spares(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "spares", Title: "Ablation: DDS sparing budgets"}
 	var b strings.Builder
@@ -156,8 +156,8 @@ func Spares(opt Options) Report {
 	return rep
 }
 
-// TSVPool sweeps the stand-by TSV pool size at the pessimistic TSV rate.
-func TSVPool(opt Options) Report {
+// tsvPool sweeps the stand-by TSV pool size at the pessimistic TSV rate.
+func tsvPool(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "tsvpool", Title: "Ablation: stand-by TSV pool size (TSV 1430 FIT)"}
 	var b strings.Builder
@@ -185,9 +185,9 @@ func TSVPool(opt Options) Report {
 	return rep
 }
 
-// ParitySensitivity sweeps the Dimension-1 parity cache hit rate and
+// paritySensitivity sweeps the Dimension-1 parity cache hit rate and
 // reports the GMEAN 3DP slowdown — the knob Figure 13 justifies.
-func ParitySensitivity(opt Options) Report {
+func paritySensitivity(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "paritysens", Title: "Ablation: 3DP slowdown vs parity-cache hit rate"}
 	var b strings.Builder
@@ -223,10 +223,10 @@ func ParitySensitivity(opt Options) Report {
 	return rep
 }
 
-// PriorWork compares 3DP against the prior parity schemes of §VIII-E: the
+// priorWork compares 3DP against the prior parity schemes of §VIII-E: the
 // 2D-ECC tile code (25%-class storage for small-granularity protection;
 // the paper claims 3DP is ~130x more resilient at 1.6% storage).
-func PriorWork(opt Options) Report {
+func priorWork(opt Options) Report {
 	ctx := opt.context()
 	cfg := stack.DefaultConfig()
 	eo := engineOpts(opt, cfg, 0)
@@ -242,13 +242,13 @@ func PriorWork(opt Options) Report {
 	return Report{ID: "priorwork", Title: "Ablation: 3DP vs prior 2D-ECC (paper section VIII-E)", Text: b.String(), Partial: twod.Partial || p3.Partial}
 }
 
-// CmdLevel cross-checks the coarse queueing model (internal/perfsim)
+// cmdLevel cross-checks the coarse queueing model (internal/perfsim)
 // against the command-level FR-FCFS channel model (internal/dramsim): for
 // each benchmark it replays channel 0's request stream through the
 // detailed model and compares row-hit rates and average read latency. The
 // two models should agree on ordering and row locality even though the
 // coarse model abstracts command timing.
-func CmdLevel(opt Options) Report {
+func cmdLevel(opt Options) Report {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s | %-22s | %-22s\n", "", "coarse (perfsim)", "command-level (dramsim)")
 	fmt.Fprintf(&b, "%-12s | %10s %11s | %10s %11s\n", "benchmark",
@@ -297,12 +297,12 @@ func CmdLevel(opt Options) Report {
 	return Report{ID: "cmdlevel", Title: "Ablation: coarse queueing model vs command-level DRAM model", Text: b.String(), Partial: partial}
 }
 
-// Bookkeeping contrasts the two ways of accounting ChipKill failures: the
+// bookkeeping contrasts the two ways of accounting ChipKill failures: the
 // coding-exact RS(72,64) capability (two faults must share a codeword) vs
 // FaultSim-style device-granularity marking (two permanently faulty units
 // in a codeword domain = failure). The paper's Figure-14 claim that 3DP is
 // ~7x more resilient than the symbol code emerges under the latter.
-func Bookkeeping(opt Options) Report {
+func bookkeeping(opt Options) Report {
 	ctx := opt.context()
 	cfg := stack.DefaultConfig()
 	eo := engineOpts(opt, cfg, 0)
@@ -329,11 +329,11 @@ func Bookkeeping(opt Options) Report {
 	return Report{ID: "bookkeeping", Title: "Ablation: ChipKill failure bookkeeping granularity (Figure 14's 7x)", Text: b.String(), Partial: exact.Partial || coarse.Partial || p3.Partial}
 }
 
-// Density extrapolates Table I along further die-density doublings
+// density extrapolates Table I along further die-density doublings
 // (8 -> 16 -> 32 -> 64 Gb) using the paper's §III-A scaling rules, asking
 // whether Citadel's advantage over the striped symbol code survives the
 // densification that motivates stacked memory in the first place.
-func Density(opt Options) Report {
+func density(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "density", Title: "Ablation: reliability vs die density (8-64 Gb)"}
 	cfg := stack.DefaultConfig()

@@ -96,12 +96,6 @@ func All() []string {
 	}
 }
 
-// Run dispatches one experiment by ID; it cannot be interrupted (see
-// RunContext).
-func Run(id string, opt Options) (Report, error) {
-	return RunContext(context.Background(), id, opt)
-}
-
 // RunContext dispatches one experiment by ID under a context. When ctx
 // is cancelled mid-experiment the Report comes back with the rows
 // computed so far and Partial set; already-started Monte Carlo runs
@@ -113,33 +107,33 @@ func RunContext(ctx context.Context, id string, opt Options) (Report, error) {
 	opt.ctx = ctx
 	switch id {
 	case "table1":
-		return Table1(), nil
+		return table1(), nil
 	case "table2":
-		return Table2(), nil
+		return table2(), nil
 	case "fig4":
-		return Fig4(opt), nil
+		return fig4(opt), nil
 	case "fig5":
-		return Fig5(opt), nil
+		return fig5(opt), nil
 	case "fig9":
-		return Fig9(opt), nil
+		return fig9(opt), nil
 	case "fig13":
-		return Fig13(opt), nil
+		return fig13(opt), nil
 	case "fig14":
-		return Fig14(opt), nil
+		return fig14(opt), nil
 	case "fig15":
-		return Fig15(opt), nil
+		return fig15(opt), nil
 	case "fig16":
-		return Fig16(opt), nil
+		return fig16(opt), nil
 	case "fig17":
-		return Fig17(opt), nil
+		return fig17(opt), nil
 	case "table3":
-		return Table3(opt), nil
+		return table3(opt), nil
 	case "fig18":
-		return Fig18(opt), nil
+		return fig18(opt), nil
 	case "fig19":
-		return Fig19(opt), nil
+		return fig19(opt), nil
 	case "overhead":
-		return Overhead(), nil
+		return overhead(), nil
 	default:
 		if rep, ok := runAblation(id, opt); ok {
 			return rep, nil
@@ -149,8 +143,8 @@ func RunContext(ctx context.Context, id string, opt Options) (Report, error) {
 	}
 }
 
-// Table1 prints the scaled FIT rates (paper Table I).
-func Table1() Report {
+// table1 prints the scaled FIT rates (paper Table I).
+func table1() Report {
 	r := citadel.Table1Rates()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %12s %12s\n", "Failure mode", "Transient", "Permanent")
@@ -163,8 +157,8 @@ func Table1() Report {
 	return Report{ID: "table1", Title: "Table I: stacked memory failure rates (8Gb dies, FIT)", Text: b.String()}
 }
 
-// Table2 prints the baseline system configuration (paper Table II).
-func Table2() Report {
+// table2 prints the baseline system configuration (paper Table II).
+func table2() Report {
 	cfg := citadel.DefaultConfig()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cores                    8 @ 3.2 GHz\n")
@@ -224,8 +218,8 @@ func compare(opt Options, o citadel.ReliabilityOptions, schemes ...citadel.Schem
 	return out
 }
 
-// Fig4 sweeps TSV FIT rates for the symbol code under the three stripings.
-func Fig4(opt Options) Report {
+// fig4 sweeps TSV FIT rates for the symbol code under the three stripings.
+func fig4(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig4", Title: "Figure 4: striping vs reliability (8-bit symbol code), P(system failure, 7y)"}
 	var b strings.Builder
@@ -308,8 +302,8 @@ func geomeanPerf(opt Options, id string, striping citadel.Striping, prot citadel
 	return math.Exp(ge / float64(n)), math.Exp(gp / float64(n)), partial
 }
 
-// Fig5 reports the execution-time and power cost of striping.
-func Fig5(opt Options) Report {
+// fig5 reports the execution-time and power cost of striping.
+func fig5(opt Options) Report {
 	rep := Report{ID: "fig5", Title: "Figure 5: impact of data striping on performance and power (GMEAN, 38 workloads)"}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-18s %22s %22s\n", "Mapping", "Norm. execution time", "Norm. active power")
@@ -323,8 +317,8 @@ func Fig5(opt Options) Report {
 	return rep
 }
 
-// Fig9 shows TSV-SWAP effectiveness at the highest swept TSV rate.
-func Fig9(opt Options) Report {
+// fig9 shows TSV-SWAP effectiveness at the highest swept TSV rate.
+func fig9(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig9", Title: "Figure 9: TSV-SWAP effectiveness (TSV rate 1430 FIT/die), P(system failure, 7y)"}
 	var b strings.Builder
@@ -352,8 +346,8 @@ func Fig9(opt Options) Report {
 	return rep
 }
 
-// Fig13 reports the parity-caching hit rate per suite.
-func Fig13(opt Options) Report {
+// fig13 reports the parity-caching hit rate per suite.
+func fig13(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig13", Title: "Figure 13: LLC hit rate for Dimension-1 parity caching"}
 	suiteSum := map[workload.Suite]float64{}
@@ -430,8 +424,8 @@ func yearCurves(b *strings.Builder, rs []citadel.Result) {
 	}
 }
 
-// Fig14 compares 1DP/2DP/3DP against the striped symbol code over years.
-func Fig14(opt Options) Report {
+// fig14 compares 1DP/2DP/3DP against the striped symbol code over years.
+func fig14(opt Options) Report {
 	phaseStart := time.Now()
 	o := relOpts(opt, 0, true) // all systems employ TSV-Swap (paper §V-D)
 	rs := compare(opt, o,
@@ -450,8 +444,8 @@ func Fig14(opt Options) Report {
 	return Report{ID: "fig14", Title: "Figure 14: resilience of multi-dimensional parity (no DDS)", Text: b.String(), Partial: anyPartial(rs)}
 }
 
-// Fig15 reports per-benchmark normalized execution time.
-func Fig15(opt Options) Report {
+// fig15 reports per-benchmark normalized execution time.
+func fig15(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig15", Title: "Figure 15: normalized execution time (baseline = Same-Bank, no protection)"}
 	var b strings.Builder
@@ -501,8 +495,8 @@ func Fig15(opt Options) Report {
 	return rep
 }
 
-// Fig16 reports per-suite normalized active power.
-func Fig16(opt Options) Report {
+// fig16 reports per-suite normalized active power.
+func fig16(opt Options) Report {
 	ctx := opt.context()
 	rep := Report{ID: "fig16", Title: "Figure 16: normalized active power (baseline = Same-Bank, no protection)"}
 	type accum struct {
@@ -566,8 +560,8 @@ func Fig16(opt Options) Report {
 	return rep
 }
 
-// Fig17 reports the bimodal rows-needed-for-sparing distribution.
-func Fig17(opt Options) Report {
+// fig17 reports the bimodal rows-needed-for-sparing distribution.
+func fig17(opt Options) Report {
 	// Boost rates to gather enough faulty banks quickly; the *distribution*
 	// is rate-independent (each fault's footprint is what it is).
 	o := relOpts(opt, 0, true)
@@ -603,8 +597,8 @@ func pctBelow(c citadel.FaultCensus, limit int) float64 {
 	return 100 * float64(small) / float64(total)
 }
 
-// Table3 reports the failed-banks-per-system distribution.
-func Table3(opt Options) Report {
+// table3 reports the failed-banks-per-system distribution.
+func table3(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
 	c := census(opt, o)
@@ -619,8 +613,8 @@ func Table3(opt Options) Report {
 	return Report{ID: "table3", Title: "Table III: number of failed banks, for systems with >=1 bank failure", Text: b.String(), Partial: c.Partial}
 }
 
-// Fig18 compares 3DP and 3DP+DDS against the striped symbol code.
-func Fig18(opt Options) Report {
+// fig18 compares 3DP and 3DP+DDS against the striped symbol code.
+func fig18(opt Options) Report {
 	o := relOpts(opt, 0, true)
 	phaseStart := time.Now()
 	rs := compare(opt, o,
@@ -640,8 +634,8 @@ func Fig18(opt Options) Report {
 	return Report{ID: "fig18", Title: "Figure 18: resilience of 3DP+DDS vs symbol-based striping", Text: b.String(), Partial: anyPartial(rs)}
 }
 
-// Fig19 compares Citadel with 6EC7ED and RAID-5 (no TSV faults).
-func Fig19(opt Options) Report {
+// fig19 compares Citadel with 6EC7ED and RAID-5 (no TSV faults).
+func fig19(opt Options) Report {
 	o := relOpts(opt, 0, false)
 	phaseStart := time.Now()
 	rs := compare(opt, o,
@@ -658,8 +652,8 @@ func Fig19(opt Options) Report {
 	return Report{ID: "fig19", Title: "Figure 19: Citadel vs 6EC7ED and RAID-5 (no TSV faults)", Text: b.String(), Partial: anyPartial(rs)}
 }
 
-// Overhead reports Citadel's storage accounting (paper §VII-E).
-func Overhead() Report {
+// overhead reports Citadel's storage accounting (paper §VII-E).
+func overhead() Report {
 	cfg := citadel.DefaultConfig()
 	ov := citadel.ComputeStorageOverhead(cfg)
 	var b strings.Builder

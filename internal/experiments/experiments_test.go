@@ -23,7 +23,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range All() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, opt)
+			rep, err := RunContext(context.Background(), id, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestAblationsRun(t *testing.T) {
 	for _, id := range Ablations() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			rep, err := Run(id, opt)
+			rep, err := RunContext(context.Background(), id, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestAblationsRun(t *testing.T) {
 }
 
 func TestUnknownExperiment(t *testing.T) {
-	if _, err := Run("fig99", tinyOptions()); err == nil {
+	if _, err := RunContext(context.Background(), "fig99", tinyOptions()); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestUnknownExperiment(t *testing.T) {
 // RunContext, before any figure runs (figures panic on a Simulate error).
 func TestNegativeTrialsRejected(t *testing.T) {
 	for _, id := range []string{"fig4", "fig9", "orgs"} {
-		if _, err := Run(id, Options{Trials: -5, Requests: 5000}); err == nil || !strings.Contains(err.Error(), "non-negative") {
+		if _, err := RunContext(context.Background(), id, Options{Trials: -5, Requests: 5000}); err == nil || !strings.Contains(err.Error(), "non-negative") {
 			t.Errorf("%s with -5 trials: got %v, want a non-negative error", id, err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestCompareContextCancelled(t *testing.T) {
 }
 
 func TestTable1ContainsPaperNumbers(t *testing.T) {
-	rep := Table1()
+	rep := table1()
 	for _, want := range []string{"113.6", "148.8", "80.0", "32.8", "1430"} {
 		if !strings.Contains(rep.Text, want) {
 			t.Errorf("Table I missing %q:\n%s", want, rep.Text)
@@ -100,7 +100,7 @@ func TestTable1ContainsPaperNumbers(t *testing.T) {
 }
 
 func TestTable2MatchesConfig(t *testing.T) {
-	rep := Table2()
+	rep := table2()
 	for _, want := range []string{"2x8GB", "65536", "2048 B", "256", "7-9-9-9-36"} {
 		if !strings.Contains(rep.Text, want) {
 			t.Errorf("Table II missing %q:\n%s", want, rep.Text)
@@ -109,7 +109,7 @@ func TestTable2MatchesConfig(t *testing.T) {
 }
 
 func TestOverheadMatchesPaper(t *testing.T) {
-	rep := Overhead()
+	rep := overhead()
 	for _, want := range []string{"12.5%", "1.6%", "14.1%", "12.5%"} {
 		if !strings.Contains(rep.Text, want) {
 			t.Errorf("overhead missing %q:\n%s", want, rep.Text)
@@ -121,7 +121,7 @@ func TestFig4RowsCoverSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rep := Fig4(tinyOptions())
+	rep := fig4(tinyOptions())
 	for _, fit := range []string{"0 ", "14 ", "143 ", "1430 "} {
 		if !strings.Contains(rep.Text, fit) {
 			t.Errorf("Figure 4 missing TSV rate row %q", fit)

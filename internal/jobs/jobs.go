@@ -159,8 +159,8 @@ type PerformanceResult struct {
 // checkpoint is the persisted form of an unfinished job, stored under
 // its spec key. Result carries the merge of all completed chunks; a
 // chunk interrupted mid-run is discarded (its partial statistics would
-// break determinism) and re-runs on resume. A checkpoint of another
-// Version was drawn under another sampling scheme and is discarded.
+// break determinism) and re-runs on resume. decodeCheckpoint admits only
+// a checkpoint that belongs to the campaign its key addresses.
 type checkpoint struct {
 	Version     int             `json:"version"`
 	Key         string          `json:"key"`
@@ -175,27 +175,14 @@ type checkpoint struct {
 // trial from its own stream (version 1 drew one stream per worker).
 const checkpointVersion = 2
 
-// job is the internal mutable record behind a Job snapshot.
+// job is the internal mutable record behind a Job snapshot. mu guards
+// the embedded Job, except ID, Key and Spec (normalized), which never
+// change after creation and may be read without it.
 type job struct {
-	id   string
-	key  string
-	spec Spec // normalized
-	seq  int64
+	seq int64
 
-	mu         sync.Mutex
-	state      State
-	cached     bool
-	resumed    bool
-	chunksDone int
-	totalChunk int
-	trialsDone int
-	trialsTgt  int
-	failures   int
-	payload    json.RawMessage
-	errMsg     string
-	created    time.Time
-	started    time.Time
-	finished   time.Time
+	mu sync.Mutex
+	Job
 	userCancel bool
 	cancelRun  context.CancelFunc
 	done       chan struct{}
@@ -209,14 +196,8 @@ func (j *job) snapshot() *Job {
 
 // snapshotLocked is snapshot for a caller that holds j.mu.
 func (j *job) snapshotLocked() *Job {
-	return &Job{
-		ID: j.id, Key: j.key, Spec: j.spec,
-		State: j.state, Cached: j.cached, Resumed: j.resumed,
-		ChunksDone: j.chunksDone, TotalChunks: j.totalChunk,
-		TrialsDone: j.trialsDone, TrialsTarget: j.trialsTgt, Failures: j.failures,
-		Result: j.payload, Error: j.errMsg,
-		Created: j.created, Started: j.started, Finished: j.finished,
-	}
+	snap := j.Job
+	return &snap
 }
 
 // publish streams a snapshot of j to the hub, if one is wired: one JSON
@@ -250,7 +231,7 @@ func (o *Orchestrator) send(snap *Job) error {
 // logPublish logs err, a failed publish of j's snapshot, if any.
 func (o *Orchestrator) logPublish(j *job, err error) {
 	if err != nil {
-		o.opts.Logf("jobs: job=%s %v", j.id, err)
+		o.opts.Logf("jobs: job=%s %v", j.ID, err)
 	}
 }
 
@@ -263,8 +244,8 @@ func (o *Orchestrator) logPublish(j *job, err error) {
 // publisher. The caller logs the returned publish error after releasing
 // j.mu, since Logf may read the job.
 func (o *Orchestrator) settleLocked(j *job, st State) error {
-	j.state = st
-	j.finished = time.Now()
+	j.State = st
+	j.Finished = time.Now()
 	err := o.send(j.snapshotLocked())
 	close(j.done)
 	return err
@@ -396,26 +377,66 @@ func (o *Orchestrator) tryCacheLocked(key string, norm Spec) *Job {
 		return nil
 	}
 	now := time.Now()
-	j := &job{
-		id: o.newJobID(), key: key, spec: norm,
-		state: StateDone, cached: true, payload: data,
-		created: now, started: now, finished: now,
-		done: make(chan struct{}),
-	}
+	j := &job{Job: Job{
+		ID: o.newJobID(), Key: key, Spec: norm,
+		State: StateDone, Cached: true, Result: data,
+		Created: now, Started: now, Finished: now,
+	}, done: make(chan struct{})}
 	close(j.done)
-	o.jobs[j.id] = j
+	o.jobs[j.ID] = j
 	mSubmitted.Inc()
 	mCacheHits.Inc()
 	mCompleted.Inc()
-	o.opts.Logf("jobs: job=%s key=%.12s kind=%s served from cache", j.id, key, norm.Kind)
+	o.opts.Logf("jobs: job=%s key=%.12s kind=%s served from cache", j.ID, key, norm.Kind)
 	o.publish(j)
 	return j.snapshot()
 }
 
-// loadCheckpoint fetches and decodes the persisted checkpoint for
-// key, tolerating corruption: a bad checkpoint, or one of another
-// version, is deleted with a warning and the campaign restarts from
-// scratch.
+// decodeCheckpoint is the one decoder of a persisted checkpoint, the
+// data stored under key. It admits a checkpoint only if it is of the
+// current version and belongs to the campaign key addresses: its spec
+// validates and hashes to key, 0 <= ChunksDone <= the campaign's chunk
+// count, a Result is present exactly when ChunksDone > 0, and that
+// Result holds exactly the trials of those chunks. The admitted spec is
+// normalized.
+func decodeCheckpoint(key string, data []byte) (*checkpoint, error) {
+	var cp checkpoint
+	if err := json.Unmarshal(data, &cp); err != nil {
+		return nil, err
+	}
+	if cp.Version != checkpointVersion {
+		return nil, fmt.Errorf("version %d, want %d", cp.Version, checkpointVersion)
+	}
+	if cp.Key != key {
+		return nil, fmt.Errorf("key field %.12s", cp.Key)
+	}
+	if err := cp.Spec.Validate(); err != nil {
+		return nil, err
+	}
+	cp.Spec = cp.Spec.Normalize()
+	if specKey, err := cp.Spec.Key(); err != nil || specKey != key {
+		return nil, fmt.Errorf("spec of another campaign (key %.12s)", specKey)
+	}
+	r, chunks := cp.Spec.Reliability, 0
+	if r != nil {
+		chunks = totalChunks(r)
+	}
+	if cp.ChunksDone < 0 || cp.ChunksDone > chunks {
+		return nil, fmt.Errorf("%d of %d chunks done", cp.ChunksDone, chunks)
+	}
+	if (cp.Result != nil) != (cp.ChunksDone > 0) {
+		return nil, fmt.Errorf("%d chunks done, result present %v", cp.ChunksDone, cp.Result != nil)
+	}
+	if cp.Result != nil {
+		if want := min(cp.ChunksDone*r.CheckpointTrials, r.Trials); cp.Result.Trials != want {
+			return nil, fmt.Errorf("%d chunks done hold %d trials, not %d", cp.ChunksDone, want, cp.Result.Trials)
+		}
+	}
+	return &cp, nil
+}
+
+// loadCheckpoint returns the checkpoint the store holds for key, if
+// decodeCheckpoint admits it.
 func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 	if o.st == nil {
 		return nil
@@ -424,14 +445,19 @@ func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 	if !ok {
 		return nil
 	}
-	var cp checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || cp.Key != key ||
-		cp.ChunksDone < 0 || (cp.ChunksDone > 0 && cp.Result == nil) {
-		o.opts.Logf("jobs: corrupted or version-%d checkpoint %.12s (err=%v); restarting campaign from scratch", cp.Version, key, err)
+	return o.admitCheckpoint(key, data)
+}
+
+// admitCheckpoint decodes data, the checkpoint stored under key. One
+// that decodeCheckpoint refuses is deleted with a warning, so its
+// campaign restarts from scratch.
+func (o *Orchestrator) admitCheckpoint(key string, data []byte) *checkpoint {
+	cp, err := decodeCheckpoint(key, data)
+	if err != nil {
+		o.opts.Logf("jobs: discarding checkpoint %.12s (%v); its campaign restarts from scratch", key, err)
 		o.st.DeleteJob(key)
-		return nil
 	}
-	return &cp
+	return cp
 }
 
 // enqueueLocked creates the job record, persists its initial checkpoint
@@ -439,35 +465,34 @@ func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
 // wakes a worker.
 func (o *Orchestrator) enqueueLocked(key string, norm Spec, cp *checkpoint) *job {
 	o.seq++
-	j := &job{
-		id: o.newJobID(), key: key, spec: norm, seq: o.seq,
-		state: StateQueued, created: time.Now(),
-		done: make(chan struct{}),
-	}
+	j := &job{Job: Job{
+		ID: o.newJobID(), Key: key, Spec: norm,
+		State: StateQueued, Created: time.Now(),
+	}, seq: o.seq, done: make(chan struct{})}
 	if cp != nil {
-		j.resumed = cp.ChunksDone > 0
-		j.chunksDone = cp.ChunksDone
+		j.Resumed = cp.ChunksDone > 0
+		j.ChunksDone = cp.ChunksDone
 		if cp.Result != nil {
-			j.trialsDone = cp.Result.Trials
-			j.failures = cp.Result.Failures
+			j.TrialsDone = cp.Result.Trials
+			j.Failures = cp.Result.Failures
 		}
-		if j.resumed {
+		if j.Resumed {
 			mResumed.Inc()
 		}
 	} else {
 		o.persistCheckpoint(j, nil)
 	}
 	if r := norm.Reliability; r != nil {
-		j.totalChunk = totalChunks(r)
-		j.trialsTgt = r.Trials
+		j.TotalChunks = totalChunks(r)
+		j.TrialsTarget = r.Trials
 	}
-	o.jobs[j.id] = j
+	o.jobs[j.ID] = j
 	o.byKey[key] = j
 	o.queue = append(o.queue, j)
 	mSubmitted.Inc()
 	mQueueDepth.Set(int64(len(o.queue)))
 	o.opts.Logf("jobs: job=%s key=%.12s kind=%s priority=%d queued (resumedChunks=%d)",
-		j.id, key, norm.Kind, norm.Priority, j.chunksDone)
+		j.ID, key, norm.Kind, norm.Priority, j.ChunksDone)
 	o.publish(j)
 	o.cond.Signal()
 	return j
@@ -478,28 +503,19 @@ func totalChunks(r *ReliabilitySpec) int {
 	return (r.Trials + r.CheckpointTrials - 1) / r.CheckpointTrials
 }
 
-// Recover re-enqueues every readable checkpoint in the store: the
-// server calls it once at startup so campaigns interrupted by a crash or
-// SIGTERM continue. Corrupted checkpoints, and those of another version,
-// are deleted with a warning.
+// Recover re-enqueues every checkpoint in the store that
+// decodeCheckpoint admits: the server calls it once at startup so
+// campaigns interrupted by a crash or SIGTERM continue. Every other
+// checkpoint is deleted with a warning.
 // It returns the number of jobs re-enqueued.
 func (o *Orchestrator) Recover() int {
 	if o.st == nil {
 		return 0
 	}
-	listed := o.st.ListJobs()
 	n := 0
-	for key, data := range listed {
-		var cp checkpoint
-		if err := json.Unmarshal(data, &cp); err != nil || cp.Version != checkpointVersion || cp.Key != key ||
-			cp.ChunksDone < 0 || (cp.ChunksDone > 0 && cp.Result == nil) {
-			o.opts.Logf("jobs: recover: skipping corrupted or version-%d checkpoint %.12s (err=%v)", cp.Version, key, err)
-			o.st.DeleteJob(key)
-			continue
-		}
-		if err := cp.Spec.Validate(); err != nil {
-			o.opts.Logf("jobs: recover: skipping checkpoint %.12s with invalid spec: %v", key, err)
-			o.st.DeleteJob(key)
+	for key, data := range o.st.ListJobs() {
+		cp := o.admitCheckpoint(key, data)
+		if cp == nil {
 			continue
 		}
 		o.mu.Lock()
@@ -509,8 +525,7 @@ func (o *Orchestrator) Recover() int {
 		}
 		// Recovered jobs bypass the queue bound: they were admitted by a
 		// previous process and rejecting them now would drop durable work.
-		cpc := cp
-		o.enqueueLocked(key, cp.Spec.Normalize(), &cpc)
+		o.enqueueLocked(key, cp.Spec, cp)
 		o.mu.Unlock()
 		n++
 	}
@@ -586,22 +601,22 @@ func (o *Orchestrator) Cancel(id string) error {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state.Terminal():
+	case j.State.Terminal():
 		j.mu.Unlock()
 		o.mu.Unlock()
 		return ErrFinished
-	case j.state == StateQueued:
+	case j.State == StateQueued:
 		j.userCancel = true
 		pubErr := o.settleLocked(j, StateCancelled)
 		j.mu.Unlock()
 		o.dropQueuedLocked(j)
-		delete(o.byKey, j.key)
+		delete(o.byKey, j.Key)
 		o.mu.Unlock()
 		if o.st != nil {
-			o.st.DeleteJob(j.key)
+			o.st.DeleteJob(j.Key)
 		}
 		mCancelled.Inc()
-		o.opts.Logf("jobs: job=%s cancelled while queued", j.id)
+		o.opts.Logf("jobs: job=%s cancelled while queued", j.ID)
 		o.logPublish(j, pubErr)
 		return nil
 	default: // running
@@ -675,8 +690,8 @@ func (o *Orchestrator) popLocked() *job {
 	best := -1
 	for i, j := range o.queue {
 		if best < 0 ||
-			j.spec.Priority > o.queue[best].spec.Priority ||
-			(j.spec.Priority == o.queue[best].spec.Priority && j.seq < o.queue[best].seq) {
+			j.Spec.Priority > o.queue[best].Spec.Priority ||
+			(j.Spec.Priority == o.queue[best].Spec.Priority && j.seq < o.queue[best].seq) {
 			best = i
 		}
 	}
@@ -706,24 +721,24 @@ func (o *Orchestrator) runJob(j *job) {
 	ctx, cancel := context.WithCancel(o.ctx)
 	defer cancel()
 	j.mu.Lock()
-	if j.state != StateQueued {
+	if j.State != StateQueued {
 		// Cancelled between pop and start.
 		j.mu.Unlock()
 		return
 	}
-	j.state = StateRunning
-	j.started = time.Now()
+	j.State = StateRunning
+	j.Started = time.Now()
 	j.cancelRun = cancel
 	j.mu.Unlock()
 	mRunning.Inc()
 	defer mRunning.Dec()
-	o.opts.Logf("jobs: job=%s key=%.12s kind=%s start", j.id, j.key, j.spec.Kind)
+	o.opts.Logf("jobs: job=%s key=%.12s kind=%s start", j.ID, j.Key, j.Spec.Kind)
 	o.publish(j)
 
 	var payload any
 	var interrupted bool
 	var runErr error
-	switch j.spec.Kind {
+	switch j.Spec.Kind {
 	case KindReliability:
 		payload, interrupted, runErr = o.runReliability(ctx, j)
 	case KindPerformance:
@@ -731,7 +746,7 @@ func (o *Orchestrator) runJob(j *job) {
 	case KindExperiment:
 		payload, interrupted, runErr = o.runExperiment(ctx, j)
 	default:
-		runErr = fmt.Errorf("jobs: unknown kind %q", j.spec.Kind)
+		runErr = fmt.Errorf("jobs: unknown kind %q", j.Spec.Kind)
 	}
 
 	switch {
@@ -746,10 +761,10 @@ func (o *Orchestrator) runJob(j *job) {
 			return
 		}
 		if o.st != nil {
-			if err := o.st.PutResult(j.key, data); err != nil {
-				o.opts.Logf("jobs: job=%s caching result: %v", j.id, err)
+			if err := o.st.PutResult(j.Key, data); err != nil {
+				o.opts.Logf("jobs: job=%s caching result: %v", j.ID, err)
 			}
-			o.st.DeleteJob(j.key)
+			o.st.DeleteJob(j.Key)
 		}
 		o.finish(j, StateDone, data, nil)
 	}
@@ -758,12 +773,12 @@ func (o *Orchestrator) runJob(j *job) {
 // finish moves j to a terminal state.
 func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err error) {
 	o.mu.Lock()
-	delete(o.byKey, j.key)
+	delete(o.byKey, j.Key)
 	o.mu.Unlock()
 	j.mu.Lock()
-	j.payload = payload
+	j.Result = payload
 	if err != nil {
-		j.errMsg = err.Error()
+		j.Error = err.Error()
 	}
 	pubErr := o.settleLocked(j, st)
 	j.mu.Unlock()
@@ -775,12 +790,12 @@ func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err err
 	case StateCancelled:
 		mCancelled.Inc()
 	}
-	o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.id, j.key, st, errSuffix(err))
+	o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.ID, j.Key, st, errSuffix(err))
 	o.logPublish(j, pubErr)
 	// Failed campaigns should not resurrect on restart: their checkpoint
 	// would fail the same way again.
 	if st == StateFailed && o.st != nil {
-		o.st.DeleteJob(j.key)
+		o.st.DeleteJob(j.Key)
 	}
 }
 
@@ -801,25 +816,25 @@ func (o *Orchestrator) finishInterrupted(j *job) {
 	j.mu.Unlock()
 	if user {
 		if o.st != nil {
-			o.st.DeleteJob(j.key)
+			o.st.DeleteJob(j.Key)
 		}
 		o.mu.Lock()
-		delete(o.byKey, j.key)
+		delete(o.byKey, j.Key)
 		o.mu.Unlock()
 		j.mu.Lock()
 		pubErr := o.settleLocked(j, StateCancelled)
 		j.mu.Unlock()
 		mCancelled.Inc()
-		o.opts.Logf("jobs: job=%s key=%.12s cancelled", j.id, j.key)
+		o.opts.Logf("jobs: job=%s key=%.12s cancelled", j.ID, j.Key)
 		o.logPublish(j, pubErr)
 		return
 	}
 	// Shutdown: leave the checkpoint in place and the job formally
 	// pending; this process will not run it again (workers are exiting).
 	j.mu.Lock()
-	j.state = StateQueued
+	j.State = StateQueued
 	j.mu.Unlock()
-	o.opts.Logf("jobs: job=%s key=%.12s interrupted by shutdown (checkpointed, resumable)", j.id, j.key)
+	o.opts.Logf("jobs: job=%s key=%.12s interrupted by shutdown (checkpointed, resumable)", j.ID, j.Key)
 	o.publish(j)
 }
 
@@ -832,21 +847,21 @@ func (o *Orchestrator) persistCheckpoint(j *job, total *citadel.Result) {
 	j.mu.Lock()
 	cp := checkpoint{
 		Version:     checkpointVersion,
-		Key:         j.key,
-		Spec:        j.spec,
-		ChunksDone:  j.chunksDone,
-		TotalChunks: j.totalChunk,
+		Key:         j.Key,
+		Spec:        j.Spec,
+		ChunksDone:  j.ChunksDone,
+		TotalChunks: j.TotalChunks,
 		Result:      total,
 		UpdatedAt:   time.Now(),
 	}
 	j.mu.Unlock()
 	data, err := json.Marshal(cp)
 	if err != nil {
-		o.opts.Logf("jobs: job=%s encoding checkpoint: %v", j.id, err)
+		o.opts.Logf("jobs: job=%s encoding checkpoint: %v", j.ID, err)
 		return
 	}
-	if err := o.st.PutJob(j.key, data); err != nil {
-		o.opts.Logf("jobs: job=%s persisting checkpoint: %v", j.id, err)
+	if err := o.st.PutJob(j.Key, data); err != nil {
+		o.opts.Logf("jobs: job=%s persisting checkpoint: %v", j.ID, err)
 		return
 	}
 	mCheckpoints.Inc()
@@ -858,28 +873,28 @@ func (o *Orchestrator) persistCheckpoint(j *job, total *citadel.Result) {
 // back to the local in-process loop from the last committed chunk, so a
 // degraded cluster slows a campaign down but never fails it.
 func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, error) {
-	r := j.spec.Reliability
-	if err := j.spec.Validate(); err != nil {
+	r := j.Spec.Reliability
+	if err := j.Spec.Validate(); err != nil {
 		return nil, false, err
 	}
 	chunks := totalChunks(r)
 	var total citadel.Result
 	j.mu.Lock()
-	start := j.chunksDone
-	j.totalChunk = chunks
-	j.trialsTgt = r.Trials
+	start := j.ChunksDone
+	j.TotalChunks = chunks
+	j.TrialsTarget = r.Trials
 	j.mu.Unlock()
 	if start > 0 {
-		cp := o.loadCheckpoint(j.key)
-		if cp == nil || cp.Result == nil || cp.ChunksDone != start {
+		cp := o.loadCheckpoint(j.Key)
+		if cp == nil || cp.ChunksDone != start {
 			// The checkpoint changed or vanished underneath us; restart
 			// the campaign rather than produce a wrong merge.
-			o.opts.Logf("jobs: job=%s checkpoint for %.12s unusable; restarting campaign", j.id, j.key)
+			o.opts.Logf("jobs: job=%s checkpoint for %.12s unusable; restarting campaign", j.ID, j.Key)
 			start = 0
 			j.mu.Lock()
-			j.chunksDone = 0
-			j.trialsDone, j.failures = 0, 0
-			j.resumed = false
+			j.ChunksDone = 0
+			j.TrialsDone, j.Failures = 0, 0
+			j.Resumed = false
 			j.mu.Unlock()
 		} else {
 			total = *cp.Result
@@ -896,9 +911,9 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 		total.Policy = res.Policy
 		start = i + 1
 		j.mu.Lock()
-		j.chunksDone = i + 1
-		j.trialsDone = total.Trials
-		j.failures = total.Failures
+		j.ChunksDone = i + 1
+		j.TrialsDone = total.Trials
+		j.Failures = total.Failures
 		j.mu.Unlock()
 		o.persistCheckpoint(j, &total)
 		o.publish(j)
@@ -906,7 +921,7 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 	}
 	if exec := o.opts.ChunkExec; exec != nil && start < chunks {
 		err := exec.ExecuteChunks(ctx, Campaign{
-			Key: j.key, RunID: j.id, Spec: *r, Start: start, Total: chunks,
+			Key: j.Key, RunID: j.ID, Spec: *r, Start: start, Total: chunks,
 		}, commit)
 		switch {
 		case err == nil:
@@ -918,7 +933,7 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 			// tail re-runs here.
 			mClusterFallback.Inc()
 			o.opts.Logf("jobs: job=%s cluster execution failed at chunk %d/%d (%v); falling back to local execution",
-				j.id, start, chunks, err)
+				j.ID, start, chunks, err)
 		}
 	}
 	for i := start; i < chunks; i++ {
@@ -926,10 +941,10 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 			return nil, true, nil
 		}
 		baseTrials, baseFailures := total.Trials, total.Failures
-		res, err := RunChunk(ctx, r, i, j.id, func(p citadel.RunProgress) {
+		res, err := RunChunk(ctx, r, i, j.ID, func(p citadel.RunProgress) {
 			j.mu.Lock()
-			j.trialsDone = baseTrials + p.TrialsDone
-			j.failures = baseFailures + p.Failures
+			j.TrialsDone = baseTrials + p.TrialsDone
+			j.Failures = baseFailures + p.Failures
 			j.mu.Unlock()
 			o.publish(j)
 		})
@@ -950,7 +965,7 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 
 // runPerformance executes a base + configured timing/power pair.
 func (o *Orchestrator) runPerformance(ctx context.Context, j *job) (any, bool, error) {
-	res, err := RunPerformance(ctx, j.spec.Performance, j.id, nil)
+	res, err := RunPerformance(ctx, j.Spec.Performance, j.ID, nil)
 	switch {
 	case err != nil:
 		return nil, false, err
@@ -962,7 +977,7 @@ func (o *Orchestrator) runPerformance(ctx context.Context, j *job) (any, bool, e
 
 // runExperiment regenerates one paper table/figure.
 func (o *Orchestrator) runExperiment(ctx context.Context, j *job) (any, bool, error) {
-	e := j.spec.Experiment
+	e := j.Spec.Experiment
 	rep, err := experiments.RunContext(ctx, e.ID, experiments.Options{
 		Trials: e.Trials, Requests: e.Requests, Seed: e.Seed,
 	})

@@ -33,19 +33,13 @@ func (r ParityCacheResult) HitRate() float64 {
 // LLC's address space (the parity bank is a distinct physical region).
 const parityTag = uint64(1) << 40
 
-// ParityCacheHitRate simulates on-demand parity caching (paper Figure 12):
-// every LLC miss installs the demand line, and every dirty eviction
-// (writeback) probes the LLC for the victim's Dimension-1 parity line,
-// installing it on a miss. Read-heavy workloads churn the LLC and evict
-// parity lines between uses, which is why BioBench sees lower hit rates
-// (paper Figure 13).
-func ParityCacheHitRate(prof workload.Profile, llcBytes, ways, requests int, seed int64) ParityCacheResult {
-	return ParityCacheHitRateContext(context.Background(), prof, llcBytes, ways, requests, seed)
-}
-
-// ParityCacheHitRateContext is ParityCacheHitRate under a context:
-// cancellation stops the request stream and returns the hit statistics
-// gathered so far, marked Partial.
+// ParityCacheHitRateContext simulates on-demand parity caching (paper
+// Figure 12): every LLC miss installs the demand line, and every dirty
+// eviction (writeback) probes the LLC for the victim's Dimension-1 parity
+// line, installing it on a miss. Read-heavy workloads churn the LLC and
+// evict parity lines between uses, which is why BioBench sees lower hit
+// rates (paper Figure 13). Cancelling ctx stops the request stream and
+// returns the hit statistics gathered so far, marked Partial.
 func ParityCacheHitRateContext(ctx context.Context, prof workload.Profile, llcBytes, ways, requests int, seed int64) ParityCacheResult {
 	cfg := stack.DefaultConfig()
 	llc, err := cache.New(llcBytes, ways, cfg.LineBytes)

@@ -294,12 +294,6 @@ type sim struct {
 	slices []stack.Slice
 }
 
-// Run simulates the profile under the configuration; it cannot be
-// interrupted (see RunContext).
-func Run(prof workload.Profile, cfg Config) Stats {
-	return RunContext(context.Background(), prof, cfg)
-}
-
 // RunContext simulates the profile under the configuration, checking ctx
 // between request batches. A cancelled run returns the statistics of the
 // requests served so far with Partial set.

@@ -29,8 +29,8 @@ func runCfg(striping stack.Striping, ov Overheads, requests int) Config {
 
 func TestDeterministic(t *testing.T) {
 	p := prof(t, "mcf")
-	a := Run(p, runCfg(stack.SameBank, Overheads{}, 20000))
-	b := Run(p, runCfg(stack.SameBank, Overheads{}, 20000))
+	a := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 20000))
+	b := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 20000))
 	if a != b {
 		t.Errorf("same config produced different stats:\n%+v\n%+v", a, b)
 	}
@@ -41,9 +41,9 @@ func TestStripingSlowdownOrdering(t *testing.T) {
 	// ~25% slower (more for memory-bound benchmarks).
 	for _, name := range []string{"mcf", "GemsFDTD", "stream"} {
 		p := prof(t, name)
-		sb := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
-		ab := Run(p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
-		ac := Run(p, runCfg(stack.AcrossChannels, Overheads{}, 30000))
+		sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
+		ab := RunContext(context.Background(), p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
+		ac := RunContext(context.Background(), p, runCfg(stack.AcrossChannels, Overheads{}, 30000))
 		if !(sb.Cycles < ab.Cycles && ab.Cycles < ac.Cycles) {
 			t.Errorf("%s: cycles not ordered: sb=%d ab=%d ac=%d",
 				name, sb.Cycles, ab.Cycles, ac.Cycles)
@@ -54,8 +54,8 @@ func TestStripingSlowdownOrdering(t *testing.T) {
 func TestComputeBoundInsensitiveToStriping(t *testing.T) {
 	// Figure 15's left side: compute-bound benchmarks barely notice.
 	p := prof(t, "povray")
-	sb := Run(p, runCfg(stack.SameBank, Overheads{}, 20000))
-	ac := Run(p, runCfg(stack.AcrossChannels, Overheads{}, 20000))
+	sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 20000))
+	ac := RunContext(context.Background(), p, runCfg(stack.AcrossChannels, Overheads{}, 20000))
 	ratio := float64(ac.Cycles) / float64(sb.Cycles)
 	if ratio > 1.05 {
 		t.Errorf("povray across-channels slowdown %.3f, want <= 1.05", ratio)
@@ -64,8 +64,8 @@ func TestComputeBoundInsensitiveToStriping(t *testing.T) {
 
 func TestStripingActivationFanOut(t *testing.T) {
 	p := prof(t, "mcf")
-	sb := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
-	ab := Run(p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
+	sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
+	ab := RunContext(context.Background(), p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
 	// Striping over 8 banks multiplies activations several-fold.
 	if ab.Power.Activates < 4*sb.Power.Activates {
 		t.Errorf("across-banks activates %d not >> same-bank %d",
@@ -82,8 +82,8 @@ func TestStripingPowerRatio(t *testing.T) {
 	// band around the paper's numbers for a memory-bound benchmark.
 	pp := power.Default8Gb()
 	p := prof(t, "lbm")
-	sb := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
-	ab := Run(p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
+	sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
+	ab := RunContext(context.Background(), p, runCfg(stack.AcrossBanks, Overheads{}, 30000))
 	ratio := pp.ActivePower(ab.Power) / pp.ActivePower(sb.Power)
 	if ratio < 2 || ratio > 8 {
 		t.Errorf("across-banks power ratio %.2f, want within (2,8)", ratio)
@@ -94,8 +94,8 @@ func TestCitadel3DPNearBaseline(t *testing.T) {
 	// Figure 15: 3DP with parity caching is within ~2% of baseline.
 	for _, name := range []string{"mcf", "lbm", "dealII"} {
 		p := prof(t, name)
-		sb := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
-		dp := Run(p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
+		sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
+		dp := RunContext(context.Background(), p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
 		ratio := float64(dp.Cycles) / float64(sb.Cycles)
 		if ratio > 1.06 {
 			t.Errorf("%s: 3DP slowdown %.3f, want <= 1.06", name, ratio)
@@ -106,8 +106,8 @@ func TestCitadel3DPNearBaseline(t *testing.T) {
 func TestParityCachingHelps(t *testing.T) {
 	// Figure 15: 3DP without caching is measurably slower than with.
 	p := prof(t, "lbm")
-	withCache := Run(p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
-	noCache := Run(p, runCfg(stack.SameBank, Citadel3DPNoCache(), 30000))
+	withCache := RunContext(context.Background(), p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
+	noCache := RunContext(context.Background(), p, runCfg(stack.SameBank, Citadel3DPNoCache(), 30000))
 	if noCache.Cycles <= withCache.Cycles {
 		t.Errorf("no-cache (%d) not slower than cached (%d)",
 			noCache.Cycles, withCache.Cycles)
@@ -124,7 +124,7 @@ func TestRowHitRateTracksProfile(t *testing.T) {
 		{"mcf", 0.1, 0.5},        // profile 0.30
 	} {
 		p := prof(t, tc.name)
-		st := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
+		st := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
 		if r := st.RowHitRate(); r < tc.lo || r > tc.hi {
 			t.Errorf("%s: row hit rate %.2f outside [%.2f,%.2f]", tc.name, r, tc.lo, tc.hi)
 		}
@@ -133,7 +133,7 @@ func TestRowHitRateTracksProfile(t *testing.T) {
 
 func TestCPINonZero(t *testing.T) {
 	p := prof(t, "gcc")
-	st := Run(p, runCfg(stack.SameBank, Overheads{}, 10000))
+	st := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 10000))
 	if st.CPI(DefaultTiming()) <= 0 {
 		t.Error("CPI not positive")
 	}
@@ -152,7 +152,7 @@ func TestParityCacheHitRateFig13(t *testing.T) {
 	n := 0
 	for _, name := range []string{"mcf", "lbm", "gcc", "stream", "bwaves"} {
 		p := prof(t, name)
-		r := ParityCacheHitRate(p, 8<<20, 8, 150000, 7)
+		r := ParityCacheHitRateContext(context.Background(), p, 8<<20, 8, 150000, 7)
 		if r.ParityProbes == 0 {
 			t.Fatalf("%s: no parity probes", name)
 		}
@@ -194,8 +194,8 @@ func TestParityLineSharedAcrossBanks(t *testing.T) {
 
 func TestReadLatencyIncreasesUnderStriping(t *testing.T) {
 	p := prof(t, "mcf")
-	sb := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
-	ac := Run(p, runCfg(stack.AcrossChannels, Overheads{}, 30000))
+	sb := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
+	ac := RunContext(context.Background(), p, runCfg(stack.AcrossChannels, Overheads{}, 30000))
 	if sb.AvgReadLatency() <= 0 {
 		t.Fatal("no read latency recorded")
 	}
@@ -214,7 +214,7 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	p := prof(t, "gcc")
 	cfg := runCfg(stack.SameBank, Overheads{}, 10000)
 	cfg.Seed = 5
-	direct := Run(p, cfg)
+	direct := RunContext(context.Background(), p, cfg)
 
 	reqs := workload.NewGenerator(p, cfg.Cores, cfg.Seed).Stream(10000)
 	src, err := workload.NewTraceSource(reqs)
@@ -223,7 +223,7 @@ func TestTraceReplayMatchesGenerator(t *testing.T) {
 	}
 	replay := cfg
 	replay.Trace = src
-	viaTrace := Run(p, replay)
+	viaTrace := RunContext(context.Background(), p, replay)
 	if direct != viaTrace {
 		t.Errorf("trace replay diverged:\n%+v\n%+v", direct, viaTrace)
 	}

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // phases stay within the end-to-end latency.
 func TestPhaseAttribution(t *testing.T) {
 	p := prof(t, "mcf")
-	st := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
+	st := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
 	if st.Reads == 0 {
 		t.Fatal("no reads simulated")
 	}
@@ -57,13 +58,13 @@ func TestPhaseAttribution(t *testing.T) {
 // and the no-cache variant must cost more than the cached one.
 func TestParityOverheadAttribution(t *testing.T) {
 	p := prof(t, "stream")
-	base := Run(p, runCfg(stack.SameBank, Overheads{}, 30000))
+	base := RunContext(context.Background(), p, runCfg(stack.SameBank, Overheads{}, 30000))
 	if base.ParityUpdates != 0 || base.ParityOverheadSum != 0 {
 		t.Errorf("baseline registered parity work: %d updates, %g cycles",
 			base.ParityUpdates, base.ParityOverheadSum)
 	}
-	cached := Run(p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
-	nocache := Run(p, runCfg(stack.SameBank, Citadel3DPNoCache(), 30000))
+	cached := RunContext(context.Background(), p, runCfg(stack.SameBank, Citadel3DP(0.85), 30000))
+	nocache := RunContext(context.Background(), p, runCfg(stack.SameBank, Citadel3DPNoCache(), 30000))
 	if cached.ParityUpdates == 0 {
 		t.Fatal("3DP run registered no parity updates")
 	}
@@ -85,7 +86,7 @@ func TestPerfTraceEvents(t *testing.T) {
 	cfg.Tracer = trace.New(trace.Options{
 		Capacity: 2048, SampleEvery: 16, RunID: cfg.RunID, ClockUnit: "cycles",
 	})
-	st := Run(p, cfg)
+	st := RunContext(context.Background(), p, cfg)
 	events, _ := cfg.Tracer.Snapshot()
 	if len(events) == 0 {
 		t.Fatal("no trace events recorded")
@@ -122,7 +123,7 @@ func TestProgressCarriesRunID(t *testing.T) {
 	cfg.RunID = "r-progress"
 	var last Progress
 	cfg.Progress = func(pr Progress) { last = pr }
-	Run(p, cfg)
+	RunContext(context.Background(), p, cfg)
 	if !last.Done {
 		t.Fatal("no final progress snapshot")
 	}

@@ -1,6 +1,7 @@
 package perfsim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -33,7 +34,7 @@ func TestInstructionsSummedAcrossCores(t *testing.T) {
 		{LineAddr: 128, Core: 0, ICount: 200},
 		{LineAddr: 192, Core: 1, ICount: 200},
 	})
-	st := Run(prof(t, "mcf"), cfg)
+	st := RunContext(context.Background(), prof(t, "mcf"), cfg)
 	if st.Instructions != 400 {
 		t.Errorf("Instructions = %d, want 400 (200 per core, summed)", st.Instructions)
 	}
@@ -49,7 +50,7 @@ func TestLoopingTraceInstructionsAdvance(t *testing.T) {
 		{LineAddr: 0, Core: 0, ICount: 100},
 		{LineAddr: 64, Core: 0, ICount: 200},
 	})
-	st := Run(prof(t, "mcf"), cfg)
+	st := RunContext(context.Background(), prof(t, "mcf"), cfg)
 	// Per lap: +100 (0->100), +100 (100->200); wrap contributes the fresh
 	// 100 of the new lap. 4 laps = 800.
 	if st.Instructions != 800 {
@@ -64,8 +65,8 @@ func TestTraceReuseSequentialDeterministic(t *testing.T) {
 	reqs := workload.NewGenerator(p, 8, 11).Stream(6000)
 	cfg := runCfg(stack.SameBank, Overheads{}, 6000)
 	cfg.Trace = traceOf(t, reqs)
-	a := Run(p, cfg)
-	b := Run(p, cfg)
+	a := RunContext(context.Background(), p, cfg)
+	b := RunContext(context.Background(), p, cfg)
 	if a != b {
 		t.Errorf("second run over the same Config.Trace diverged:\n%+v\n%+v", a, b)
 	}
@@ -79,10 +80,10 @@ func TestTraceReuseIgnoresExternalCursor(t *testing.T) {
 	src := traceOf(t, reqs)
 	cfg := runCfg(stack.SameBank, Overheads{}, 6000)
 	cfg.Trace = src
-	a := Run(p, cfg)
+	a := RunContext(context.Background(), p, cfg)
 	src.Next() // advance the shared cursor between runs
 	src.Next()
-	b := Run(p, cfg)
+	b := RunContext(context.Background(), p, cfg)
 	if a != b {
 		t.Errorf("external cursor position leaked into the run:\n%+v\n%+v", a, b)
 	}
@@ -102,7 +103,7 @@ func TestTraceConcurrentRunsIndependent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i] = Run(p, cfg)
+			out[i] = RunContext(context.Background(), p, cfg)
 		}(i)
 	}
 	wg.Wait()
@@ -143,7 +144,7 @@ func TestPerfProgressFinalSnapshot(t *testing.T) {
 			finals++
 		}
 	}
-	st := Run(prof(t, "mcf"), cfg)
+	st := RunContext(context.Background(), prof(t, "mcf"), cfg)
 	if finals != 1 {
 		t.Fatalf("got %d final snapshots, want exactly 1", finals)
 	}

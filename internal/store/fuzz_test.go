@@ -6,11 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzOpenCorrupt drops arbitrary bytes where the store keeps its index,
-// a result, and a job checkpoint, then exercises the full read/write
-// surface. The store's contract under corruption is "warn and treat as a
-// miss" — any panic or failed Open is a bug. (Satellite: checkpoint and
-// index corruption must never take the process down.)
+// FuzzOpenCorrupt drops arbitrary bytes where an older version kept its
+// result index, as a result, and as a job checkpoint, then exercises the
+// full read/write surface. The store's contract under corruption is
+// "warn and treat as a miss" — any panic or failed Open is a bug:
+// corrupted checkpoints, results and stale index files must never take
+// the process down.
 func FuzzOpenCorrupt(f *testing.F) {
 	f.Add([]byte(`{"seq":3,"entries":[{"key":"aaa","size":1,"seq":3}]}`))
 	f.Add([]byte(`{"seq":`))
@@ -25,8 +26,8 @@ func FuzzOpenCorrupt(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		// The same bytes land as the index, a result artifact, and a job
-		// checkpoint.
+		// The same bytes land as a stale index, a result artifact, and a
+		// job checkpoint.
 		for _, p := range []string{
 			filepath.Join(dir, resultsDir, indexName),
 			filepath.Join(dir, resultsDir, "aaa.json"),
@@ -49,7 +50,8 @@ func FuzzOpenCorrupt(f *testing.F) {
 		if got, ok := s.GetResult("bbb"); !ok || string(got) != `{"fresh":true}` {
 			t.Fatalf("fresh write unreadable after corrupted open: %q, %v", got, ok)
 		}
-		// Reopen once more: the rewritten index must parse.
+		// Reopen once more: the rescan must survive the stale index and
+		// the fresh write.
 		if _, err := Open(dir, Options{Logf: quiet}); err != nil {
 			t.Fatalf("second Open: %v", err)
 		}

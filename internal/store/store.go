@@ -7,12 +7,12 @@
 //
 // Durability model: every write goes to a temp file in the target
 // directory and is renamed into place, so a crash never leaves a
-// half-written artifact under a live name. The result index is itself
-// written atomically; on open, the index is reconciled against the
-// directory contents (entries whose file vanished are dropped, files the
-// index missed are re-adopted), and any unreadable or corrupted entry is
-// skipped with a logged warning — corruption costs a cache miss, never a
-// panic or a failed open.
+// half-written artifact under a live name. There is no index: the
+// results directory is the one record of what is stored. Open scans it
+// and rebuilds the in-memory LRU from the files' modification times,
+// which PutResult and GetResult set to the time of the access, so read
+// recency survives a restart. A file that is unreadable or corrupted
+// costs a cache miss, never a panic or a failed open.
 //
 // The result area is LRU-capped by total bytes: inserting past the cap
 // evicts least-recently-used entries. Checkpoints are small and bounded
@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Key returns the canonical content address of v: the hex SHA-256 of its
@@ -69,18 +70,12 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// entry is one result-index record.
+// entry is one stored result in the in-memory LRU.
 type entry struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
-	// Seq is the logical access clock: higher = more recently used.
-	Seq int64 `json:"seq"`
-}
-
-// indexFile is the persisted form of the result index.
-type indexFile struct {
-	Seq     int64   `json:"seq"`
-	Entries []entry `json:"entries"`
+	key  string
+	size int64
+	// seq is the logical access clock: higher = more recently used.
+	seq int64
 }
 
 // Store is a content-addressed result store plus a checkpoint area.
@@ -89,17 +84,19 @@ type Store struct {
 	maxBytes int64
 	logf     func(string, ...any)
 
-	mu    sync.Mutex
-	index map[string]*entry
-	seq   int64
-	total int64
+	mu      sync.Mutex
+	entries map[string]*entry
+	seq     int64
+	total   int64
 }
 
 const (
 	resultsDir = "results"
 	jobsDir    = "jobs"
-	indexName  = "index.json"
-	jsonExt    = ".json"
+	// indexName is the result index an older version kept in resultsDir;
+	// Open ignores it.
+	indexName = "index.json"
+	jsonExt   = ".json"
 )
 
 // Open creates (or reopens) the store rooted at dir.
@@ -119,9 +116,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:      dir,
 		maxBytes: opts.MaxBytes,
 		logf:     opts.Logf,
-		index:    make(map[string]*entry),
+		entries:  make(map[string]*entry),
 	}
-	s.loadIndex()
+	s.scanResults()
 	return s, nil
 }
 
@@ -129,8 +126,8 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // validKey reports whether k is safe to use as a file stem. Keys are
-// SHA-256 hex in practice; the check keeps a corrupted index entry (or a
-// hostile key) from escaping the store directory.
+// SHA-256 hex in practice; the check keeps a hostile key from escaping
+// the store directory.
 func validKey(k string) bool {
 	if k == "" || len(k) > 128 {
 		return false
@@ -153,79 +150,51 @@ func (s *Store) jobPath(key string) string {
 	return filepath.Join(s.dir, jobsDir, key+jsonExt)
 }
 
-// loadIndex reads the persisted index and reconciles it against the
-// results directory. Every failure mode degrades to "treat as empty /
-// re-adopt from disk" with a warning.
-func (s *Store) loadIndex() {
-	var idx indexFile
-	path := filepath.Join(s.dir, resultsDir, indexName)
-	if data, err := os.ReadFile(path); err == nil {
-		if jerr := json.Unmarshal(data, &idx); jerr != nil {
-			s.logf("store: corrupted index %s (%v); rebuilding from directory", path, jerr)
-			idx = indexFile{}
-		}
-	}
-	s.seq = idx.Seq
-	for i := range idx.Entries {
-		e := idx.Entries[i]
-		if !validKey(e.Key) {
-			s.logf("store: skipping index entry with invalid key %q", e.Key)
-			continue
-		}
-		fi, err := os.Stat(s.resultPath(e.Key))
-		if err != nil {
-			// File vanished (crash between rename and index write, or
-			// manual cleanup): drop the entry.
-			continue
-		}
-		e.Size = fi.Size()
-		if e.Seq > s.seq {
-			s.seq = e.Seq
-		}
-		ent := e
-		s.index[e.Key] = &ent
-		s.total += e.Size
-	}
-	// Adopt result files the index missed (crash after rename, before
-	// index persist). They enter as least-recently used.
-	names, err := os.ReadDir(filepath.Join(s.dir, resultsDir))
+// scanResults rebuilds the in-memory LRU from the results directory:
+// every <key>.json with a valid key enters, least recently used first by
+// modification time, ties broken by key.
+func (s *Store) scanResults() {
+	des, err := os.ReadDir(filepath.Join(s.dir, resultsDir))
 	if err != nil {
+		s.logf("store: listing results: %v", err)
 		return
 	}
-	for _, de := range names {
-		name := de.Name()
-		if name == indexName || !strings.HasSuffix(name, jsonExt) || de.IsDir() {
-			continue
-		}
-		key := strings.TrimSuffix(name, jsonExt)
-		if !validKey(key) || s.index[key] != nil {
+	type found struct {
+		entry
+		mtime time.Time
+	}
+	var all []found
+	for _, de := range des {
+		key, isJSON := strings.CutSuffix(de.Name(), jsonExt)
+		if !isJSON || de.Name() == indexName || de.IsDir() || !validKey(key) {
 			continue
 		}
 		fi, err := de.Info()
 		if err != nil {
 			continue
 		}
-		s.index[key] = &entry{Key: key, Size: fi.Size(), Seq: 0}
-		s.total += fi.Size()
+		all = append(all, found{entry{key: key, size: fi.Size()}, fi.ModTime()})
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if !all[i].mtime.Equal(all[j].mtime) {
+			return all[i].mtime.Before(all[j].mtime)
+		}
+		return all[i].key < all[j].key
+	})
+	for i := range all {
+		e := all[i].entry
+		s.seq++
+		e.seq = s.seq
+		s.entries[e.key] = &e
+		s.total += e.size
 	}
 }
 
-// persistIndexLocked writes the index atomically. Callers hold s.mu.
-func (s *Store) persistIndexLocked() {
-	idx := indexFile{Seq: s.seq}
-	idx.Entries = make([]entry, 0, len(s.index))
-	for _, e := range s.index {
-		idx.Entries = append(idx.Entries, *e)
-	}
-	sort.Slice(idx.Entries, func(i, j int) bool { return idx.Entries[i].Key < idx.Entries[j].Key })
-	data, err := json.Marshal(idx)
-	if err != nil {
-		s.logf("store: encoding index: %v", err)
-		return
-	}
-	if err := atomicWrite(filepath.Join(s.dir, resultsDir, indexName), data); err != nil {
-		s.logf("store: persisting index: %v", err)
-	}
+// touch sets the modification time of key's result to now: the recency
+// Open rebuilds the LRU from. A failure costs only that recency.
+func (s *Store) touch(key string) {
+	now := time.Now()
+	_ = os.Chtimes(s.resultPath(key), now, now)
 }
 
 // atomicWrite writes data to a temp file next to path and renames it into
@@ -271,43 +240,44 @@ func (s *Store) PutResult(key string, data []byte) error {
 	if err := atomicWrite(s.resultPath(key), data); err != nil {
 		return fmt.Errorf("store: writing result: %w", err)
 	}
+	s.touch(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.index[key]; old != nil {
-		s.total -= old.Size
+	if old := s.entries[key]; old != nil {
+		s.total -= old.size
 	}
 	s.seq++
-	s.index[key] = &entry{Key: key, Size: int64(len(data)), Seq: s.seq}
+	s.entries[key] = &entry{key: key, size: int64(len(data)), seq: s.seq}
 	s.total += int64(len(data))
 	s.evictLocked()
-	s.persistIndexLocked()
 	return nil
 }
 
 // evictLocked removes least-recently-used entries until the total fits
 // the cap. Callers hold s.mu.
 func (s *Store) evictLocked() {
-	for s.maxBytes > 0 && s.total > s.maxBytes && len(s.index) > 1 {
+	for s.maxBytes > 0 && s.total > s.maxBytes && len(s.entries) > 1 {
 		var victim *entry
-		for _, e := range s.index {
-			if victim == nil || e.Seq < victim.Seq {
+		for _, e := range s.entries {
+			if victim == nil || e.seq < victim.seq {
 				victim = e
 			}
 		}
 		if victim == nil {
 			return
 		}
-		if err := os.Remove(s.resultPath(victim.Key)); err != nil && !os.IsNotExist(err) {
-			s.logf("store: evicting %s: %v", victim.Key, err)
+		if err := os.Remove(s.resultPath(victim.key)); err != nil && !os.IsNotExist(err) {
+			s.logf("store: evicting %s: %v", victim.key, err)
 		}
-		s.total -= victim.Size
-		delete(s.index, victim.Key)
-		s.logf("store: evicted result %s (%d bytes, LRU)", victim.Key, victim.Size)
+		s.total -= victim.size
+		delete(s.entries, victim.key)
+		s.logf("store: evicted result %s (%d bytes, LRU)", victim.key, victim.size)
 	}
 }
 
 // GetResult returns the stored bytes for key and refreshes its LRU
-// position. A missing or unreadable entry is a miss.
+// position, in memory and on disk. A missing or unreadable entry is a
+// miss.
 func (s *Store) GetResult(key string) ([]byte, bool) {
 	if !validKey(key) {
 		return nil, false
@@ -317,11 +287,12 @@ func (s *Store) GetResult(key string) ([]byte, bool) {
 		return nil, false
 	}
 	s.mu.Lock()
-	if e := s.index[key]; e != nil {
+	if e := s.entries[key]; e != nil {
 		s.seq++
-		e.Seq = s.seq
+		e.seq = s.seq
 	}
 	s.mu.Unlock()
+	s.touch(key)
 	return data, true
 }
 
@@ -332,10 +303,9 @@ func (s *Store) DeleteResult(key string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.index[key]; e != nil {
-		s.total -= e.Size
-		delete(s.index, key)
-		s.persistIndexLocked()
+	if e := s.entries[key]; e != nil {
+		s.total -= e.size
+		delete(s.entries, key)
 	}
 	if err := os.Remove(s.resultPath(key)); err != nil && !os.IsNotExist(err) {
 		s.logf("store: deleting result %s: %v", key, err)
@@ -353,7 +323,7 @@ func (s *Store) ResultBytes() int64 {
 func (s *Store) ResultCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.index)
+	return len(s.entries)
 }
 
 // PutJob persists a job checkpoint under its spec key, atomically.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,6 +171,85 @@ func TestIndexReconciliation(t *testing.T) {
 	}
 	if _, ok := s2.GetResult("orphan"); !ok {
 		t.Error("unindexed file not adopted on open")
+	}
+}
+
+// TestResultsDirHoldsOnlyResults: the results directory is the one
+// record of what is stored, so after any sequence of puts (some of them
+// evicting), reads, overwrites and deletes it holds exactly the stored
+// results' files, and a reopen finds exactly those results.
+func TestResultsDirHoldsOnlyResults(t *testing.T) {
+	s, dir := openTemp(t, Options{MaxBytes: 100})
+	check := func(step string) {
+		t.Helper()
+		des, err := os.ReadDir(filepath.Join(dir, resultsDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, de := range des {
+			names = append(names, de.Name())
+		}
+		var want []string
+		for key := range s.entries {
+			want = append(want, key+jsonExt)
+		}
+		sort.Strings(want)
+		if !reflect.DeepEqual(names, want) {
+			t.Fatalf("after %s: results/ holds %v, want the stored results %v", step, names, want)
+		}
+	}
+	payload := []byte(strings.Repeat("x", 30))
+	for i, op := range []string{"put aaa", "put bbb", "get aaa", "put ccc", "put ddd", "get ccc", "delete ccc", "put aaa", "get zzz", "delete zzz", "put eee"} {
+		verb, key, _ := strings.Cut(op, " ")
+		switch verb {
+		case "put":
+			if err := s.PutResult(key, payload[:10+2*i]); err != nil {
+				t.Fatal(err)
+			}
+		case "get":
+			s.GetResult(key)
+		case "delete":
+			s.DeleteResult(key)
+		}
+		check(op)
+	}
+	s2, err := Open(dir, Options{Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.ResultCount() != s.ResultCount() || s2.ResultBytes() != s.ResultBytes() {
+		t.Errorf("reopen finds %d results of %d bytes, want %d of %d",
+			s2.ResultCount(), s2.ResultBytes(), s.ResultCount(), s.ResultBytes())
+	}
+}
+
+// TestReadRecencySurvivesReopen: a read refreshes the result's recency on
+// disk, so after a reopen the result read last outlives one written after
+// it. The store used to record a read only with the next put.
+func TestReadRecencySurvivesReopen(t *testing.T) {
+	s, dir := openTemp(t, Options{MaxBytes: 100})
+	payload := []byte(strings.Repeat("x", 40))
+	for _, key := range []string{"aaa", "bbb"} {
+		if err := s.PutResult(key, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.GetResult("aaa"); !ok {
+		t.Fatal("aaa missing")
+	}
+	s2, err := Open(dir, Options{MaxBytes: 100, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.PutResult("ccc", payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.GetResult("aaa"); !ok {
+		t.Error("aaa, read last before the reopen, was evicted")
+	}
+	if _, ok := s2.GetResult("bbb"); ok {
+		t.Error("bbb survived eviction; want it as the LRU victim")
 	}
 }
 
