@@ -85,13 +85,25 @@ determinism:
 # result and checkpoint files hold arbitrary bytes, and FuzzCheckpoint
 # decodes arbitrary bytes as one campaign's checkpoint, which must not
 # panic and may admit only a checkpoint that holds exactly the trials of
-# the chunks it claims.
+# the chunks it claims. The codes: FuzzChecksumMatchesStdlib checks the
+# CRC implementations against the standard library and FuzzIncremental
+# checks that a split input gives the same checksum;
+# FuzzDecodeNeverPanicsOrLies feeds corrupted Reed-Solomon codewords to
+# the decoder, which must not panic or report a wrong decode as a
+# success, and FuzzErasurePositions feeds it arbitrary erasure lists;
+# FuzzIncrementalMatchesBatch checks the incremental ECC verdict against
+# the batch oracle over a fuzzed add/remove schedule.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/jobs/
 	$(GO) test -run xxx -fuzz '^FuzzOpenCorrupt$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz '^FuzzCheckpoint$$' -fuzztime 10s ./internal/jobs/
+	$(GO) test -run xxx -fuzz '^FuzzChecksumMatchesStdlib$$' -fuzztime 10s ./internal/crc/
+	$(GO) test -run xxx -fuzz '^FuzzIncremental$$' -fuzztime 10s ./internal/crc/
+	$(GO) test -run xxx -fuzz '^FuzzDecodeNeverPanicsOrLies$$' -fuzztime 10s ./internal/reedsolomon/
+	$(GO) test -run xxx -fuzz '^FuzzErasurePositions$$' -fuzztime 10s ./internal/reedsolomon/
+	$(GO) test -run xxx -fuzz '^FuzzIncrementalMatchesBatch$$' -fuzztime 10s ./internal/ecc/
 
 # The repository benchmark is its own module (benchmark/go.mod replaces
 # repro with ../), so the root `go build ./...` and `go test ./...` never

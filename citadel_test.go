@@ -304,6 +304,22 @@ func TestSimulateReliabilityContextCancel(t *testing.T) {
 	}
 }
 
+// TestSimulateMaxIntTrials: a run of math.MaxInt64 trials runs until its
+// deadline. The engine's worker count used to overflow rounding the
+// trial count up to whole blocks, so the run started no worker and
+// returned 0 trials with no reason given.
+func TestSimulateMaxIntTrials(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	r, err := Simulate(ctx, ReliabilityOptions{Trials: math.MaxInt64, Seed: 1}, Scheme1DP)
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	if !r.Partial || r.Trials <= 0 {
+		t.Errorf("got Partial %v over %d trials, want a partial run of some trials", r.Partial, r.Trials)
+	}
+}
+
 // TestCompareReliabilityContextCancelled: comparing schemes under an
 // already cancelled context, plain and adaptive, each Simulate returns
 // at once an empty partial Result and no error.

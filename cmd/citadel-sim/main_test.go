@@ -170,3 +170,20 @@ func TestRegistrySchemeForensics(t *testing.T) {
 	runSim(t, "-scheme", "cerberus-cross-layer", "-trials", "3000", "-tsv-fit", "1430", "-forensics", f)
 	verifyReportFile(t, f)
 }
+
+// TestClusterListenFallsBackLocal: with -cluster-listen and no worker,
+// the campaign runs locally once the worker grace has passed and prints
+// what -job-dir alone prints. The coordinator finds the workers missing
+// on its expiry scans, LeaseTTL/4 (3.75 s) apart, so the run takes
+// several seconds.
+func TestClusterListenFallsBackLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits for the coordinator's expiry scans; skipped with -short")
+	}
+	want := runSim(t, "-scheme", "1DP", "-trials", "2000", "-seed", "3", "-job-dir", t.TempDir())
+	got := runSim(t, "-scheme", "1DP", "-trials", "2000", "-seed", "3", "-job-dir", t.TempDir(),
+		"-cluster-listen", "127.0.0.1:0", "-worker-grace", "100ms")
+	if got != want {
+		t.Errorf("-cluster-listen with no worker printed\n%s\nwant what -job-dir alone prints\n%s", got, want)
+	}
+}

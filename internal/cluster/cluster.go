@@ -9,10 +9,11 @@
 // it; a lease that expires (worker death, partition, stalled heartbeats)
 // requeues its chunk under exponential backoff with jitter, and a worker
 // that loses or fails enough consecutive chunks is quarantined so a
-// flapping node cannot starve a campaign. Completed chunks are committed
-// back to the orchestrator in strictly increasing chunk order — the same
-// left-to-right faultsim.Merge fold, and the same per-chunk checkpoint,
-// as local execution — so an N-worker campaign is bit-identical to a
+// flapping node cannot starve a campaign. Completed chunks are buffered
+// and committed back to the orchestrator on the campaign's own goroutine,
+// in strictly increasing chunk order — the same left-to-right
+// faultsim.Merge fold, and the same per-chunk checkpoint, as local
+// execution — so an N-worker campaign is bit-identical to a
 // 1-worker or in-process run, a coordinator crash resumes from its last
 // checkpoint, and duplicate deliveries (retried POSTs, a reassigned
 // chunk finishing twice) dedup by chunk index with nothing lost.
@@ -139,13 +140,20 @@ type campaign struct {
 	next     int // next chunk to commit (contiguous prefix is merged)
 	buffered map[int]citadel.Result
 
-	commit     func(int, citadel.Result) error
-	committing bool // a goroutine is draining buffered commits
-
 	stalledSince time.Time // first tick with zero live workers
 	finished     bool
 	err          error
-	done         chan struct{}
+	// wake holds one signal for ExecuteChunks: a chunk was buffered or
+	// the campaign ended.
+	wake chan struct{}
+}
+
+// poke wakes the campaign's ExecuteChunks without blocking.
+func (cp *campaign) poke() {
+	select {
+	case cp.wake <- struct{}{}:
+	default:
+	}
 }
 
 // lease is one granted chunk lease.
@@ -171,13 +179,16 @@ type workerState struct {
 // safely below the worker's default 30s client timeout.
 const maxLeaseHold = 10 * time.Second
 
+// maxChunks bounds a campaign's chunk table, about 56 bytes a chunk; a
+// campaign with more chunks runs locally instead.
+const maxChunks = 1 << 20
+
 // Coordinator shards campaigns into chunk leases for pulling workers.
 // It implements jobs.ChunkExecutor.
 type Coordinator struct {
 	opts Options
 
 	mu        sync.Mutex
-	cond      *sync.Cond // signals commit-drain completion to aborters
 	campaigns map[string]*campaign
 	leases    map[string]*lease
 	workers   map[string]*workerState
@@ -204,7 +215,6 @@ func New(opts Options) *Coordinator {
 		wake:      make(chan struct{}),
 		closedCh:  make(chan struct{}),
 	}
-	c.cond = sync.NewCond(&c.mu)
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -234,15 +244,17 @@ func (c *Coordinator) Close() {
 	c.closed = true
 	close(c.closedCh)
 	for _, cp := range c.campaigns {
-		c.abortLocked(cp, ErrClosed)
+		c.endLocked(cp, ErrClosed)
 	}
 	c.mu.Unlock()
 	c.wg.Wait()
 }
 
 // ExecuteChunks implements jobs.ChunkExecutor: it registers the campaign
-// for leasing and blocks until every chunk is committed, the context is
+// for leasing and folds delivered chunks into it, calling commit on its
+// own goroutine, until every chunk is committed, the context is
 // cancelled, or the campaign is handed back (ErrNoWorkers, ErrClosed).
+// No commit runs after it returns.
 func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, commit func(chunk int, res citadel.Result) error) error {
 	switch {
 	case commit == nil:
@@ -251,6 +263,8 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 		return fmt.Errorf("cluster: campaign without key")
 	case cam.Total <= 0 || cam.Start < 0 || cam.Start > cam.Total:
 		return fmt.Errorf("cluster: bad chunk range [%d, %d)", cam.Start, cam.Total)
+	case cam.Total > maxChunks:
+		return fmt.Errorf("cluster: %d chunks exceed the coordinator's %d", cam.Total, maxChunks)
 	case cam.Spec.CheckpointTrials <= 0 || cam.Spec.Trials <= 0:
 		return fmt.Errorf("cluster: unnormalized spec (trials=%d, checkpointTrials=%d)",
 			cam.Spec.Trials, cam.Spec.CheckpointTrials)
@@ -266,8 +280,7 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 		chunks:   make([]chunkInfo, cam.Total),
 		next:     cam.Start,
 		buffered: make(map[int]citadel.Result),
-		commit:   commit,
-		done:     make(chan struct{}),
+		wake:     make(chan struct{}, 1),
 	}
 	for i := 0; i < cam.Start; i++ {
 		cp.chunks[i].status = chunkDone
@@ -287,45 +300,43 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 	c.mu.Unlock()
 	c.opts.Logf("cluster: campaign=%.12s run=%s chunks %d..%d registered", cp.key, cp.runID, cam.Start, cam.Total)
 
-	select {
-	case <-cp.done:
-	case <-ctx.Done():
-		c.mu.Lock()
-		c.abortLocked(cp, ctx.Err())
-		c.mu.Unlock()
-	case <-c.closedCh:
-		c.mu.Lock()
-		c.abortLocked(cp, ErrClosed)
-		c.mu.Unlock()
-	}
-	// abortLocked/finishLocked close done only after any in-flight
-	// commit drain has drained, so once we pass this receive no commit
-	// callback is running or will run — the orchestrator may safely
-	// resume local execution on the same accumulator.
-	<-cp.done
 	c.mu.Lock()
+	for !cp.finished {
+		res, ok := cp.buffered[cp.next]
+		if !ok {
+			c.mu.Unlock()
+			select {
+			case <-cp.wake:
+				c.mu.Lock()
+			case <-ctx.Done():
+				c.mu.Lock()
+				c.endLocked(cp, ctx.Err())
+			}
+			continue
+		}
+		// Fold the contiguous prefix in chunk order, calling commit outside
+		// the lock so deliveries keep landing meanwhile.
+		chunk := cp.next
+		delete(cp.buffered, chunk)
+		c.mu.Unlock()
+		err := commit(chunk, res)
+		c.mu.Lock()
+		if err != nil {
+			c.endLocked(cp, err)
+		} else if cp.next = chunk + 1; cp.next == cp.total {
+			c.endLocked(cp, nil)
+		}
+	}
 	err := cp.err
 	c.mu.Unlock()
 	return err
 }
 
-// finishLocked completes a campaign: every chunk committed.
-func (c *Coordinator) finishLocked(cp *campaign) {
-	if cp.finished {
-		return
-	}
-	cp.finished = true
-	delete(c.campaigns, cp.key)
-	mActiveCampaigns.Set(int64(len(c.campaigns)))
-	c.dropCampaignLeasesLocked(cp)
-	close(cp.done)
-	c.opts.Logf("cluster: campaign=%.12s run=%s complete (%d chunks)", cp.key, cp.runID, cp.total)
-}
-
-// abortLocked hands a campaign back with err. It waits out any in-flight
-// commit drain before closing done, so callers of ExecuteChunks never
-// race a live commit callback.
-func (c *Coordinator) abortLocked(cp *campaign, err error) {
+// endLocked removes a campaign and revokes its leases: complete when err
+// is nil, else handed back with err, which ExecuteChunks returns. Chunks
+// buffered but not yet committed are dropped; they re-run wherever the
+// campaign continues. Idempotent.
+func (c *Coordinator) endLocked(cp *campaign, err error) {
 	if cp.finished {
 		return
 	}
@@ -334,11 +345,12 @@ func (c *Coordinator) abortLocked(cp *campaign, err error) {
 	delete(c.campaigns, cp.key)
 	mActiveCampaigns.Set(int64(len(c.campaigns)))
 	c.dropCampaignLeasesLocked(cp)
-	for cp.committing {
-		c.cond.Wait()
+	cp.poke()
+	if err == nil {
+		c.opts.Logf("cluster: campaign=%.12s run=%s complete (%d chunks)", cp.key, cp.runID, cp.total)
+	} else {
+		c.opts.Logf("cluster: campaign=%.12s run=%s aborted at chunk %d/%d: %v", cp.key, cp.runID, cp.next, cp.total, err)
 	}
-	close(cp.done)
-	c.opts.Logf("cluster: campaign=%.12s run=%s aborted at chunk %d/%d: %v", cp.key, cp.runID, cp.next, cp.total, err)
 }
 
 // dropCampaignLeasesLocked revokes every lease of cp; holders learn on
@@ -498,12 +510,13 @@ func (c *Coordinator) Heartbeat(workerID, leaseID string) bool {
 	return true
 }
 
-// Complete delivers a chunk result. Idempotent by chunk index: an
-// already-merged chunk answers CompleteDuplicate and the payload is
-// discarded (chunk results are deterministic, so duplicates are
-// interchangeable). A result for an unknown campaign answers
-// CompleteStale. Malformed envelopes are errors and count toward the
-// worker's quarantine threshold.
+// Complete delivers a chunk result: it buffers the result for the
+// campaign's in-order fold and answers CompleteAccepted without waiting
+// for the commit. Idempotent by chunk index: an already-delivered chunk
+// answers CompleteDuplicate and the payload is discarded (chunk results
+// are deterministic, so duplicates are interchangeable). A result for an
+// unknown campaign answers CompleteStale. Malformed envelopes are errors
+// and count toward the worker's quarantine threshold.
 func (c *Coordinator) Complete(workerID, leaseID string, env faultsim.ChunkEnvelope) (CompleteStatus, error) {
 	now := time.Now()
 	c.mu.Lock()
@@ -548,8 +561,8 @@ func (c *Coordinator) Complete(workerID, leaseID string, env faultsim.ChunkEnvel
 	w.chunksDone++
 	cp.buffered[env.Chunk] = env.Result
 	mChunksCompleted.Inc()
+	cp.poke()
 	c.mu.Unlock()
-	c.drainCommits(cp)
 	return CompleteAccepted, nil
 }
 
@@ -564,43 +577,6 @@ func (c *Coordinator) releaseLeaseLocked(leaseID, owner string) {
 		w.leases--
 	}
 	delete(c.leases, leaseID)
-}
-
-// drainCommits folds buffered results into the campaign in chunk order,
-// calling commit outside the coordinator lock. The committing flag
-// serializes drains so commits stay ordered; aborters wait for it.
-func (c *Coordinator) drainCommits(cp *campaign) {
-	c.mu.Lock()
-	if cp.committing || cp.finished {
-		c.mu.Unlock()
-		return
-	}
-	cp.committing = true
-	for !cp.finished {
-		res, ok := cp.buffered[cp.next]
-		if !ok {
-			break
-		}
-		chunk := cp.next
-		delete(cp.buffered, chunk)
-		c.mu.Unlock()
-		err := cp.commit(chunk, res)
-		c.mu.Lock()
-		if err != nil {
-			cp.committing = false
-			c.cond.Broadcast()
-			c.abortLocked(cp, err)
-			c.mu.Unlock()
-			return
-		}
-		cp.next = chunk + 1
-	}
-	cp.committing = false
-	c.cond.Broadcast()
-	if !cp.finished && cp.next == cp.total {
-		c.finishLocked(cp)
-	}
-	c.mu.Unlock()
 }
 
 // Fail reports that a worker could not run its leased chunk; the chunk
@@ -696,7 +672,7 @@ func (c *Coordinator) tick(now time.Time) {
 	}
 	for _, cp := range aborts {
 		mCampaignsFellBack.Inc()
-		c.abortLocked(cp, ErrNoWorkers)
+		c.endLocked(cp, ErrNoWorkers)
 	}
 	c.mu.Unlock()
 }

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -371,6 +373,74 @@ func TestDuplicateAndStaleComplete(t *testing.T) {
 	}
 }
 
+// TestCompleteAnswersBeforeCommit: the goroutine that called
+// ExecuteChunks is the only one that commits, so a delivery answers
+// accepted while an earlier commit is still running, and the commits
+// stay in chunk order. Complete used to run the commit itself, so it
+// answered only once the commit (a checkpoint fsync in the orchestrator)
+// was done.
+func TestCompleteAnswersBeforeCommit(t *testing.T) {
+	c := cluster.New(cluster.Options{
+		LeaseTTL: time.Second, Tick: 50 * time.Millisecond, NoWorkerGrace: -1, Logf: nolog,
+	})
+	defer c.Close()
+	entered, release := make(chan int, 2), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // before c.Close, which would wait for the commit
+	var committed []int
+	done := make(chan error, 1)
+	go func() {
+		done <- c.ExecuteChunks(context.Background(), jobs.Campaign{Key: "camp-slow", RunID: "r1", Spec: normSpec(200, 100), Start: 0, Total: 2},
+			func(chunk int, _ citadel.Result) error {
+				entered <- chunk
+				<-release
+				committed = append(committed, chunk)
+				return nil
+			})
+	}()
+	deliver := func(workerID string, g cluster.LeaseGrant) {
+		t.Helper()
+		answer := make(chan string, 1)
+		go func() {
+			st, err := c.Complete(workerID, g.LeaseID, fakeEnvelope("camp-slow", g.Chunk, 100))
+			answer <- fmt.Sprintf("%s, %v", st, err)
+		}()
+		select {
+		case got := <-answer:
+			if want := fmt.Sprintf("%s, <nil>", cluster.CompleteAccepted); got != want {
+				t.Fatalf("Complete of chunk %d = %s; want %s", g.Chunk, got, want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("Complete of chunk %d did not answer within 1s", g.Chunk)
+		}
+	}
+	g0 := leaseEventually(t, c, "w1", 5*time.Second)
+	g1 := leaseEventually(t, c, "w2", 5*time.Second)
+	deliver("w1", g0)
+	select {
+	case chunk := <-entered:
+		if chunk != 0 {
+			t.Fatalf("first commit is of chunk %d, want 0", chunk)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("chunk 0 was never committed")
+	}
+	deliver("w2", g1)
+	free()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("ExecuteChunks: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("ExecuteChunks did not return")
+	}
+	if len(committed) != 2 || committed[0] != 0 || committed[1] != 1 {
+		t.Fatalf("committed %v, want [0 1]", committed)
+	}
+}
+
 // TestQuarantineAfterConsecutiveFailures: a worker that keeps failing
 // chunks is refused leases while healthy workers still get them.
 func TestQuarantineAfterConsecutiveFailures(t *testing.T) {
@@ -458,6 +528,8 @@ func TestExecuteChunksValidation(t *testing.T) {
 		{"no key", jobs.Campaign{Spec: spec, Total: 1}},
 		{"bad range", jobs.Campaign{Key: "k", Spec: spec, Start: 2, Total: 1}},
 		{"unnormalized", jobs.Campaign{Key: "k", Spec: jobs.ReliabilitySpec{Scheme: "Citadel"}, Total: 1}},
+		// Its chunk table could not be allocated: the campaign runs locally.
+		{"too many chunks", jobs.Campaign{Key: "k", Spec: normSpec(math.MaxInt64, 10000), Total: (math.MaxInt64-1)/10000 + 1}},
 	}
 	for _, tc := range cases {
 		if err := c.ExecuteChunks(context.Background(), tc.cam, commit); err == nil {

@@ -70,9 +70,11 @@ type CompleteRequest struct {
 type CompleteStatus string
 
 const (
-	// CompleteAccepted: the chunk entered the campaign merge.
+	// CompleteAccepted: the chunk is buffered for the campaign's in-order
+	// fold. The answer does not wait for the commit; a chunk accepted but
+	// not yet committed when the coordinator dies re-runs on resume.
 	CompleteAccepted CompleteStatus = "accepted"
-	// CompleteDuplicate: the chunk was already merged (redelivery or a
+	// CompleteDuplicate: the chunk was already delivered (redelivery or a
 	// reassigned chunk finished twice); the result was discarded. Chunks
 	// are deterministic, so nothing is lost.
 	CompleteDuplicate CompleteStatus = "duplicate"

@@ -115,7 +115,12 @@ func execute[L lane](ctx context.Context, opt Options, name string, newLane func
 	} else {
 		close(progDone)
 	}
-	workers := max(0, min(opt.Workers, (min(batch, total)+cancelCheckInterval-1)/cancelCheckInterval))
+	// One worker per block of the first batch, at most: (n-1)/d+1 is the
+	// ceiling of n/d that cannot overflow.
+	workers := 0
+	if n := min(batch, total); n > 0 {
+		workers = min(opt.Workers, (n-1)/cancelCheckInterval+1)
+	}
 	lanes = make([]L, workers)
 	// batchEnds[w] hands worker w the end of each batch, and closing it
 	// ends the worker. It holds one signal, so the coordinator posts a

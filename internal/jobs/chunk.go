@@ -39,7 +39,8 @@ type ChunkExecutor interface {
 	// commit exactly once per chunk in strictly increasing chunk order
 	// (the orchestrator folds results left-to-right through
 	// faultsim.Merge and checkpoints after each, so out-of-order commits
-	// would break the bit-identical determinism contract). A commit
+	// would break the bit-identical determinism contract). commit is
+	// called on the goroutine that called ExecuteChunks. A commit
 	// error aborts the campaign and is returned. ExecuteChunks returns
 	// nil once every chunk is committed, ctx.Err() if cancelled, and any
 	// other error to request local fallback for the uncommitted tail.

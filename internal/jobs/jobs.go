@@ -160,15 +160,14 @@ type PerformanceResult struct {
 // its spec key. Result carries the merge of all completed chunks; a
 // chunk interrupted mid-run is discarded (its partial statistics would
 // break determinism) and re-runs on resume. decodeCheckpoint admits only
-// a checkpoint that belongs to the campaign its key addresses.
+// a checkpoint that belongs to the campaign its key addresses. It holds
+// only what decodeCheckpoint reads; the chunk count derives from Spec.
 type checkpoint struct {
-	Version     int             `json:"version"`
-	Key         string          `json:"key"`
-	Spec        Spec            `json:"spec"`
-	ChunksDone  int             `json:"chunksDone"`
-	TotalChunks int             `json:"totalChunks"`
-	Result      *citadel.Result `json:"result,omitempty"`
-	UpdatedAt   time.Time       `json:"updatedAt"`
+	Version    int             `json:"version"`
+	Key        string          `json:"key"`
+	Spec       Spec            `json:"spec"`
+	ChunksDone int             `json:"chunksDone"`
+	Result     *citadel.Result `json:"result,omitempty"`
 }
 
 // checkpointVersion is hashed into every Spec.Key. Version 2 draws each
@@ -180,10 +179,15 @@ const checkpointVersion = 2
 // change after creation and may be read without it.
 type job struct {
 	seq int64
+	// resume is the merged result of the checkpoint Submit or Recover
+	// admitted (nil before the first chunk); runReliability continues
+	// from it. Set at creation, never changed.
+	resume *citadel.Result
 
 	mu sync.Mutex
 	Job
-	userCancel bool
+	userCancel bool // Cancel claimed the job
+	ended      bool // finish ran
 	cancelRun  context.CancelFunc
 	done       chan struct{}
 }
@@ -351,7 +355,12 @@ func (o *Orchestrator) Submit(spec Spec) (*Job, error) {
 	if snap := o.tryCacheLocked(key, norm); snap != nil {
 		return snap, nil
 	}
-	cp := o.loadCheckpoint(key)
+	var cp *checkpoint
+	if o.st != nil {
+		if data, ok := o.st.GetJob(key); ok {
+			cp = o.admitCheckpoint(key, data)
+		}
+	}
 	if len(o.queue) >= o.opts.QueueDepth {
 		mShed.Inc()
 		return nil, ErrQueueFull
@@ -428,24 +437,17 @@ func decodeCheckpoint(key string, data []byte) (*checkpoint, error) {
 		return nil, fmt.Errorf("%d chunks done, result present %v", cp.ChunksDone, cp.Result != nil)
 	}
 	if cp.Result != nil {
-		if want := min(cp.ChunksDone*r.CheckpointTrials, r.Trials); cp.Result.Trials != want {
+		// Every chunk before the last holds CheckpointTrials trials, so
+		// the product stays below Trials; the last one ends the campaign.
+		want := r.Trials
+		if cp.ChunksDone < chunks {
+			want = cp.ChunksDone * r.CheckpointTrials
+		}
+		if cp.Result.Trials != want {
 			return nil, fmt.Errorf("%d chunks done hold %d trials, not %d", cp.ChunksDone, want, cp.Result.Trials)
 		}
 	}
 	return &cp, nil
-}
-
-// loadCheckpoint returns the checkpoint the store holds for key, if
-// decodeCheckpoint admits it.
-func (o *Orchestrator) loadCheckpoint(key string) *checkpoint {
-	if o.st == nil {
-		return nil
-	}
-	data, ok := o.st.GetJob(key)
-	if !ok {
-		return nil
-	}
-	return o.admitCheckpoint(key, data)
 }
 
 // admitCheckpoint decodes data, the checkpoint stored under key. One
@@ -470,6 +472,7 @@ func (o *Orchestrator) enqueueLocked(key string, norm Spec, cp *checkpoint) *job
 		State: StateQueued, Created: time.Now(),
 	}, seq: o.seq, done: make(chan struct{})}
 	if cp != nil {
+		j.resume = cp.Result
 		j.Resumed = cp.ChunksDone > 0
 		j.ChunksDone = cp.ChunksDone
 		if cp.Result != nil {
@@ -498,9 +501,10 @@ func (o *Orchestrator) enqueueLocked(key string, norm Spec, cp *checkpoint) *job
 	return j
 }
 
-// totalChunks returns the chunk count of a normalized reliability spec.
+// totalChunks returns the chunk count of a normalized reliability spec,
+// a ceiling that cannot overflow for any positive Trials.
 func totalChunks(r *ReliabilitySpec) int {
-	return (r.Trials + r.CheckpointTrials - 1) / r.CheckpointTrials
+	return (r.Trials-1)/r.CheckpointTrials + 1
 }
 
 // Recover re-enqueues every checkpoint in the store that
@@ -587,8 +591,8 @@ func (o *Orchestrator) Wait(ctx context.Context, id string) (*Job, error) {
 	}
 }
 
-// Cancel stops a job. A queued job is removed immediately; a running
-// job's context is cancelled and the worker marks it cancelled at the
+// Cancel stops a job. A queued job is cancelled at once; a running
+// job's context is cancelled and its worker finishes it cancelled at the
 // next cancellation point. A user-cancelled job's checkpoint is deleted:
 // cancellation is a statement that the work is unwanted, so it must not
 // resurrect on restart.
@@ -600,35 +604,24 @@ func (o *Orchestrator) Cancel(id string) error {
 		return ErrNotFound
 	}
 	j.mu.Lock()
-	switch {
-	case j.State.Terminal():
-		j.mu.Unlock()
-		o.mu.Unlock()
-		return ErrFinished
-	case j.State == StateQueued:
+	st, cancel := j.State, j.cancelRun
+	if !st.Terminal() {
 		j.userCancel = true
-		pubErr := o.settleLocked(j, StateCancelled)
-		j.mu.Unlock()
-		o.dropQueuedLocked(j)
-		delete(o.byKey, j.Key)
-		o.mu.Unlock()
-		if o.st != nil {
-			o.st.DeleteJob(j.Key)
-		}
-		mCancelled.Inc()
-		o.opts.Logf("jobs: job=%s cancelled while queued", j.ID)
-		o.logPublish(j, pubErr)
-		return nil
-	default: // running
-		j.userCancel = true
-		cancel := j.cancelRun
-		j.mu.Unlock()
-		o.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return nil
 	}
+	j.mu.Unlock()
+	if st == StateQueued {
+		o.dropQueuedLocked(j)
+	}
+	o.mu.Unlock()
+	switch {
+	case st.Terminal():
+		return ErrFinished
+	case st == StateQueued:
+		o.finish(j, StateCancelled, nil, nil)
+	default: // running
+		cancel()
+	}
+	return nil
 }
 
 // dropQueuedLocked removes j from the pending queue.
@@ -721,8 +714,8 @@ func (o *Orchestrator) runJob(j *job) {
 	ctx, cancel := context.WithCancel(o.ctx)
 	defer cancel()
 	j.mu.Lock()
-	if j.State != StateQueued {
-		// Cancelled between pop and start.
+	if j.userCancel {
+		// Cancelled between pop and start; Cancel finishes it.
 		j.mu.Unlock()
 		return
 	}
@@ -749,9 +742,21 @@ func (o *Orchestrator) runJob(j *job) {
 		runErr = fmt.Errorf("jobs: unknown kind %q", j.Spec.Kind)
 	}
 
+	j.mu.Lock()
+	user := j.userCancel
+	j.mu.Unlock()
 	switch {
+	case interrupted && user:
+		o.finish(j, StateCancelled, nil, nil)
 	case interrupted:
-		o.finishInterrupted(j)
+		// Shutdown: leave the checkpoint in place and the job formally
+		// pending; this process will not run it again (workers are
+		// exiting), and the next one resumes it.
+		j.mu.Lock()
+		j.State = StateQueued
+		j.mu.Unlock()
+		o.opts.Logf("jobs: job=%s key=%.12s interrupted by shutdown (checkpointed, resumable)", j.ID, j.Key)
+		o.publish(j)
 	case runErr != nil:
 		o.finish(j, StateFailed, nil, runErr)
 	default:
@@ -764,14 +769,30 @@ func (o *Orchestrator) runJob(j *job) {
 			if err := o.st.PutResult(j.Key, data); err != nil {
 				o.opts.Logf("jobs: job=%s caching result: %v", j.ID, err)
 			}
-			o.st.DeleteJob(j.Key)
 		}
 		o.finish(j, StateDone, data, nil)
 	}
 }
 
-// finish moves j to a terminal state.
+// finish moves j to the terminal state st, with payload as its result or
+// err as its failure reason. It is the one terminal transition but a
+// cache hit: a run that ends done or failed, and a cancel while queued or
+// running. It deletes the checkpoint while j still holds its key in
+// byKey, so the delete cannot take the checkpoint of a new job of that
+// key, and before any Status or Wait can see st, so an ended campaign
+// does not resurrect on restart. It runs at most once per job; a second
+// call does nothing.
 func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err error) {
+	j.mu.Lock()
+	ended := j.ended
+	j.ended = true
+	j.mu.Unlock()
+	if ended {
+		return
+	}
+	if o.st != nil {
+		o.st.DeleteJob(j.Key)
+	}
 	o.mu.Lock()
 	delete(o.byKey, j.Key)
 	o.mu.Unlock()
@@ -792,11 +813,6 @@ func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err err
 	}
 	o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.ID, j.Key, st, errSuffix(err))
 	o.logPublish(j, pubErr)
-	// Failed campaigns should not resurrect on restart: their checkpoint
-	// would fail the same way again.
-	if st == StateFailed && o.st != nil {
-		o.st.DeleteJob(j.Key)
-	}
 }
 
 func errSuffix(err error) string {
@@ -804,38 +820,6 @@ func errSuffix(err error) string {
 		return ""
 	}
 	return ": " + err.Error()
-}
-
-// finishInterrupted resolves a run cut short by cancellation: a
-// user-cancelled job becomes cancelled (checkpoint deleted); an
-// orchestrator shutdown returns the job to queued — its checkpoint stays
-// in the store and the next process resumes it.
-func (o *Orchestrator) finishInterrupted(j *job) {
-	j.mu.Lock()
-	user := j.userCancel
-	j.mu.Unlock()
-	if user {
-		if o.st != nil {
-			o.st.DeleteJob(j.Key)
-		}
-		o.mu.Lock()
-		delete(o.byKey, j.Key)
-		o.mu.Unlock()
-		j.mu.Lock()
-		pubErr := o.settleLocked(j, StateCancelled)
-		j.mu.Unlock()
-		mCancelled.Inc()
-		o.opts.Logf("jobs: job=%s key=%.12s cancelled", j.ID, j.Key)
-		o.logPublish(j, pubErr)
-		return
-	}
-	// Shutdown: leave the checkpoint in place and the job formally
-	// pending; this process will not run it again (workers are exiting).
-	j.mu.Lock()
-	j.State = StateQueued
-	j.mu.Unlock()
-	o.opts.Logf("jobs: job=%s key=%.12s interrupted by shutdown (checkpointed, resumable)", j.ID, j.Key)
-	o.publish(j)
 }
 
 // persistCheckpoint writes j's checkpoint (total = merge of completed
@@ -846,13 +830,11 @@ func (o *Orchestrator) persistCheckpoint(j *job, total *citadel.Result) {
 	}
 	j.mu.Lock()
 	cp := checkpoint{
-		Version:     checkpointVersion,
-		Key:         j.Key,
-		Spec:        j.Spec,
-		ChunksDone:  j.ChunksDone,
-		TotalChunks: j.TotalChunks,
-		Result:      total,
-		UpdatedAt:   time.Now(),
+		Version:    checkpointVersion,
+		Key:        j.Key,
+		Spec:       j.Spec,
+		ChunksDone: j.ChunksDone,
+		Result:     total,
 	}
 	j.mu.Unlock()
 	data, err := json.Marshal(cp)
@@ -879,30 +861,15 @@ func (o *Orchestrator) runReliability(ctx context.Context, j *job) (any, bool, e
 	}
 	chunks := totalChunks(r)
 	var total citadel.Result
+	if j.resume != nil {
+		total = *j.resume
+	}
 	j.mu.Lock()
 	start := j.ChunksDone
-	j.TotalChunks = chunks
-	j.TrialsTarget = r.Trials
 	j.mu.Unlock()
-	if start > 0 {
-		cp := o.loadCheckpoint(j.Key)
-		if cp == nil || cp.ChunksDone != start {
-			// The checkpoint changed or vanished underneath us; restart
-			// the campaign rather than produce a wrong merge.
-			o.opts.Logf("jobs: job=%s checkpoint for %.12s unusable; restarting campaign", j.ID, j.Key)
-			start = 0
-			j.mu.Lock()
-			j.ChunksDone = 0
-			j.TrialsDone, j.Failures = 0, 0
-			j.Resumed = false
-			j.mu.Unlock()
-		} else {
-			total = *cp.Result
-		}
-	}
 	// commit folds chunk i into the prefix merge and checkpoints it —
 	// the one mutation path shared by distributed and local execution,
-	// always invoked in increasing chunk order.
+	// always invoked in increasing chunk order on this goroutine.
 	commit := func(i int, res citadel.Result) error {
 		if i != start {
 			return fmt.Errorf("jobs: chunk %d committed out of order (expected %d)", i, start)

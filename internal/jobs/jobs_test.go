@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -156,7 +157,7 @@ func TestOldVersionCheckpointRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	old, err := json.Marshal(checkpoint{
-		Version: checkpointVersion - 1, Key: key, Spec: spec, ChunksDone: 2, TotalChunks: 4,
+		Version: checkpointVersion - 1, Key: key, Spec: spec, ChunksDone: 2,
 		Result: &citadel.Result{Policy: "Citadel", Trials: 1000, Failures: 1000, FailuresByYear: []int{1000}},
 	})
 	if err != nil {
@@ -479,7 +480,7 @@ func TestQueueFullAndCoalesce(t *testing.T) {
 // (no result when resultTrials is negative).
 func checkpointFor(t *testing.T, key string, spec Spec, chunksDone, resultTrials int) []byte {
 	t.Helper()
-	cp := checkpoint{Version: checkpointVersion, Key: key, Spec: spec.Normalize(), ChunksDone: chunksDone, TotalChunks: 4}
+	cp := checkpoint{Version: checkpointVersion, Key: key, Spec: spec.Normalize(), ChunksDone: chunksDone}
 	if resultTrials >= 0 {
 		cp.Result = &citadel.Result{Policy: "Citadel", Trials: resultTrials, FailuresByYear: make([]int, 7)}
 	}
@@ -591,6 +592,106 @@ func TestSubmitRefusesForeignCheckpoint(t *testing.T) {
 	}
 }
 
+// TestResumeFromAdmittedCheckpoint: a campaign continues from the
+// checkpoint Submit admitted, whatever becomes of the file while the job
+// waits in the queue, and a checkpoint in the older layout, which also
+// held totalChunks and updatedAt, still resumes. The run used to read
+// the checkpoint again, and restarted from chunk 0 when it was gone.
+func TestResumeFromAdmittedCheckpoint(t *testing.T) {
+	spec := smallSpec(31)
+	norm, key := spec.Normalize(), specKey(t, spec)
+	var prefix citadel.Result // chunks 0 and 1 of 4
+	for i := 0; i < 2; i++ {
+		res, err := RunChunk(context.Background(), norm.Reliability, i, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix = faultsim.Merge(prefix, res)
+		prefix.Policy = res.Policy
+	}
+	cp := checkpoint{Version: checkpointVersion, Key: key, Spec: norm, ChunksDone: 2, Result: &prefix}
+	current, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older, err := json.Marshal(struct {
+		checkpoint
+		TotalChunks int       `json:"totalChunks"`
+		UpdatedAt   time.Time `json:"updatedAt"`
+	}{cp, 4, time.Now()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := newOrch(t, t.TempDir(), 1, 4)
+	jr, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitDone(t, ref, jr.ID)
+	long := Spec{Reliability: &ReliabilitySpec{
+		Scheme: "Citadel", Trials: 2_000_000, CheckpointTrials: 100000, Workers: 1, Seed: 32, TSVFIT: 1430,
+	}}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{{"current", current}, {"older", older}} {
+		o, st := newOrch(t, t.TempDir(), 1, 4)
+		busy, err := o.Submit(long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for s, _ := o.Status(busy.ID); s.State != StateRunning; s, _ = o.Status(busy.ID) {
+			if time.Now().After(deadline) {
+				t.Fatal("long job never started")
+			}
+			runtime.Gosched()
+		}
+		if err := st.PutJob(key, tc.data); err != nil {
+			t.Fatal(err)
+		}
+		j, err := o.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !j.Resumed || j.ChunksDone != 2 {
+			t.Errorf("%s: submit admitted the checkpoint as resumed %v at chunk %d, want resumed at 2", tc.name, j.Resumed, j.ChunksDone)
+		}
+		st.DeleteJob(key)
+		if err := o.Cancel(busy.ID); err != nil {
+			t.Fatal(err)
+		}
+		fin := waitDone(t, o, j.ID)
+		if fin.State != StateDone || !fin.Resumed || !bytes.Equal(fin.Result, want.Result) {
+			t.Errorf("%s: job %s, resumed %v; want done and resumed with the uninterrupted result\n got %.200s\nwant %.200s",
+				tc.name, fin.State, fin.Resumed, fin.Result, want.Result)
+		}
+	}
+}
+
+// TestMaxIntTrialsCampaign: a campaign of math.MaxInt64 trials counts its
+// chunks without overflow. The count used to come out negative, so such
+// a campaign ran no chunk and cached an empty result under its key.
+func TestMaxIntTrialsCampaign(t *testing.T) {
+	o, st := newOrch(t, t.TempDir(), 1, 4)
+	j, err := o.Submit(Spec{Reliability: &ReliabilitySpec{Scheme: "1DP", Trials: math.MaxInt64, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (math.MaxInt64-1)/DefaultCheckpointTrials + 1; j.TotalChunks != want {
+		t.Errorf("TotalChunks = %d, want %d", j.TotalChunks, want)
+	}
+	if err := o.Cancel(j.ID); err != nil {
+		t.Fatalf("Cancel: %v", err)
+	}
+	if fin := waitDone(t, o, j.ID); fin.State != StateCancelled {
+		t.Errorf("job ended %s (%s), want cancelled", fin.State, fin.Error)
+	}
+	if _, ok := st.GetResult(j.Key); ok {
+		t.Error("a cancelled campaign stored a result")
+	}
+}
+
 // FuzzCheckpoint decodes arbitrary bytes as the checkpoint stored under
 // one campaign's key, seeded with real checkpoints of that campaign.
 // decodeCheckpoint must not panic, and a checkpoint it admits must belong
@@ -604,7 +705,7 @@ func FuzzCheckpoint(f *testing.F) {
 	r := spec.Reliability
 	var total citadel.Result
 	for chunks := 0; chunks <= totalChunks(r); chunks++ {
-		cp := checkpoint{Version: checkpointVersion, Key: key, Spec: spec, ChunksDone: chunks, TotalChunks: totalChunks(r)}
+		cp := checkpoint{Version: checkpointVersion, Key: key, Spec: spec, ChunksDone: chunks}
 		if chunks > 0 {
 			res, err := RunChunk(context.Background(), r, chunks-1, "", nil)
 			if err != nil {
