@@ -113,31 +113,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Per-chunk lease states: pending → leased → done, with leased → pending
-// on expiry or failure (backoff applies before the next lease).
-const (
-	chunkPending uint8 = iota
-	chunkLeased
-	chunkDone
-)
-
-// chunkInfo is the coordinator's view of one chunk of one campaign.
+// chunkInfo is the coordinator's view of one leased chunk, or of one
+// pending again after a lost lease.
 type chunkInfo struct {
-	status    uint8
+	leaseID   string    // current lease; "" while pending
 	attempts  int       // lost/failed leases so far, drives backoff
 	notBefore time.Time // earliest next lease (backoff)
-	leaseID   string    // current lease when status is chunkLeased
 }
 
-// campaign is one in-flight distributed campaign.
+// campaign is one in-flight distributed campaign. A chunk from next on
+// is delivered (in buffered), leased or backing off (in chunks), or in
+// neither before its first lease, so the coordinator holds state only
+// for the chunks in flight, however many chunks the campaign has.
 type campaign struct {
 	key   string
 	runID string
 	spec  jobs.ReliabilitySpec
 	total int
 
-	chunks   []chunkInfo
 	next     int // next chunk to commit (contiguous prefix is merged)
+	chunks   map[int]*chunkInfo
 	buffered map[int]citadel.Result
 
 	stalledSince time.Time // first tick with zero live workers
@@ -178,10 +173,6 @@ type workerState struct {
 // maxLeaseHold caps how long Lease holds a request that finds no work,
 // safely below the worker's default 30s client timeout.
 const maxLeaseHold = 10 * time.Second
-
-// maxChunks bounds a campaign's chunk table, about 56 bytes a chunk; a
-// campaign with more chunks runs locally instead.
-const maxChunks = 1 << 20
 
 // Coordinator shards campaigns into chunk leases for pulling workers.
 // It implements jobs.ChunkExecutor.
@@ -263,8 +254,6 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 		return fmt.Errorf("cluster: campaign without key")
 	case cam.Total <= 0 || cam.Start < 0 || cam.Start > cam.Total:
 		return fmt.Errorf("cluster: bad chunk range [%d, %d)", cam.Start, cam.Total)
-	case cam.Total > maxChunks:
-		return fmt.Errorf("cluster: %d chunks exceed the coordinator's %d", cam.Total, maxChunks)
 	case cam.Spec.CheckpointTrials <= 0 || cam.Spec.Trials <= 0:
 		return fmt.Errorf("cluster: unnormalized spec (trials=%d, checkpointTrials=%d)",
 			cam.Spec.Trials, cam.Spec.CheckpointTrials)
@@ -277,13 +266,10 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 		runID:    cam.RunID,
 		spec:     cam.Spec,
 		total:    cam.Total,
-		chunks:   make([]chunkInfo, cam.Total),
 		next:     cam.Start,
+		chunks:   make(map[int]*chunkInfo),
 		buffered: make(map[int]citadel.Result),
 		wake:     make(chan struct{}, 1),
-	}
-	for i := 0; i < cam.Start; i++ {
-		cp.chunks[i].status = chunkDone
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -302,25 +288,31 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 
 	c.mu.Lock()
 	for !cp.finished {
+		// Checked before every commit, so a cancel stops the fold even
+		// while delivered chunks wait.
+		if err := ctx.Err(); err != nil {
+			c.endLocked(cp, err)
+			continue
+		}
 		res, ok := cp.buffered[cp.next]
 		if !ok {
 			c.mu.Unlock()
 			select {
 			case <-cp.wake:
-				c.mu.Lock()
 			case <-ctx.Done():
-				c.mu.Lock()
-				c.endLocked(cp, ctx.Err())
 			}
+			c.mu.Lock()
 			continue
 		}
 		// Fold the contiguous prefix in chunk order, calling commit outside
-		// the lock so deliveries keep landing meanwhile.
+		// the lock so deliveries keep landing meanwhile. The chunk stays
+		// buffered until its commit returns, so it counts as delivered
+		// and is neither leased nor accepted again.
 		chunk := cp.next
-		delete(cp.buffered, chunk)
 		c.mu.Unlock()
 		err := commit(chunk, res)
 		c.mu.Lock()
+		delete(cp.buffered, chunk)
 		if err != nil {
 			c.endLocked(cp, err)
 		} else if cp.next = chunk + 1; cp.next == cp.total {
@@ -461,20 +453,27 @@ func (c *Coordinator) grantLocked(ctx context.Context, workerID string, now time
 	sort.Strings(keys)
 	for _, k := range keys {
 		cp := c.campaigns[k]
+		// The scan ends at the first chunk never leased, so it visits only
+		// chunks in flight.
 		for i := cp.next; i < cp.total; i++ {
-			ci := &cp.chunks[i]
-			if ci.status != chunkPending {
+			if _, done := cp.buffered[i]; done {
 				continue
 			}
-			if d := ci.notBefore.Sub(now); d > 0 {
-				if retryIn == 0 || d < retryIn {
+			ci := cp.chunks[i]
+			switch {
+			case ci == nil:
+				ci = &chunkInfo{}
+				cp.chunks[i] = ci
+			case ci.leaseID != "":
+				continue
+			case ci.notBefore.After(now):
+				if d := ci.notBefore.Sub(now); retryIn == 0 || d < retryIn {
 					retryIn = d
 				}
 				continue
 			}
 			c.leaseSeq++
 			id := fmt.Sprintf("l-%d", c.leaseSeq)
-			ci.status = chunkLeased
 			ci.leaseID = id
 			c.leases[id] = &lease{id: id, workerID: workerID, cp: cp, chunk: i, deadline: now.Add(c.opts.LeaseTTL)}
 			w.leases++
@@ -540,8 +539,7 @@ func (c *Coordinator) Complete(workerID, leaseID string, env faultsim.ChunkEnvel
 		c.mu.Unlock()
 		return "", err
 	}
-	ci := &cp.chunks[env.Chunk]
-	if ci.status == chunkDone {
+	if _, done := cp.buffered[env.Chunk]; done || env.Chunk < cp.next {
 		c.releaseLeaseLocked(leaseID, workerID)
 		mDuplicateResults.Inc()
 		c.mu.Unlock()
@@ -551,12 +549,11 @@ func (c *Coordinator) Complete(workerID, leaseID string, env faultsim.ChunkEnvel
 	// reassigned and this is the original (slow) worker racing the new
 	// lease holder, the result is identical either way. Revoke whichever
 	// lease is currently attached so the other holder stops early.
-	if ci.leaseID != "" {
+	if ci := cp.chunks[env.Chunk]; ci != nil {
 		c.releaseLeaseLocked(ci.leaseID, "")
+		delete(cp.chunks, env.Chunk)
 	}
 	c.releaseLeaseLocked(leaseID, workerID)
-	ci.status = chunkDone
-	ci.leaseID = ""
 	w.fails = 0
 	w.chunksDone++
 	cp.buffered[env.Chunk] = env.Result
@@ -597,9 +594,7 @@ func (c *Coordinator) Fail(workerID, leaseID, reason string) {
 // requeueChunkLocked returns a leased chunk to pending with exponential
 // backoff + jitter, and drops the lease.
 func (c *Coordinator) requeueChunkLocked(l *lease, now time.Time) {
-	ci := &l.cp.chunks[l.chunk]
-	if ci.status == chunkLeased && ci.leaseID == l.id {
-		ci.status = chunkPending
+	if ci := l.cp.chunks[l.chunk]; ci != nil && ci.leaseID == l.id {
 		ci.leaseID = ""
 		ci.attempts++
 		ci.notBefore = now.Add(c.backoffLocked(ci.attempts))

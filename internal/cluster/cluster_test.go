@@ -441,6 +441,109 @@ func TestCompleteAnswersBeforeCommit(t *testing.T) {
 	}
 }
 
+// TestCancelStopsFoldOfBufferedChunks: a cancel ends the campaign before
+// the next commit even when every remaining chunk is already delivered,
+// so a cancelled campaign is never reported complete.
+func TestCancelStopsFoldOfBufferedChunks(t *testing.T) {
+	c := cluster.New(cluster.Options{
+		LeaseTTL: time.Second, Tick: 50 * time.Millisecond, NoWorkerGrace: -1, Logf: nolog,
+	})
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered, release := make(chan int, 3), make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // before c.Close, which would wait for the commit
+	var committed []int
+	done := make(chan error, 1)
+	go func() {
+		done <- c.ExecuteChunks(ctx, jobs.Campaign{Key: "camp-cancel", RunID: "r1", Spec: normSpec(300, 100), Start: 0, Total: 3},
+			func(chunk int, _ citadel.Result) error {
+				entered <- chunk
+				<-release
+				committed = append(committed, chunk)
+				return nil
+			})
+	}()
+	var grants []cluster.LeaseGrant
+	for _, w := range []string{"w1", "w2", "w3"} {
+		grants = append(grants, leaseEventually(t, c, w, 5*time.Second))
+	}
+	for i, g := range grants {
+		if st, err := c.Complete(fmt.Sprintf("w%d", i+1), g.LeaseID, fakeEnvelope("camp-cancel", g.Chunk, 100)); err != nil || st != cluster.CompleteAccepted {
+			t.Fatalf("Complete of chunk %d = %s, %v; want accepted", g.Chunk, st, err)
+		}
+	}
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("chunk 0 was never committed")
+	}
+	cancel()
+	free()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("ExecuteChunks = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ExecuteChunks did not return after cancel")
+	}
+	if len(committed) != 1 || committed[0] != 0 {
+		t.Fatalf("committed %v, want [0]", committed)
+	}
+}
+
+// TestHugeCampaignLeases: the coordinator keeps state only for chunks in
+// flight, so a campaign of MaxInt64 trials is leased and folded like any
+// other instead of being refused or allocating a table per chunk.
+func TestHugeCampaignLeases(t *testing.T) {
+	c := cluster.New(cluster.Options{
+		LeaseTTL: time.Second, Tick: 50 * time.Millisecond, NoWorkerGrace: -1, Logf: nolog,
+	})
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	committed := make(chan int, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- c.ExecuteChunks(ctx, jobs.Campaign{
+			Key: "camp-huge", RunID: "r1", Spec: normSpec(math.MaxInt64, 10000), Start: 5, Total: (math.MaxInt64-1)/10000 + 1,
+		}, func(chunk int, _ citadel.Result) error {
+			committed <- chunk
+			return nil
+		})
+	}()
+	g := leaseEventually(t, c, "w1", 5*time.Second)
+	if g.Chunk != 5 || g.Trials != 10000 {
+		t.Fatalf("first grant is chunk %d of %d trials, want chunk 5 of 10000", g.Chunk, g.Trials)
+	}
+	if st, err := c.Complete("w1", g.LeaseID, fakeEnvelope("camp-huge", g.Chunk, g.Trials)); err != nil || st != cluster.CompleteAccepted {
+		t.Fatalf("Complete = %s, %v; want accepted", st, err)
+	}
+	select {
+	case chunk := <-committed:
+		if chunk != 5 {
+			t.Fatalf("committed chunk %d, want 5", chunk)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("chunk 5 was never committed")
+	}
+	if g := leaseEventually(t, c, "w1", 5*time.Second); g.Chunk != 6 {
+		t.Fatalf("second grant is chunk %d, want 6", g.Chunk)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != context.Canceled {
+			t.Fatalf("ExecuteChunks = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ExecuteChunks did not return after cancel")
+	}
+}
+
 // TestQuarantineAfterConsecutiveFailures: a worker that keeps failing
 // chunks is refused leases while healthy workers still get them.
 func TestQuarantineAfterConsecutiveFailures(t *testing.T) {
@@ -528,8 +631,6 @@ func TestExecuteChunksValidation(t *testing.T) {
 		{"no key", jobs.Campaign{Spec: spec, Total: 1}},
 		{"bad range", jobs.Campaign{Key: "k", Spec: spec, Start: 2, Total: 1}},
 		{"unnormalized", jobs.Campaign{Key: "k", Spec: jobs.ReliabilitySpec{Scheme: "Citadel"}, Total: 1}},
-		// Its chunk table could not be allocated: the campaign runs locally.
-		{"too many chunks", jobs.Campaign{Key: "k", Spec: normSpec(math.MaxInt64, 10000), Total: (math.MaxInt64-1)/10000 + 1}},
 	}
 	for _, tc := range cases {
 		if err := c.ExecuteChunks(context.Background(), tc.cam, commit); err == nil {

@@ -609,16 +609,19 @@ func (o *Orchestrator) Cancel(id string) error {
 		j.userCancel = true
 	}
 	j.mu.Unlock()
+	logEnd := func() {}
 	if st == StateQueued {
+		// Ended under o.mu: no Submit coalesces onto the job and no
+		// second Cancel finds it queued.
 		o.dropQueuedLocked(j)
+		logEnd = o.finishLocked(j, StateCancelled, nil, nil)
 	}
 	o.mu.Unlock()
+	logEnd()
 	switch {
 	case st.Terminal():
 		return ErrFinished
-	case st == StateQueued:
-		o.finish(j, StateCancelled, nil, nil)
-	default: // running
+	case st == StateRunning:
 		cancel()
 	}
 	return nil
@@ -774,28 +777,36 @@ func (o *Orchestrator) runJob(j *job) {
 	}
 }
 
-// finish moves j to the terminal state st, with payload as its result or
-// err as its failure reason. It is the one terminal transition but a
-// cache hit: a run that ends done or failed, and a cancel while queued or
-// running. It deletes the checkpoint while j still holds its key in
-// byKey, so the delete cannot take the checkpoint of a new job of that
-// key, and before any Status or Wait can see st, so an ended campaign
-// does not resurrect on restart. It runs at most once per job; a second
-// call does nothing.
+// finish ends j through finishLocked.
 func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err error) {
+	o.mu.Lock()
+	logEnd := o.finishLocked(j, st, payload, err)
+	o.mu.Unlock()
+	logEnd()
+}
+
+// finishLocked moves j to the terminal state st, with payload as its
+// result or err as its failure reason; the caller holds o.mu. It is the
+// one terminal transition but a cache hit: a run that ends done or
+// failed, and a cancel while queued or running. It deletes the checkpoint
+// and j's byKey entry together under o.mu, so the delete cannot take the
+// checkpoint of a new job of that key, and before any Status or Wait can
+// see st, so an ended campaign does not resurrect on restart. It runs at
+// most once per job; a second call does nothing. The caller calls the
+// returned logEnd, which logs the ending, after releasing o.mu, since
+// Logf may read the orchestrator.
+func (o *Orchestrator) finishLocked(j *job, st State, payload json.RawMessage, err error) (logEnd func()) {
 	j.mu.Lock()
 	ended := j.ended
 	j.ended = true
 	j.mu.Unlock()
 	if ended {
-		return
+		return func() {}
 	}
 	if o.st != nil {
 		o.st.DeleteJob(j.Key)
 	}
-	o.mu.Lock()
 	delete(o.byKey, j.Key)
-	o.mu.Unlock()
 	j.mu.Lock()
 	j.Result = payload
 	if err != nil {
@@ -811,8 +822,10 @@ func (o *Orchestrator) finish(j *job, st State, payload json.RawMessage, err err
 	case StateCancelled:
 		mCancelled.Inc()
 	}
-	o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.ID, j.Key, st, errSuffix(err))
-	o.logPublish(j, pubErr)
+	return func() {
+		o.opts.Logf("jobs: job=%s key=%.12s %s%s", j.ID, j.Key, st, errSuffix(err))
+		o.logPublish(j, pubErr)
+	}
 }
 
 func errSuffix(err error) string {

@@ -10,6 +10,8 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -437,6 +439,66 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if err := o.Cancel("j-nope-1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancel unknown = %v, want ErrNotFound", err)
+	}
+}
+
+// blockExec is a ChunkExecutor that runs no chunk and returns when its
+// context ends, so the job it runs holds its worker until cancelled.
+type blockExec struct{}
+
+func (blockExec) ExecuteChunks(ctx context.Context, _ Campaign, _ func(int, citadel.Result) error) error {
+	<-ctx.Done()
+	return ctx.Err()
+}
+
+// TestConcurrentCancelOfQueuedJob: a queued job ends in the critical
+// section in which Cancel claims it, so of several concurrent Cancels
+// exactly one succeeds and the others find the job finished.
+func TestConcurrentCancelOfQueuedJob(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{Logf: nolog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(Options{Store: st, Workers: 1, QueueDepth: 64, ChunkExec: blockExec{}, Logf: nolog})
+	defer o.Close(context.Background())
+	busy, err := o.Submit(smallSpec(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for s, _ := o.Status(busy.ID); s.State != StateRunning; s, _ = o.Status(busy.ID) {
+		if time.Now().After(deadline) {
+			t.Fatal("busy job never started")
+		}
+		runtime.Gosched()
+	}
+	const cancels = 4
+	for i := 0; i < 20; i++ {
+		j, err := o.Submit(smallSpec(int64(41 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var won atomic.Int32
+		start := make(chan struct{})
+		for k := 0; k < cancels; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch err := o.Cancel(j.ID); {
+				case err == nil:
+					won.Add(1)
+				case !errors.Is(err, ErrFinished):
+					t.Errorf("Cancel = %v, want nil or ErrFinished", err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := won.Load(); n != 1 {
+			t.Fatalf("%d of %d concurrent cancels of a queued job succeeded, want 1", n, cancels)
+		}
 	}
 }
 
