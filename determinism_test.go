@@ -31,7 +31,7 @@ type goldenRecord struct {
 // public entry points return is pinned, not only that hosts agree.
 func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("63 Monte Carlo runs; skipped in -short")
+		t.Skip("81 Monte Carlo runs; skipped in -short")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	hot := scaledTable1(10).WithTSV(1430)
@@ -74,6 +74,19 @@ func TestEnginesDeterministicAcrossHostShapes(t *testing.T) {
 			return Simulate(ctx, ReliabilityOptions{
 				Trials: 2000, Seed: 13, Workers: w, FaultModel: "rowhammer",
 				ScenarioParams: map[string]float64{"breakthroughProb": 1e-8},
+			}, "two-tier-replication")
+		}},
+		// The two schemes whose predicates evaluate the whole live set on
+		// every arrival (no incremental state of their own), each at
+		// enough TSV faults to fail hundreds or dozens of trials.
+		{"cerberus-cross-layer", func(w int) (any, error) {
+			return Simulate(ctx, ReliabilityOptions{
+				Rates: Table1Rates().WithTSV(1430), Trials: 3000, Seed: 5, Workers: w,
+			}, "cerberus-cross-layer")
+		}},
+		{"two-tier-replication", func(w int) (any, error) {
+			return Simulate(ctx, ReliabilityOptions{
+				Rates: Table1Rates().WithTSV(1430), Trials: 3000, Seed: 5, Workers: w,
 			}, "two-tier-replication")
 		}},
 	}
