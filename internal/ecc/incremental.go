@@ -11,13 +11,14 @@ import (
 // Predicate.Uncorrectable re-derives the verdict from scratch each time,
 // which is quadratic per trial in the number of faults (and worse for the
 // parity schemes). IncrementalPredicate lets a predicate maintain the
-// verdict under single-fault additions and removals instead.
+// verdict under single-fault additions and removals instead, and Begin
+// gives every predicate a state, so the engine has one evaluation path.
 //
-// Begin allocates once per worker; the Add/Remove/Reset steady state is
-// allocation-free once scratch buffers are warm. The batch Uncorrectable
-// implementations are deliberately left untouched: they are the oracle the
-// differential tests replay against (see incremental_test.go), and the
-// engine's DisableIncremental escape hatch.
+// Begin allocates once per worker; the Add/Remove/Reset steady state of
+// the stock incremental states is allocation-free once scratch buffers
+// are warm. The batch Uncorrectable implementations are deliberately left
+// untouched: they are the oracle the differential tests replay against
+// (see incremental_test.go), reached by hiding a predicate's own Begin.
 
 // IncrementalState maintains the verdict for a multiset of live faults
 // under incremental updates. Implementations must give, at every step,
@@ -35,15 +36,58 @@ type IncrementalState interface {
 	Uncorrectable() bool
 }
 
-// IncrementalPredicate is implemented by predicates that support
-// incremental evaluation. The engine type-asserts for it and falls back to
-// the batch path otherwise.
+// IncrementalPredicate is implemented by predicates that maintain their
+// verdict incrementally. Begin type-asserts for it.
 type IncrementalPredicate interface {
 	Predicate
 	// Begin returns a fresh empty state. States are not safe for
 	// concurrent use; the engine creates one per worker.
 	Begin() IncrementalState
 }
+
+// Begin returns a fresh empty state for p: p's own when p implements
+// IncrementalPredicate, otherwise one that keeps the live multiset and
+// asks p.Uncorrectable after every change. Like p's own, the state is not
+// safe for concurrent use.
+func Begin(p Predicate) IncrementalState {
+	if ip, ok := p.(IncrementalPredicate); ok {
+		return ip.Begin()
+	}
+	return &batchState{p: p}
+}
+
+// batchState is Begin's state for a predicate that evaluates only whole
+// live sets. It hands p its own live slice, which p must not retain (the
+// Predicate contract).
+type batchState struct {
+	p    Predicate
+	live []fault.Fault
+	bad  bool
+}
+
+func (s *batchState) Add(f fault.Fault) bool {
+	s.live = append(s.live, f)
+	s.bad = s.p.Uncorrectable(s.live)
+	return s.bad
+}
+
+func (s *batchState) Remove(f fault.Fault) bool {
+	for i := range s.live {
+		if s.live[i] == f {
+			s.live = append(s.live[:i], s.live[i+1:]...)
+			s.bad = s.p.Uncorrectable(s.live)
+			break
+		}
+	}
+	return s.bad
+}
+
+func (s *batchState) Reset() {
+	s.live = s.live[:0]
+	s.bad = false
+}
+
+func (s *batchState) Uncorrectable() bool { return s.bad }
 
 // pairCounter incrementalizes the common batch shape "uncorrectable iff
 // some fault alone violates the code OR some pair of faults violates it":

@@ -150,3 +150,68 @@ func TestIncrementalSteadyStateAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// batchOnly hides a predicate's own Begin, so Begin falls back to the
+// state that keeps the live multiset and asks Uncorrectable after every
+// change.
+type batchOnly struct{ Predicate }
+
+// TestBeginBatchStateMatchesUncorrectable drives Begin's batch state for
+// every stock predicate, with its own Begin hidden, over random add/remove
+// schedules that re-add live faults and remove absent ones, and checks
+// every verdict against Uncorrectable on the same multiset.
+func TestBeginBatchStateMatchesUncorrectable(t *testing.T) {
+	rng := newTestRand()
+	pool := sampleFaultPool(rng, 24)
+	absent := pool[len(pool)-4:] // never added, only removed
+	pool = pool[:len(pool)-4]
+	var verdicts [2]int
+	for _, p := range incrementalPredicates() {
+		st := Begin(batchOnly{p})
+		if _, ok := st.(*batchState); !ok {
+			t.Fatalf("%s: Begin on a predicate without its own state returned %T", p.Name(), st)
+		}
+		var duplicates, absentRemovals int
+		for seq := 0; seq < 40; seq++ {
+			st.Reset()
+			var cur []fault.Fault
+			for step := 0; step < 4+rng.Intn(12); step++ {
+				var got bool
+				switch op := rng.Intn(5); {
+				case op == 0 && len(cur) > 0:
+					f := cur[rng.Intn(len(cur))]
+					cur = append(cur, f)
+					duplicates++
+					got = st.Add(f)
+				case op == 1 && len(cur) > 0:
+					i := rng.Intn(len(cur))
+					f := cur[i]
+					cur = append(cur[:i], cur[i+1:]...)
+					got = st.Remove(f)
+				case op == 2:
+					absentRemovals++
+					got = st.Remove(absent[rng.Intn(len(absent))])
+				default:
+					f := pool[rng.Intn(len(pool))]
+					cur = append(cur, f)
+					got = st.Add(f)
+				}
+				if want := p.Uncorrectable(cur); got != want || st.Uncorrectable() != want {
+					t.Fatalf("%s step %d: batch state = %v (Uncorrectable() %v), Uncorrectable on the multiset = %v\nlive: %v",
+						p.Name(), step, got, st.Uncorrectable(), want, cur)
+				}
+				if got {
+					verdicts[1]++
+				} else {
+					verdicts[0]++
+				}
+			}
+		}
+		if duplicates == 0 || absentRemovals == 0 {
+			t.Fatalf("%s: schedule drew %d duplicate adds and %d absent removals, want both", p.Name(), duplicates, absentRemovals)
+		}
+	}
+	if verdicts[0] == 0 || verdicts[1] == 0 {
+		t.Fatalf("verdicts (correctable, uncorrectable) = %v, want both kinds", verdicts)
+	}
+}

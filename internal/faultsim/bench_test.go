@@ -25,25 +25,27 @@ func benchPolicy(cfg stack.Config) Policy {
 	}
 }
 
-func benchRun(b *testing.B, disableIncremental bool) {
+func benchRun(b *testing.B, batch bool) {
 	opt := Options{
 		Config: stack.DefaultConfig(),
 		Rates:  fault.Table1().WithTSV(1430),
 		Trials: b.N,
 		Seed:   1,
-
-		DisableIncremental: disableIncremental,
 	}.withDefaults()
+	pol := benchPolicy(opt.Config)
+	if batch {
+		pol = batchPolicy(pol)
+	}
 	b.ResetTimer()
-	r := RunContext(context.Background(), opt, benchPolicy(opt.Config))
+	r := RunContext(context.Background(), opt, pol)
 	b.ReportMetric(float64(r.Trials)/b.Elapsed().Seconds(), "trials/s")
 }
 
 // BenchmarkTrialsIncremental is the optimized default path.
 func BenchmarkTrialsIncremental(b *testing.B) { benchRun(b, false) }
 
-// BenchmarkTrialsBatch is the pre-optimization oracle path, kept as the
-// speedup baseline.
+// BenchmarkTrialsBatch runs the same policy through the batch oracle
+// (batchPolicy), kept as the speedup baseline.
 func BenchmarkTrialsBatch(b *testing.B) { benchRun(b, true) }
 
 // BenchmarkShortCampaigns runs back-to-back 8,000-trial campaigns of
@@ -72,7 +74,7 @@ func BenchmarkShortCampaigns(b *testing.B) {
 func BenchmarkTrialStateRun(b *testing.B) {
 	opt := testOptions(0, 40, 1000).withDefaults()
 	seqs := trialSequences(opt, 64)
-	ts := newTrialState(opt.Config, benchPolicy(opt.Config), opt.ScrubIntervalHours, false)
+	ts := newTrialState(opt.Config, benchPolicy(opt.Config), opt.ScrubIntervalHours)
 	for _, fs := range seqs {
 		ts.run(fs) // warm scratch
 	}

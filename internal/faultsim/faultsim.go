@@ -156,11 +156,6 @@ type Options struct {
 	Progress func(Progress)
 	// ProgressInterval throttles Progress callbacks (default 1s).
 	ProgressInterval time.Duration
-	// DisableIncremental forces the batch Uncorrectable path even when the
-	// policy's predicate implements ecc.IncrementalPredicate. The two paths
-	// produce bit-identical Results; this is a differential-testing and
-	// debugging escape hatch, not a tuning knob.
-	DisableIncremental bool
 	// RunID is the correlation key threaded into Progress snapshots,
 	// forensic exemplars, and trace events. Optional.
 	RunID string
@@ -437,9 +432,10 @@ func (r Result) String() string {
 }
 
 // trialState holds the per-trial simulation state. One trialState serves
-// every trial of a worker: the swapper, sparer, incremental evaluator, and
+// every trial of a worker: the swapper, sparer, correctability state, and
 // all slices are pooled and reset between trials, so the steady-state trial
-// loop performs no heap allocation.
+// loop performs no heap allocation (for predicates whose incremental state
+// allocates nothing).
 type trialState struct {
 	cfg       stack.Config
 	pol       Policy
@@ -450,10 +446,9 @@ type trialState struct {
 	liveTrans []fault.Fault
 	lastScrub int
 	scratch   []fault.Fault
-	// inc, when non-nil, maintains the correctability verdict incrementally
-	// (ecc.IncrementalPredicate). It mirrors livePerm+liveTrans exactly:
-	// every append pairs with inc.Add, every drop with inc.Remove. Nil means
-	// the batch Predicate.Uncorrectable path.
+	// inc maintains the correctability verdict (ecc.Begin). It mirrors
+	// livePerm+liveTrans exactly: every append pairs with inc.Add, every
+	// drop with inc.Remove.
 	inc ecc.IncrementalState
 	// dropScratch is doScrub's reusable drop-mark buffer (was a per-offer
 	// map allocation).
@@ -470,13 +465,8 @@ type trialState struct {
 	obs Observer
 }
 
-func newTrialState(cfg stack.Config, pol Policy, scrub float64, disableIncremental bool) *trialState {
-	ts := &trialState{cfg: cfg, pol: pol, scrub: scrub}
-	if !disableIncremental {
-		if ip, ok := pol.Predicate.(ecc.IncrementalPredicate); ok {
-			ts.inc = ip.Begin()
-		}
-	}
+func newTrialState(cfg stack.Config, pol Policy, scrub float64) *trialState {
+	ts := &trialState{cfg: cfg, pol: pol, scrub: scrub, inc: ecc.Begin(pol.Predicate)}
 	if pol.NewObserver != nil {
 		ts.obs = pol.NewObserver(cfg)
 	}
@@ -507,9 +497,7 @@ func (ts *trialState) reset() {
 	} else {
 		ts.sparer = nil
 	}
-	if ts.inc != nil {
-		ts.inc.Reset()
-	}
+	ts.inc.Reset()
 	ts.livePerm = ts.livePerm[:0]
 	ts.liveTrans = ts.liveTrans[:0]
 	ts.lastScrub = 0
@@ -521,10 +509,8 @@ func (ts *trialState) reset() {
 // one fault (e.g. escalating a bank) can spare co-resident faults too.
 func (ts *trialState) doScrub() {
 	ts.scrubs++
-	if ts.inc != nil {
-		for _, f := range ts.liveTrans {
-			ts.inc.Remove(f)
-		}
+	for _, f := range ts.liveTrans {
+		ts.inc.Remove(f)
 	}
 	ts.liveTrans = ts.liveTrans[:0]
 	if ts.sparer == nil {
@@ -551,9 +537,7 @@ func (ts *trialState) doScrub() {
 			kept := ts.livePerm[:0]
 			for j, f := range ts.livePerm {
 				if drop[j] {
-					if ts.inc != nil {
-						ts.inc.Remove(f)
-					}
+					ts.inc.Remove(f)
 					continue
 				}
 				kept = append(kept, f)
@@ -565,10 +549,8 @@ func (ts *trialState) doScrub() {
 	}
 }
 
-// liveFaults rebuilds the scratch slice of all live faults for the batch
-// evaluation path. The slice hands the predicate a view of reused backing
-// memory: Predicate.Uncorrectable implementations must not retain it past
-// the call (see TestPredicatesDoNotRetainLiveSlice).
+// liveFaults rebuilds the scratch slice of all live faults, permanent
+// then transient, for the forensic record of a failed trial.
 func (ts *trialState) liveFaults() []fault.Fault {
 	ts.scratch = ts.scratch[:0]
 	ts.scratch = append(ts.scratch, ts.livePerm...)
@@ -576,12 +558,21 @@ func (ts *trialState) liveFaults() []fault.Fault {
 	return ts.scratch
 }
 
-// run executes one trial; it returns the failure time in hours (negative
-// when the system survives) and the proximate cause — the class of the
-// fault whose arrival made the state uncorrectable.
-func (ts *trialState) run(faults []fault.Fault) (float64, fault.Class) {
+// advance is the engine's one arrival loop: it runs one trial's
+// time-sorted faults from an empty state, scrubbing (and sparing) at each
+// scrub boundary an arrival crosses, offering TSV faults to TSV-SWAP,
+// and applying every other arrival to the live set and the
+// correctability state. It returns the index of the arrival that made the
+// state uncorrectable, with bad set, or -1 when the trial survives.
+//
+// With level > 0 it also stops, without evaluating it, at the arrival
+// that brings the count of live faults to level — multilevel splitting's
+// crossing — and returns that index with bad false. The live count rises
+// one arrival at a time, so this is its first crossing. It never looks
+// past the arrival it stops at.
+func (ts *trialState) advance(faults []fault.Fault, level int) (idx int, bad bool) {
 	ts.reset()
-	for _, f := range faults {
+	for i, f := range faults {
 		scrubIdx := int(f.Hours / ts.scrub)
 		if scrubIdx > ts.lastScrub {
 			ts.doScrub()
@@ -598,55 +589,26 @@ func (ts *trialState) run(faults []fault.Fault) (float64, fault.Class) {
 		} else {
 			ts.liveTrans = append(ts.liveTrans, f)
 		}
-		var bad bool
-		if ts.inc != nil {
-			bad = ts.inc.Add(f)
-		} else {
-			bad = ts.pol.Predicate.Uncorrectable(ts.liveFaults())
+		if len(ts.livePerm)+len(ts.liveTrans) == level {
+			return i, false
 		}
+		bad = ts.inc.Add(f)
 		if ts.obs != nil {
 			ts.obs.Arrival(f, bad)
 		}
 		if bad {
-			return f.Hours, f.Class
+			return i, true
 		}
 	}
-	return -1, 0
+	return -1, false
 }
 
-// runSingle is the fast path for one-fault trials (the overwhelmingly
-// common case at realistic FIT rates): with no other fault in the lifetime,
-// scrubbing and sparing cannot change the outcome, so the full per-trial
-// state reset is skipped. Observable statistics (verdict, failure time,
-// cause, scrub count) match run exactly.
-func (ts *trialState) runSingle(f fault.Fault) (float64, fault.Class) {
-	ts.tsvUnrepaired = 0
-	if int(f.Hours/ts.scrub) > 0 {
-		// run would scrub once before this arrival; on an empty state the
-		// scrub has no effect beyond its tally.
-		ts.scrubs++
-	}
-	if ts.swapper != nil && f.Class.IsTSV() {
-		ts.swapper.Reset()
-		if _, repaired := ts.swapper.Apply(f); repaired {
-			return -1, 0
-		}
-		ts.tsvUnrepaired++
-	}
-	var bad bool
-	if ts.inc != nil {
-		ts.inc.Reset()
-		bad = ts.inc.Add(f)
-	} else {
-		ts.scratch = ts.scratch[:0]
-		ts.scratch = append(ts.scratch, f)
-		bad = ts.pol.Predicate.Uncorrectable(ts.scratch)
-	}
-	if ts.obs != nil {
-		ts.obs.Arrival(f, bad)
-	}
-	if bad {
-		return f.Hours, f.Class
+// run executes one trial; it returns the failure time in hours (negative
+// when the system survives) and the proximate cause — the class of the
+// fault whose arrival made the state uncorrectable.
+func (ts *trialState) run(faults []fault.Fault) (float64, fault.Class) {
+	if i, bad := ts.advance(faults, 0); bad {
+		return faults[i].Hours, faults[i].Class
 	}
 	return -1, 0
 }
@@ -787,7 +749,7 @@ func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *
 		pol:    pol,
 		worker: worker,
 		src:    src,
-		ts:     newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental),
+		ts:     newTrialState(opt.Config, pol, opt.ScrubIntervalHours),
 		byYear: make([]int, years),
 		causes: make(map[string]int),
 	}
@@ -799,13 +761,7 @@ func newRunLane(opt *Options, pol Policy, worker int, src Arrivals, years int) *
 }
 
 func (l *runLane) trial(t int, fs []fault.Fault) bool {
-	var when float64
-	var cause fault.Class
-	if len(fs) == 1 {
-		when, cause = l.ts.runSingle(fs[0])
-	} else {
-		when, cause = l.ts.run(fs)
-	}
+	when, cause := l.ts.run(fs)
 	if when < 0 {
 		return false
 	}
@@ -833,12 +789,7 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 		tr.Emit(ev)
 	}
 	if l.opt.Forensics {
-		// The live set at failure: the single drawn fault on the fast
-		// path, otherwise the trial state's live permanent+transient faults.
-		live := fs
-		if len(fs) > 1 {
-			live = l.ts.liveFaults()
-		}
+		live := l.ts.liveFaults()
 		l.breakdown[modeKey(live)]++
 		if len(l.exemplars) < l.opt.MaxExemplars {
 			l.exemplars = append(l.exemplars,

@@ -290,7 +290,7 @@ func TestScrubClearsTransients(t *testing.T) {
 	// collide; simulate directly through trialState.
 	cfg := stack.DefaultConfig()
 	pol := Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP)}
-	ts := newTrialState(cfg, pol, DefaultScrubIntervalHours, false)
+	ts := newTrialState(cfg, pol, DefaultScrubIntervalHours)
 	mkBank := func(die, bank uint32, hours float64) fault.Fault {
 		return fault.Fault{
 			Class:       fault.Bank,
@@ -318,7 +318,7 @@ func TestScrubClearsTransients(t *testing.T) {
 func TestPermanentFaultsPersistAcrossScrubs(t *testing.T) {
 	cfg := stack.DefaultConfig()
 	pol := Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP)}
-	ts := newTrialState(cfg, pol, DefaultScrubIntervalHours, false)
+	ts := newTrialState(cfg, pol, DefaultScrubIntervalHours)
 	mkBank := func(die, bank uint32, hours float64, p fault.Persistence) fault.Fault {
 		return fault.Fault{
 			Class:       fault.Bank,
@@ -345,7 +345,7 @@ func TestPermanentFaultsPersistAcrossScrubs(t *testing.T) {
 	// With DDS the first bank is spared at the next scrub.
 	polDDS := pol
 	polDDS.NewSparer = ddsSparer
-	tsDDS := newTrialState(cfg, polDDS, DefaultScrubIntervalHours, false)
+	tsDDS := newTrialState(cfg, polDDS, DefaultScrubIntervalHours)
 	if when, _ := tsDDS.run(faults); when >= 0 {
 		t.Errorf("DDS failed to spare first bank; lost at %v", when)
 	}

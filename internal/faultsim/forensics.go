@@ -106,9 +106,7 @@ func captureForensic(opt Options, pol Policy, ts *trialState, trial int, live []
 			Detail: fmt.Sprintf("%d TSV fault(s) arrived after the stand-by budget was exhausted", ts.tsvUnrepaired),
 		})
 	}
-	// The single-fault fast path never consults (or resets) the sparer, so
-	// its counters only describe multi-fault trials.
-	if len(live) > 1 && ts.sparer != nil {
+	if ts.sparer != nil {
 		if rc, ok := ts.sparer.(interface {
 			RejectCounts() (footprint, budget int)
 		}); ok {
@@ -142,22 +140,12 @@ func ReplayTrial(opt Options, pol Policy, trial int) (Forensic, bool) {
 	if len(buf) == 0 {
 		return Forensic{}, false
 	}
-	ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, opt.DisableIncremental)
-	var when float64
-	var cause fault.Class
-	if len(buf) == 1 {
-		when, cause = ts.runSingle(buf[0])
-	} else {
-		when, cause = ts.run(buf)
-	}
+	ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours)
+	when, cause := ts.run(buf)
 	if when < 0 {
 		return Forensic{}, false
 	}
-	live := buf
-	if len(buf) > 1 {
-		live = ts.liveFaults()
-	}
-	return captureForensic(opt, pol, ts, trial, live, when, cause), true
+	return captureForensic(opt, pol, ts, trial, ts.liveFaults(), when, cause), true
 }
 
 // ReplayForensic replays an exemplar recorded by a previous run: opt must

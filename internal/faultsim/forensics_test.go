@@ -147,9 +147,7 @@ func TestForensicsIncrementalMatchesBatch(t *testing.T) {
 	opt.Workers = 1
 	pol := citadelPolicy()
 	inc := RunContext(context.Background(), opt, pol)
-	bo := opt
-	bo.DisableIncremental = true
-	batch := RunContext(context.Background(), bo, pol)
+	batch := RunContext(context.Background(), opt, batchPolicy(pol))
 	if !reflect.DeepEqual(inc.Breakdown, batch.Breakdown) {
 		t.Errorf("breakdown differs:\n inc   %v\n batch %v", inc.Breakdown, batch.Breakdown)
 	}

@@ -102,13 +102,14 @@ func goldenCases() []goldenCase {
 	}
 }
 
-func runGolden(t *testing.T, gc goldenCase, mutate func(*Options)) Result {
+func runGolden(t *testing.T, gc goldenCase, batch bool) Result {
 	t.Helper()
 	opt := testOptions(gc.trials, gc.rateScale, gc.tsvFIT)
-	if mutate != nil {
-		mutate(&opt)
+	pol := gc.pol(opt.Config)
+	if batch {
+		pol = batchPolicy(pol)
 	}
-	return RunContext(context.Background(), opt, gc.pol(opt.Config))
+	return RunContext(context.Background(), opt, pol)
 }
 
 func checkGolden(t *testing.T, gc goldenCase, res Result) {
@@ -133,22 +134,20 @@ func TestGoldenResults(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			checkGolden(t, gc, runGolden(t, gc, nil))
+			checkGolden(t, gc, runGolden(t, gc, false))
 		})
 	}
 }
 
-// TestGoldenResultsBatchPath pins the DisableIncremental (batch oracle)
-// path to the same values: both evaluation strategies must produce
-// bit-identical statistics.
+// TestGoldenResultsBatchPath pins the batch oracle (batchPolicy) to the
+// same values: both evaluation strategies must produce bit-identical
+// statistics.
 func TestGoldenResultsBatchPath(t *testing.T) {
 	skipInShort(t)
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			checkGolden(t, gc, runGolden(t, gc, func(o *Options) {
-				o.DisableIncremental = true
-			}))
+			checkGolden(t, gc, runGolden(t, gc, true))
 		})
 	}
 }
@@ -160,7 +159,7 @@ func TestGoldenResultsBatchPath(t *testing.T) {
 // by temporarily calling it from a test when rates or geometry change.
 func printGolden(t *testing.T) {
 	for _, gc := range goldenCases() {
-		res := runGolden(t, gc, nil)
+		res := runGolden(t, gc, false)
 		fmt.Printf("%s:\n  wantFailures: %d,\n  wantByYear:   %#v,\n  wantCauses:   %#v,\n",
 			gc.name, res.Failures, res.FailuresByYear, res.CauseCounts)
 	}

@@ -32,10 +32,24 @@ func enginePolicies(cfg stack.Config) []Policy {
 	}
 }
 
+// batchOnly hides a predicate's own incremental state, so ecc.Begin falls
+// back to asking Uncorrectable about the whole live set after every
+// change: the batch oracle. It keeps the predicate's Explain, so forensic
+// reason chains match the incremental path's.
+type batchOnly struct{ ecc.Predicate }
+
+func (b batchOnly) Explain(live []fault.Fault) []ecc.Reason { return ecc.Explain(b.Predicate, live) }
+
+// batchPolicy returns pol with its predicate evaluated by the batch oracle.
+func batchPolicy(pol Policy) Policy {
+	pol.Predicate = batchOnly{pol.Predicate}
+	return pol
+}
+
 // TestIncrementalMatchesBatchEngine runs the full engine twice per policy —
-// incremental evaluation vs the DisableIncremental batch oracle — and
-// requires bit-identical Results. This is the end-to-end companion of the
-// per-predicate differential tests in internal/ecc.
+// incremental evaluation vs the batch oracle — and requires bit-identical
+// Results. This is the end-to-end companion of the per-predicate
+// differential tests in internal/ecc.
 func TestIncrementalMatchesBatchEngine(t *testing.T) {
 	skipInShort(t)
 	opt := testOptions(1500, 25, 800)
@@ -45,9 +59,7 @@ func TestIncrementalMatchesBatchEngine(t *testing.T) {
 		pol := pol
 		t.Run(pol.name(), func(t *testing.T) {
 			inc := RunContext(context.Background(), opt, pol)
-			optBatch := opt
-			optBatch.DisableIncremental = true
-			batch := RunContext(context.Background(), optBatch, pol)
+			batch := RunContext(context.Background(), opt, batchPolicy(pol))
 			if !reflect.DeepEqual(inc, batch) {
 				t.Errorf("incremental and batch engines disagree:\nincremental: %+v\nbatch:       %+v", inc, batch)
 			}
@@ -79,7 +91,7 @@ func TestTrialLoopAllocFree(t *testing.T) {
 	for _, pol := range enginePolicies(opt.Config) {
 		pol := pol
 		t.Run(pol.name(), func(t *testing.T) {
-			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, false)
+			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours)
 			replay := func() {
 				for _, fs := range seqs {
 					ts.run(fs)
@@ -94,22 +106,24 @@ func TestTrialLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestSingleFaultFastPathAllocFree covers runSingle the same way.
+// TestSingleFaultFastPathAllocFree covers one-fault trials, the common
+// case at realistic FIT rates, the same way: they run the same arrival
+// loop as every other trial.
 func TestSingleFaultFastPathAllocFree(t *testing.T) {
 	opt := testOptions(0, 40, 1000).withDefaults()
 	seqs := trialSequences(opt, 30)
 	for _, pol := range enginePolicies(opt.Config) {
 		pol := pol
 		t.Run(pol.name(), func(t *testing.T) {
-			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours, false)
+			ts := newTrialState(opt.Config, pol, opt.ScrubIntervalHours)
 			replay := func() {
 				for _, fs := range seqs {
-					ts.runSingle(fs[0])
+					ts.run(fs[:1])
 				}
 			}
 			replay()
 			if allocs := testing.AllocsPerRun(10, replay); allocs != 0 {
-				t.Errorf("%s: runSingle allocates %.2f per %d-trial replay, want 0",
+				t.Errorf("%s: a one-fault trial allocates %.2f per %d-trial replay, want 0",
 					pol.name(), allocs, len(seqs))
 			}
 		})

@@ -8,10 +8,12 @@ import (
 // TrialRunner exposes the engine's per-trial state machine — scrubbing,
 // TSV-SWAP, sparing, incremental correctability — to out-of-package
 // estimators (the multilevel-splitting oracle in internal/rare's tests)
-// without exporting the pooled trialState internals. One runner serves many trials; like the in-package workers
-// it is not safe for concurrent use, and its observable statistics
-// (verdict, failure time, proximate cause, scrub tally) are bit-identical
-// to the Monte Carlo loop's for the same fault list.
+// without exporting the pooled trialState internals. One runner serves
+// many trials; like the in-package workers it is not safe for concurrent
+// use. Both methods run the engine's one arrival loop, so their
+// observable statistics (verdict, failure time, proximate cause, scrub
+// tally) are bit-identical to the Monte Carlo loop's for the same fault
+// list.
 type TrialRunner struct {
 	ts *trialState
 }
@@ -22,28 +24,24 @@ func NewTrialRunner(cfg stack.Config, pol Policy, scrubHours float64) *TrialRunn
 	if scrubHours == 0 {
 		scrubHours = DefaultScrubIntervalHours
 	}
-	return &TrialRunner{ts: newTrialState(cfg, pol, scrubHours, false)}
+	return &TrialRunner{ts: newTrialState(cfg, pol, scrubHours)}
 }
 
 // Run executes one trial over a time-sorted fault list; it returns the
 // failure time in hours (negative when the system survives) and the
-// class of the fault whose arrival made the state uncorrectable. The
-// single-fault fast path matches the engine's.
+// class of the fault whose arrival made the state uncorrectable.
 func (t *TrialRunner) Run(faults []fault.Fault) (float64, fault.Class) {
-	if len(faults) == 1 {
-		return t.ts.runSingle(faults[0])
-	}
 	return t.ts.run(faults)
 }
 
 // RunToLevel runs a trial only until the count of simultaneously live
-// faults first reaches level — the importance function of multilevel
-// splitting. It returns the crossing arrival's index into faults and
-// its time, or crossIdx -1 with failed set when the state went
+// faults first reaches level (>= 1) — the importance function of
+// multilevel splitting. It returns the crossing arrival's index into
+// faults and its time, or crossIdx -1 with failed set when the state went
 // uncorrectable at an arrival before any crossing (possible when level
-// exceeds the live count a failing arrival needs, e.g. a lone bank
-// fault under a weak scheme), or crossIdx -1 and failed false when the
-// list ends without either.
+// exceeds the live count a failing arrival needs, e.g. a lone bank fault
+// under a weak scheme), or crossIdx -1 and failed false when the list
+// ends without either.
 //
 // Crucially it never examines the fault list past the crossing: a
 // splitting stage must classify a trajectory by its prefix alone, so
@@ -54,44 +52,12 @@ func (t *TrialRunner) Run(faults []fault.Fault) (float64, fault.Class) {
 // itself is not evaluated for correctability; the next stage's replay
 // evaluates it.
 func (t *TrialRunner) RunToLevel(faults []fault.Fault, level int) (crossIdx int, crossHours float64, failed bool) {
-	return t.ts.runToLevel(faults, level)
-}
-
-// runToLevel mirrors run's arrival loop but stops at the first
-// live-count crossing. Kept separate rather than folded into run so the
-// hot Monte Carlo loop pays nothing for the observation; the two bodies
-// must stay in lockstep.
-func (ts *trialState) runToLevel(faults []fault.Fault, level int) (crossIdx int, crossHours float64, failed bool) {
-	ts.reset()
-	for i, f := range faults {
-		scrubIdx := int(f.Hours / ts.scrub)
-		if scrubIdx > ts.lastScrub {
-			ts.doScrub()
-			ts.lastScrub = scrubIdx
-		}
-		if ts.swapper != nil && f.Class.IsTSV() {
-			if _, repaired := ts.swapper.Apply(f); repaired {
-				continue
-			}
-			ts.tsvUnrepaired++
-		}
-		if f.Persistence == fault.Permanent {
-			ts.livePerm = append(ts.livePerm, f)
-		} else {
-			ts.liveTrans = append(ts.liveTrans, f)
-		}
-		if len(ts.livePerm)+len(ts.liveTrans) >= level {
-			return i, f.Hours, false
-		}
-		var bad bool
-		if ts.inc != nil {
-			bad = ts.inc.Add(f)
-		} else {
-			bad = ts.pol.Predicate.Uncorrectable(ts.liveFaults())
-		}
-		if bad {
-			return -1, 0, true
-		}
+	i, bad := t.ts.advance(faults, level)
+	switch {
+	case bad:
+		return -1, 0, true
+	case i < 0:
+		return -1, 0, false
 	}
-	return -1, 0, false
+	return i, faults[i].Hours, false
 }
