@@ -56,7 +56,9 @@ type Options struct {
 	// (default 15s). Workers heartbeat at TTL/3, and a worker counts as
 	// live for 3×TTL after it last contacted the coordinator.
 	LeaseTTL time.Duration
-	// Tick is the expiry-scan interval (default LeaseTTL/4).
+	// Tick is the expiry-scan interval (default LeaseTTL/4, or
+	// NoWorkerGrace when that is positive and shorter, so a campaign with
+	// no worker falls back within one scan of its grace).
 	Tick time.Duration
 	// RetryBase/RetryMax bound the per-chunk reassignment backoff:
 	// attempt k waits an exponentially grown, jittered delay in
@@ -86,8 +88,14 @@ func (o Options) withDefaults() Options {
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
 	}
+	if o.NoWorkerGrace == 0 {
+		o.NoWorkerGrace = 10 * time.Second
+	}
 	if o.Tick <= 0 {
 		o.Tick = o.LeaseTTL / 4
+		if o.NoWorkerGrace > 0 {
+			o.Tick = min(o.Tick, o.NoWorkerGrace)
+		}
 	}
 	if o.RetryBase <= 0 {
 		o.RetryBase = time.Second
@@ -100,9 +108,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QuarantineFor <= 0 {
 		o.QuarantineFor = time.Minute
-	}
-	if o.NoWorkerGrace == 0 {
-		o.NoWorkerGrace = 10 * time.Second
 	}
 	if o.Seed == 0 {
 		o.Seed = time.Now().UnixNano()
@@ -135,7 +140,10 @@ type campaign struct {
 	chunks   map[int]*chunkInfo
 	buffered map[int]citadel.Result
 
-	stalledSince time.Time // first tick with zero live workers
+	// stalledSince is when the campaign last began to wait with no live
+	// worker: its registration, or the first scan that found none after
+	// one was live. Zero while a worker is live.
+	stalledSince time.Time
 	finished     bool
 	err          error
 	// wake holds one signal for ExecuteChunks: a chunk was buffered or
@@ -270,6 +278,9 @@ func (c *Coordinator) ExecuteChunks(ctx context.Context, cam jobs.Campaign, comm
 		chunks:   make(map[int]*chunkInfo),
 		buffered: make(map[int]citadel.Result),
 		wake:     make(chan struct{}, 1),
+		// The grace runs from registration, so a campaign that never sees
+		// a worker falls back at the first scan past NoWorkerGrace.
+		stalledSince: time.Now(),
 	}
 	c.mu.Lock()
 	if c.closed {

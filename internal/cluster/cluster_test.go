@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http/httptest"
@@ -204,6 +205,24 @@ func TestNoWorkersFallsBackLocal(t *testing.T) {
 	}
 	if d := counter("citadel_jobs_cluster_fallback_total") - before; d < 1 {
 		t.Errorf("fallback counter did not move (delta %d)", d)
+	}
+}
+
+// TestNoWorkersFallsBackWithinGrace: with Tick unset and a grace far
+// below LeaseTTL/4, a campaign that never sees a worker is handed back
+// about one grace after it registers, not after expiry scans a quarter
+// of the lease TTL apart.
+func TestNoWorkersFallsBackWithinGrace(t *testing.T) {
+	c := cluster.New(cluster.Options{LeaseTTL: 8 * time.Second, NoWorkerGrace: 200 * time.Millisecond, Logf: nolog})
+	defer c.Close()
+	start := time.Now()
+	err := c.ExecuteChunks(context.Background(), jobs.Campaign{Key: "camp-alone", RunID: "r1", Spec: normSpec(200, 100), Start: 0, Total: 2},
+		func(int, citadel.Result) error { return nil })
+	if !errors.Is(err, cluster.ErrNoWorkers) {
+		t.Fatalf("ExecuteChunks = %v, want ErrNoWorkers", err)
+	}
+	if d := time.Since(start); d < 200*time.Millisecond || d > 1500*time.Millisecond {
+		t.Errorf("fell back after %v, want between the 200ms grace and 1.5s", d)
 	}
 }
 
