@@ -275,6 +275,9 @@ func (o ReliabilityOptions) engineOptions() faultsim.Options {
 //     default), or a MaxTrials without TargetFailures;
 //   - a LifetimeYears that is negative, NaN or infinite, a negative or
 //     NaN ScrubIntervalHours, or a negative or NaN FIT rate;
+//   - a FIT rate, or under RareEvent a BiasFactor, that puts the mean
+//     count of one fault class past what the Poisson sampler can draw
+//     (about 708 per lifetime);
 //   - an unknown scheme, fault model or scenario parameter, a NaN or
 //     infinite parameter value, or one the scheme or fault-model plugin
 //     refuses;
@@ -320,6 +323,21 @@ func (o ReliabilityOptions) setup(scheme Scheme) (pol faultsim.Policy, eo faults
 	}
 	if err = o.Rates.Validate(); err != nil {
 		return pol, eo, err
+	}
+	// The Poisson sampler cannot count past a mean of about 708 faults of
+	// one class per lifetime, so reject rates, or a bias, that ask for more.
+	hours := o.LifetimeYears * fault.HoursPerYear
+	if err = fault.NewSampler(o.Config, o.Rates).CheckMeans(hours); err != nil {
+		return pol, eo, fmt.Errorf("citadel: %w", err)
+	}
+	if o.RareEvent {
+		bias := o.BiasFactor
+		if bias == 0 {
+			bias = rare.DefaultBiasFactor
+		}
+		if err = fault.NewSampler(o.Config, o.Rates.BiasLarge(bias)).CheckMeans(hours); err != nil {
+			return pol, eo, fmt.Errorf("citadel: biasFactor %g is too large: %w", bias, err)
+		}
 	}
 	if pol, err = buildPolicy(string(scheme), o.Config, params, o.TSVSwap); err != nil {
 		return pol, eo, err

@@ -86,7 +86,8 @@ func TestYearTableCoversLifetime(t *testing.T) {
 // -max-trials is a usage error (exit 2), in adaptive mode too, and so is
 // a -max-trials without -target-failures, in direct and durable mode, and
 // a negative or NaN -years, -scrub or FIT rate. So are a non-finite
-// -bias-factor or -scenario-param value, and in durable mode a negative
+// -bias-factor or -scenario-param value, a -bias-factor or FIT rate whose
+// mean fault count the Poisson sampler cannot draw, and in durable mode a negative
 // -trials or -checkpoint-trials (once run at their defaults) and the
 // adaptive and forensic settings a campaign does not take. A Go panic
 // exits 2 as well, so the output must name the offending setting and
@@ -113,6 +114,8 @@ func TestNegativeTrialsExitTwo(t *testing.T) {
 		{[]string{"-trials", "2000", "-forensics", filepath.Join(t.TempDir(), "f.json"), "-job-dir", t.TempDir()}, "forensics"},
 		{[]string{"-scheme", "3DP", "-trials", "2000", "-rare-event", "-bias-factor", "NaN"}, "NaN"},
 		{[]string{"-scheme", "3DP", "-trials", "2000", "-rare-event", "-bias-factor", "+Inf"}, "Inf"},
+		{[]string{"-scheme", "3DP", "-trials", "50", "-rare-event", "-bias-factor", "1e6"}, "biasFactor 1e+06"},
+		{[]string{"-trials", "2000", "-tsv-fit", "1e13"}, "1e+13 FIT"},
 		{[]string{"-scheme", "two-tier-replication", "-trials", "2000", "-scenario-param", "fetchBandwidthGBps=NaN"}, "fetchBandwidthGBps"},
 		{[]string{"-scheme", "two-tier-replication", "-trials", "2000", "-scenario-param", "fetchLatencyMicros=+Inf"}, "fetchLatencyMicros"},
 	} {
@@ -173,9 +176,9 @@ func TestRegistrySchemeForensics(t *testing.T) {
 
 // TestClusterListenFallsBackLocal: with -cluster-listen and no worker,
 // the campaign runs locally once the worker grace has passed and prints
-// what -job-dir alone prints. The coordinator finds the workers missing
-// on its expiry scans, LeaseTTL/4 (3.75 s) apart, so the run takes
-// several seconds.
+// what -job-dir alone prints. The grace runs from the campaign's
+// registration and the coordinator scans once per grace, so the
+// fallback comes well under a second after the campaign starts.
 func TestClusterListenFallsBackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits for the coordinator's expiry scans; skipped with -short")

@@ -121,6 +121,11 @@ func TestValidateRejections(t *testing.T) {
 		{"NaN scrub", ReliabilityOptions{ScrubIntervalHours: math.NaN()}, SchemeCitadel, "scrubIntervalHours"},
 		{"negative rate", ReliabilityOptions{Rates: Table1Rates().WithTSV(-5)}, SchemeCitadel, "TSVPerDie"},
 		{"NaN rate", ReliabilityOptions{Rates: FITRates{RowPermanent: math.NaN()}}, SchemeCitadel, "RowPermanent"},
+		{"rate past the Poisson sampler", ReliabilityOptions{Rates: Table1Rates().WithTSV(1e13)}, SchemeCitadel, "TSV faults at 1e+13 FIT"},
+		{"infinite rate", ReliabilityOptions{Rates: Table1Rates().WithTSV(math.Inf(1))}, SchemeCitadel, "TSV faults at +Inf FIT"},
+		{"bias past the Poisson sampler", ReliabilityOptions{RareEvent: true, BiasFactor: 1e6}, Scheme3DP, "biasFactor 1e+06"},
+		{"default bias at 30x rates", ReliabilityOptions{Rates: scaledTable1(30).WithTSV(1430), RareEvent: true}, SchemeCitadel, ""},
+		{"bias 16 at 100x rates", ReliabilityOptions{Rates: scaledTable1(100).WithTSV(14300), RareEvent: true, BiasFactor: 16}, Scheme3DPDDS, ""},
 	} {
 		err := tc.opts.Validate(tc.scheme)
 		switch {

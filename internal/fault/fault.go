@@ -417,6 +417,27 @@ func (s *Sampler) limits(span float64) *[maxDraws]float64 {
 	return &s.cached
 }
 
+// CheckMeans reports an error when some Poisson draw over a window of
+// span hours has a mean λ the sampler cannot count: poisson compares a
+// product of uniforms with exp(−λ), which is subnormal past λ ≈ 708.4 and
+// 0 past about 745, so the drawn count would stop growing with λ. The
+// error names the fault class and its FIT rate per die.
+func (s *Sampler) CheckMeans(span float64) error {
+	for _, d := range s.draws[:s.nDraws] {
+		lambda := d.perHour * span * d.dies
+		if knuthLimit(lambda) >= 0x1p-1022 { // the smallest normal float64
+			continue
+		}
+		name := d.pers.String() + " " + d.class.String()
+		if d.class == DataTSV {
+			name = "TSV"
+		}
+		return fmt.Errorf("fault: %s faults at %.4g FIT per die average %.4g per %.4g-hour lifetime, past the %.1f a Poisson draw can count",
+			name, d.perHour*1e9, lambda, span, -math.Log(0x1p-1022))
+	}
+	return nil
+}
+
 // knuthLimit returns exp(−λ), poisson's threshold for a Poisson(λ) draw,
 // or −1 when λ <= 0, for which poisson draws nothing.
 func knuthLimit(lambda float64) float64 {

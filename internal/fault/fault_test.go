@@ -183,6 +183,33 @@ func TestSamplerDrawsWhenLimitRoundsToOne(t *testing.T) {
 	}
 }
 
+// TestCheckMeansBound: CheckMeans accepts a draw whose Knuth threshold
+// exp(−λ) is a normal float64 and rejects one past it, naming the class
+// and its rate; and a Poisson draw with a mean past the bound, where the
+// threshold is 0, counts far fewer events than its mean.
+func TestCheckMeansBound(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	const rate = 1e9 // FIT per die
+	dies := float64(cfg.Stacks * cfg.DataDies)
+	s := NewSampler(cfg, Rates{TSVPerDie: rate})
+	spanFor := func(lambda float64) float64 { return lambda / (rate * 1e-9 * dies) }
+	if err := s.CheckMeans(spanFor(708)); err != nil {
+		t.Errorf("λ = 708 rejected: %v", err)
+	}
+	err := s.CheckMeans(spanFor(709))
+	if err == nil || !strings.Contains(err.Error(), "TSV faults at 1e+09 FIT") {
+		t.Errorf("λ = 709: got %v, want an error naming TSV faults at 1e+09 FIT", err)
+	}
+	if err := NewSampler(cfg, Rates{BankPermanent: rate}).CheckMeans(spanFor(2000)); err == nil ||
+		!strings.Contains(err.Error(), "permanent bank faults") {
+		t.Errorf("a permanent bank mean of ~2000: got %v, want an error naming permanent bank faults", err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	if n := poisson(rng, knuthLimit(2000)); n > 1000 {
+		t.Errorf("a Poisson(2000) draw against a zero threshold counted %d; the bound no longer guards anything", n)
+	}
+}
+
 func TestSampleLifetimeEventRate(t *testing.T) {
 	cfg := stack.DefaultConfig()
 	rates := Table1()
