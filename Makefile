@@ -85,9 +85,13 @@ determinism:
 # result and checkpoint files hold arbitrary bytes, and FuzzCheckpoint
 # decodes arbitrary bytes as one campaign's checkpoint, which must not
 # panic and may admit only a checkpoint that holds exactly the trials of
-# the chunks it claims. The codes: FuzzChecksumMatchesStdlib checks the
-# CRC implementations against the standard library and FuzzIncremental
-# checks that a split input gives the same checksum;
+# the chunks it claims. The cluster protocol: FuzzChunkEnvelope decodes
+# arbitrary bytes as a worker's chunk delivery, which must not panic and
+# may admit only a complete result whose failure count lies in
+# [0, Trials] and that merges into a zero Result. The codes:
+# FuzzChecksumMatchesStdlib checks the CRC implementations against the
+# standard library and FuzzIncremental checks that a split input gives
+# the same checksum;
 # FuzzDecodeNeverPanicsOrLies feeds corrupted Reed-Solomon codewords to
 # the decoder, which must not panic or report a wrong decode as a
 # success, and FuzzErasurePositions feeds it arbitrary erasure lists;
@@ -99,6 +103,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/jobs/
 	$(GO) test -run xxx -fuzz '^FuzzOpenCorrupt$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz '^FuzzCheckpoint$$' -fuzztime 10s ./internal/jobs/
+	$(GO) test -run xxx -fuzz '^FuzzChunkEnvelope$$' -fuzztime 10s ./internal/faultsim/
 	$(GO) test -run xxx -fuzz '^FuzzChecksumMatchesStdlib$$' -fuzztime 10s ./internal/crc/
 	$(GO) test -run xxx -fuzz '^FuzzIncremental$$' -fuzztime 10s ./internal/crc/
 	$(GO) test -run xxx -fuzz '^FuzzDecodeNeverPanicsOrLies$$' -fuzztime 10s ./internal/reedsolomon/

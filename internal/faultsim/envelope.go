@@ -28,9 +28,15 @@ type ChunkEnvelope struct {
 
 // Validate rejects envelopes that must not enter a campaign merge: a
 // partial result would bias the statistics, a trial-count mismatch means
-// the sender ran the wrong work, and a negative chunk index or empty
-// campaign key is malformed.
+// the sender ran the wrong work, a failure count outside [0, Trials] (or
+// a by-year count outside [0, Failures]) cannot come from a run, and a
+// negative chunk index or empty campaign key is malformed.
 func (e ChunkEnvelope) Validate() error {
+	for y, n := range e.Result.FailuresByYear {
+		if n < 0 || n > e.Result.Failures {
+			return fmt.Errorf("faultsim: chunk %d counts %d failures by year %d of %d failures", e.Chunk, n, y+1, e.Result.Failures)
+		}
+	}
 	switch {
 	case e.CampaignKey == "":
 		return fmt.Errorf("faultsim: chunk envelope without campaign key")
@@ -42,6 +48,8 @@ func (e ChunkEnvelope) Validate() error {
 		return fmt.Errorf("faultsim: chunk %d result is partial (%d/%d trials)", e.Chunk, e.Result.Trials, e.Trials)
 	case e.Result.Trials != e.Trials:
 		return fmt.Errorf("faultsim: chunk %d result has %d trials, envelope claims %d", e.Chunk, e.Result.Trials, e.Trials)
+	case e.Result.Failures < 0 || e.Result.Failures > e.Result.Trials:
+		return fmt.Errorf("faultsim: chunk %d counts %d failures in %d trials", e.Chunk, e.Result.Failures, e.Result.Trials)
 	case e.Result.FailWeight < 0 || e.Result.FailWeightSq < 0:
 		return fmt.Errorf("faultsim: chunk %d carries negative importance weights", e.Chunk)
 	case !e.Result.Weighted && (e.Result.FailWeight != 0 || e.Result.FailWeightSq != 0 || len(e.Result.FailWeightByYear) != 0):
