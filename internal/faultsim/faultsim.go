@@ -789,11 +789,9 @@ func (l *runLane) trial(t int, fs []fault.Fault) bool {
 		tr.Emit(ev)
 	}
 	if l.opt.Forensics {
-		live := l.ts.liveFaults()
-		l.breakdown[modeKey(live)]++
+		l.breakdown[modeKey(l.ts.liveFaults())]++
 		if len(l.exemplars) < l.opt.MaxExemplars {
-			l.exemplars = append(l.exemplars,
-				captureForensic(*l.opt, l.pol, l.ts, t, live, when, cause))
+			l.exemplars = append(l.exemplars, captureForensic(*l.opt, l.pol, l.ts, t, when, cause))
 		}
 	}
 	return true

@@ -77,12 +77,13 @@ func modeKey(live []fault.Fault) string {
 	return b.String()
 }
 
-// captureForensic builds the record for a failed trial. It runs off the
-// zero-allocation path (only when Options.Forensics is set, after a trial
-// has already failed), so it may allocate freely. live is the trial's live
-// fault set at the moment of failure; ts carries the sparing/TSV state of
-// that same trial.
-func captureForensic(opt Options, pol Policy, ts *trialState, trial int, live []fault.Fault, when float64, cause fault.Class) Forensic {
+// captureForensic builds the record for a trial that ts has just run to
+// failure: its live fault set and its sparing/TSV state are the trial's
+// at the moment of failure. It runs off the zero-allocation path (only
+// when Options.Forensics is set, after a trial has already failed), so it
+// may allocate freely.
+func captureForensic(opt Options, pol Policy, ts *trialState, trial int, when float64, cause fault.Class) Forensic {
+	live := ts.liveFaults()
 	fx := Forensic{
 		Policy:       pol.name(),
 		RunID:        opt.RunID,
@@ -145,7 +146,7 @@ func ReplayTrial(opt Options, pol Policy, trial int) (Forensic, bool) {
 	if when < 0 {
 		return Forensic{}, false
 	}
-	return captureForensic(opt, pol, ts, trial, ts.liveFaults(), when, cause), true
+	return captureForensic(opt, pol, ts, trial, when, cause), true
 }
 
 // ReplayForensic replays an exemplar recorded by a previous run: opt must
