@@ -78,7 +78,9 @@ determinism:
 # FuzzPatternAlgebra checks footprint intersections and counts against
 # brute force on a bounded domain, FuzzNextMatchMinimal checks the
 # closed-form nextMatch against the binary-search reference in
-# pattern_test.go over full 32-bit inputs, and FuzzSpecJSON decodes
+# pattern_test.go over full 32-bit inputs, FuzzIntnMatchesMathRand checks
+# the sampler's division-free draw against math/rand's Intn, value and
+# RNG position, for any range and seed, and FuzzSpecJSON decodes
 # arbitrary bytes as a wire job spec: Validate must not panic, and a spec
 # it accepts normalizes idempotently under an unchanged content key.
 # The durable formats: FuzzOpenCorrupt opens a store whose stale index,
@@ -100,6 +102,7 @@ determinism:
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
+	$(GO) test -run xxx -fuzz '^FuzzIntnMatchesMathRand$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzSpecJSON$$' -fuzztime 10s ./internal/jobs/
 	$(GO) test -run xxx -fuzz '^FuzzOpenCorrupt$$' -fuzztime 10s ./internal/store/
 	$(GO) test -run xxx -fuzz '^FuzzCheckpoint$$' -fuzztime 10s ./internal/jobs/

@@ -13,8 +13,9 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/stack"
 )
@@ -336,8 +337,17 @@ func (r Rates) classRate(c Class, p Persistence) float64 {
 
 // Sampler draws fault lifetimes for a whole memory system. It is safe for
 // concurrent use: goroutines may share one Sampler, each drawing from its
-// own rng, and a shared Sampler draws exactly what separate ones would.
-// The engine still builds one per worker, so its lock is never contended.
+// own rng, and a shared Sampler draws exactly what separate ones would. A
+// draw takes no lock. The Knuth thresholds exp(−λ) of the first draw's
+// span are published once, as an immutable table, and a draw over another
+// span computes its own on the stack. A draw compares each class's first
+// uniform with exp(−λ) inline and continues Knuth's product only for a
+// positive count; a class with λ > 0 still costs one Float64 when its
+// count is zero. Every integer a draw needs comes from a per-range
+// modulus built by NewSampler, which returns what math/rand's Intn would
+// from the same Int63 values without dividing. So a seeded draw consumes
+// the same randomness, and places the same faults, as plain math/rand
+// calls would.
 type Sampler struct {
 	cfg   stack.Config
 	rates Rates
@@ -348,17 +358,27 @@ type Sampler struct {
 	// (class, persistence) pair with a positive rate, then the TSV events.
 	draws  [maxDraws]poissonDraw
 	nDraws int
+	// The ranges place draws from. subArrays is zero when
+	// Rates.SubArrayRows does not split a bank, so that a sub-array fault
+	// covers the whole bank.
+	stacks, dies, banks, rows, rowBits, words, subArrays modulus
+	tsvs, dataTSVs, addrTSVs, rowAddrBits, half          modulus
 
-	// mu guards the Knuth thresholds of draws for the window span last
-	// asked for: a lifetime run asks for one span millions of times.
-	mu         sync.Mutex
-	cachedSpan float64 // NaN until the first draw, so no span matches
-	cached     [maxDraws]float64
+	// table holds the thresholds of the first draw's span: a lifetime run
+	// asks for one span millions of times.
+	table atomic.Pointer[thresholds]
 }
 
 // maxDraws bounds Sampler.nDraws: both persistences of every class
 // through Bank, and the TSV events.
 const maxDraws = 2*int(Bank+1) + 1
+
+// thresholds holds the Knuth threshold of each of a Sampler's draws for a
+// window of one span. A published table is never written again.
+type thresholds struct {
+	span  float64
+	limit [maxDraws]float64
+}
 
 // poissonDraw is one Poisson-distributed event count of a window, with
 // mean λ = perHour × span × dies, evaluated in that order.
@@ -374,7 +394,7 @@ type poissonDraw struct {
 
 // NewSampler builds a sampler for the given geometry and rates.
 func NewSampler(cfg stack.Config, rates Rates) *Sampler {
-	s := &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies, cachedSpan: math.NaN()}
+	s := &Sampler{cfg: cfg, rates: rates, diesPerStack: cfg.DataDies + cfg.ECCDies}
 	add := func(d poissonDraw) {
 		s.draws[s.nDraws] = d
 		s.nDraws++
@@ -394,6 +414,21 @@ func NewSampler(cfg stack.Config, rates Rates) *Sampler {
 			perHour: rates.TSVPerDie * 1e-9, dies: float64(cfg.Stacks * cfg.DataDies),
 		})
 	}
+	rowBits := int(uint32(cfg.RowBytes * 8))
+	s.stacks = newModulus(cfg.Stacks)
+	s.dies = newModulus(s.diesPerStack)
+	s.banks = newModulus(cfg.BanksPerDie)
+	s.rows = newModulus(cfg.RowsPerBank)
+	s.rowBits = newModulus(rowBits)
+	s.words = newModulus(rowBits / 64)
+	if n := rates.SubArrayRows; n > 0 && n < cfg.RowsPerBank {
+		s.subArrays = newModulus(cfg.RowsPerBank / n)
+	}
+	s.tsvs = newModulus(cfg.DataTSVs + cfg.AddrTSVs)
+	s.dataTSVs = newModulus(cfg.DataTSVs)
+	s.addrTSVs = newModulus(cfg.AddrTSVs)
+	s.rowAddrBits = newModulus(bitsFor(cfg.RowsPerBank))
+	s.half = newModulus(2)
 	return s
 }
 
@@ -403,22 +438,29 @@ func (s *Sampler) Rates() Rates { return s.rates }
 // Config returns the sampler's geometry.
 func (s *Sampler) Config() stack.Config { return s.cfg }
 
-// limits returns the Knuth threshold of each of s.draws for a window of
-// the given span, computing them only when the span differs from the one
-// last asked for. The caller holds s.mu, and reads the thresholds in place
-// until it releases it.
-func (s *Sampler) limits(span float64) *[maxDraws]float64 {
-	if span != s.cachedSpan {
-		for i, d := range s.draws[:s.nDraws] {
-			s.cached[i] = knuthLimit(d.perHour * span * d.dies)
-		}
-		s.cachedSpan = span
+// publish computes the thresholds of span and publishes them as the
+// sampler's table. Only a first draw publishes: goroutines that draw
+// first at once may each publish, and every table they leave is valid for
+// its own span. It is a function of its own so that the table
+// AppendWindow fills on its stack for another span never escapes.
+func (s *Sampler) publish(span float64) *thresholds {
+	t := new(thresholds)
+	s.fillLimits(t, span)
+	s.table.Store(t)
+	return t
+}
+
+// fillLimits sets t to the Knuth thresholds of s.draws for a window of
+// the given span.
+func (s *Sampler) fillLimits(t *thresholds, span float64) {
+	t.span = span
+	for i, d := range s.draws[:s.nDraws] {
+		t.limit[i] = knuthLimit(d.perHour * span * d.dies)
 	}
-	return &s.cached
 }
 
 // CheckMeans reports an error when some Poisson draw over a window of
-// span hours has a mean λ the sampler cannot count: poisson compares a
+// span hours has a mean λ the sampler cannot count: the draw compares a
 // product of uniforms with exp(−λ), which is subnormal past λ ≈ 708.4 and
 // 0 past about 745, so the drawn count would stop growing with λ. The
 // error names the fault class and its FIT rate per die.
@@ -438,8 +480,9 @@ func (s *Sampler) CheckMeans(span float64) error {
 	return nil
 }
 
-// knuthLimit returns exp(−λ), poisson's threshold for a Poisson(λ) draw,
-// or −1 when λ <= 0, for which poisson draws nothing.
+// knuthLimit returns exp(−λ), the threshold of Knuth's method for a
+// Poisson(λ) draw, or −1 when λ <= 0, for which AppendWindow draws
+// nothing.
 func knuthLimit(lambda float64) float64 {
 	if lambda <= 0 {
 		return -1
@@ -447,23 +490,18 @@ func knuthLimit(lambda float64) float64 {
 	return math.Exp(-lambda)
 }
 
-// poisson draws a Poisson variate by Knuth's method against limit, the
-// knuthLimit of its mean (λ is small — well below 1 per class for
-// realistic FIT rates). It consumes at least one Float64 whenever λ > 0,
-// even when exp(−λ) rounds to 1, and none when λ <= 0.
-func poisson(rng *rand.Rand, limit float64) int {
-	if limit < 0 {
-		return 0
-	}
+// poissonFrom draws a Poisson variate by Knuth's method against limit,
+// the knuthLimit of its mean (λ is small — well below 1 per class for
+// realistic FIT rates), continuing the product from u, its first
+// uniform: the count is the number of further uniforms it takes to bring
+// the product to limit or below. Starting from u rather than from 1·u,
+// which is u exactly, lets AppendWindow test u against limit inline.
+func poissonFrom(rng *rand.Rand, u, limit float64) int {
 	k := 0
-	p := 1.0
-	for {
+	for p := u; p > limit; k++ {
 		p *= rng.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
 	}
+	return k
 }
 
 // SampleLifetime draws all fault events for the system over the given
@@ -491,17 +529,34 @@ func (s *Sampler) AppendLifetime(rng *rand.Rand, hours float64, dst []Fault) []F
 // exact), keeping seeded runs and goldens unchanged.
 func (s *Sampler) AppendWindow(rng *rand.Rand, start, span float64, dst []Fault) []Fault {
 	base := len(dst)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	limit := s.limits(span)
-	for i, d := range s.draws[:s.nDraws] {
-		for n := poisson(rng, limit[i]); n > 0; n-- {
+	t := s.table.Load()
+	switch {
+	case t == nil:
+		t = s.publish(span)
+	case t.span != span:
+		var local thresholds
+		s.fillLimits(&local, span)
+		t = &local
+	}
+	for i := range s.draws[:s.nDraws] {
+		limit := t.limit[i]
+		if limit < 0 {
+			continue // λ <= 0: no draw
+		}
+		// Most windows draw no fault of a class: its first uniform is
+		// already at or below exp(−λ).
+		u := rng.Float64()
+		if u <= limit {
+			continue
+		}
+		d := &s.draws[i]
+		for n := poissonFrom(rng, u, limit); n > 0; n-- {
 			dst = append(dst, Fault{})
 			f := &dst[len(dst)-1]
 			switch {
 			case d.class != DataTSV:
 				s.place(rng, f, d.class, d.pers)
-			case rng.Intn(s.cfg.DataTSVs+s.cfg.AddrTSVs) < s.cfg.DataTSVs:
+			case s.tsvs.intn(rng) < s.cfg.DataTSVs:
 				s.place(rng, f, DataTSV, Permanent)
 			default:
 				s.place(rng, f, AddrTSV, Permanent)
@@ -517,24 +572,21 @@ func (s *Sampler) AppendWindow(rng *rand.Rand, start, span float64, dst []Fault)
 // at a uniformly random location. It writes in place: a Fault is 104
 // bytes, and returning one by value costs a copy per event.
 func (s *Sampler) place(rng *rand.Rand, f *Fault, c Class, p Persistence) {
-	cfg := &s.cfg
 	f.Class, f.Persistence = c, p
 	reg := &f.Region
-	reg.Stack = rng.Intn(cfg.Stacks)
-	reg.Die = ExactPattern(uint32(rng.Intn(s.diesPerStack))) // may land on the metadata die
-	reg.Bank = ExactPattern(uint32(rng.Intn(cfg.BanksPerDie)))
-	reg.Row = ExactPattern(uint32(rng.Intn(cfg.RowsPerBank)))
-	rowBits := uint32(cfg.RowBytes * 8)
+	reg.Stack = s.stacks.intn(rng)
+	reg.Die = ExactPattern(uint32(s.dies.intn(rng))) // may land on the metadata die
+	reg.Bank = ExactPattern(uint32(s.banks.intn(rng)))
+	reg.Row = ExactPattern(uint32(s.rows.intn(rng)))
 	switch c {
 	case Bit:
-		reg.Col = ExactPattern(uint32(rng.Intn(int(rowBits))))
+		reg.Col = ExactPattern(uint32(s.rowBits.intn(rng)))
 	case Word:
-		words := int(rowBits) / 64
-		start := uint32(rng.Intn(words)) * 64
+		start := uint32(s.words.intn(rng)) * 64
 		reg.Col = MaskPattern(^uint32(63), start)
 	case Column:
 		// One bit-column across all rows of one sub-array.
-		reg.Col = ExactPattern(uint32(rng.Intn(int(rowBits))))
+		reg.Col = ExactPattern(uint32(s.rowBits.intn(rng)))
 		reg.Row = s.subArrayRows(rng)
 	case Row:
 		// Footprint already a single full row.
@@ -543,45 +595,39 @@ func (s *Sampler) place(rng *rand.Rand, f *Fault, c Class, p Persistence) {
 	case Bank:
 		reg.Row = AllPattern()
 	case DataTSV:
-		f.TSV = rng.Intn(cfg.DataTSVs)
+		f.TSV = s.dataTSVs.intn(rng)
 		reg.Bank = AllPattern()
 		reg.Row = AllPattern()
 		// Bits q of each line with q mod DataTSVs == t; since lines tile the
 		// row and line bits are a multiple of DataTSVs, the row-level bit
 		// position obeys the same congruence.
-		reg.Col = MaskPattern(uint32(cfg.DataTSVs-1), uint32(f.TSV))
+		reg.Col = MaskPattern(uint32(s.cfg.DataTSVs-1), uint32(f.TSV))
 	case AddrTSV:
-		f.TSV = rng.Intn(cfg.AddrTSVs)
+		f.TSV = s.addrTSVs.intn(rng)
 		reg.Bank = AllPattern()
 		// A broken row-address bit makes one half-space unreachable.
-		rowAddrBits := bitsFor(cfg.RowsPerBank)
-		k := uint(rng.Intn(rowAddrBits))
-		v := uint32(rng.Intn(2)) << k
+		k := uint(s.rowAddrBits.intn(rng))
+		v := uint32(s.half.intn(rng)) << k
 		reg.Row = MaskPattern(1<<k, v)
 	}
 }
 
 // subArrayRows returns the row pattern of a random sub-array.
 func (s *Sampler) subArrayRows(rng *rand.Rand) Pattern {
-	n := s.rates.SubArrayRows
-	if n <= 0 || n >= s.cfg.RowsPerBank {
+	if s.subArrays.n == 0 {
 		return AllPattern()
 	}
-	count := s.cfg.RowsPerBank / n
-	if count == 0 {
-		count = 1
-	}
-	start := uint32(rng.Intn(count)) * uint32(n)
-	return RangePattern(start, start+uint32(n))
+	n := uint32(s.rates.SubArrayRows)
+	start := uint32(s.subArrays.intn(rng)) * n
+	return RangePattern(start, start+n)
 }
 
 // bitsFor returns the number of address bits needed for n values.
 func bitsFor(n int) int {
-	b := 0
-	for 1<<uint(b) < n {
-		b++
+	if n <= 1 {
+		return 0
 	}
-	return b
+	return bits.Len(uint(n - 1))
 }
 
 // sortByTime sorts faults by arrival hour (insertion sort; fault lists are

@@ -49,6 +49,16 @@ func TestClassString(t *testing.T) {
 	}
 }
 
+// poisson draws a Poisson variate as AppendWindow draws each class's
+// count: nothing when limit < 0 (λ <= 0), otherwise Knuth's product from
+// one Float64, which it consumes even when exp(−λ) rounds to 1.
+func poisson(rng *rand.Rand, limit float64) int {
+	if limit < 0 {
+		return 0
+	}
+	return poissonFrom(rng, rng.Float64(), limit)
+}
+
 func TestPoissonMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const lambda = 2.5

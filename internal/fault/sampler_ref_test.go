@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"slices"
@@ -9,17 +10,19 @@ import (
 	"repro/internal/stack"
 )
 
-// The reference sampler: refPlace returns each Fault by value and
-// refSortByTime swaps neighbours, the plain forms of place and sortByTime.
-// The sampler, which fills faults in place and shifts while sorting, must
-// draw the same faults from the same randomness.
+// The reference sampler: refPoisson runs Knuth's product from 1,
+// refPlace draws every integer with rand.Intn and returns each Fault by
+// value, and refSortByTime swaps neighbours, the plain forms of the
+// sampler's inline zero-count test, per-range moduli, in-place placement
+// and shifting sort. The sampler must draw the same faults from the same
+// randomness.
 
-// refAppendWindow is AppendWindow with fresh thresholds, by-value
-// placement and a swapping sort.
+// refAppendWindow is AppendWindow with fresh thresholds, rand.Intn
+// draws, by-value placement and a swapping sort.
 func refAppendWindow(s *Sampler, rng *rand.Rand, start, span float64, dst []Fault) []Fault {
 	base := len(dst)
 	for _, d := range s.draws[:s.nDraws] {
-		for n := poisson(rng, knuthLimit(d.perHour*span*d.dies)); n > 0; n-- {
+		for n := refPoisson(rng, d.perHour*span*d.dies); n > 0; n-- {
 			var f Fault
 			switch {
 			case d.class != DataTSV:
@@ -37,7 +40,25 @@ func refAppendWindow(s *Sampler, rng *rand.Rand, start, span float64, dst []Faul
 	return dst
 }
 
-// refPlace is place returning the fault by value.
+// refPoisson is Knuth's method for a Poisson(λ) draw: multiply uniforms
+// from 1 until the product is at most exp(−λ). It draws nothing for
+// λ <= 0.
+func refPoisson(rng *rand.Rand, lambda float64) int {
+	if lambda <= 0 {
+		return 0
+	}
+	limit := math.Exp(-lambda)
+	k := 0
+	for p := 1.0; ; k++ {
+		p *= rng.Float64()
+		if p <= limit {
+			return k
+		}
+	}
+}
+
+// refPlace is place drawing through rand.Intn and returning the fault by
+// value.
 func refPlace(s *Sampler, rng *rand.Rand, c Class, p Persistence) Fault {
 	cfg := s.cfg
 	stk := rng.Intn(cfg.Stacks)
@@ -62,10 +83,10 @@ func refPlace(s *Sampler, rng *rand.Rand, c Class, p Persistence) Fault {
 		reg.Col = MaskPattern(^uint32(63), start)
 	case Column:
 		reg.Col = ExactPattern(uint32(rng.Intn(int(rowBits))))
-		reg.Row = s.subArrayRows(rng)
+		reg.Row = refSubArrayRows(s, rng)
 	case Row:
 	case SubArray:
-		reg.Row = s.subArrayRows(rng)
+		reg.Row = refSubArrayRows(s, rng)
 	case Bank:
 		reg.Row = AllPattern()
 	case DataTSV:
@@ -76,13 +97,27 @@ func refPlace(s *Sampler, rng *rand.Rand, c Class, p Persistence) Fault {
 	case AddrTSV:
 		f.TSV = rng.Intn(cfg.AddrTSVs)
 		reg.Bank = AllPattern()
-		rowAddrBits := bitsFor(cfg.RowsPerBank)
+		rowAddrBits := 0
+		for 1<<uint(rowAddrBits) < cfg.RowsPerBank {
+			rowAddrBits++
+		}
 		k := uint(rng.Intn(rowAddrBits))
 		v := uint32(rng.Intn(2)) << k
 		reg.Row = MaskPattern(1<<k, v)
 	}
 	f.Region = reg
 	return f
+}
+
+// refSubArrayRows is subArrayRows drawing the sub-array through
+// rand.Intn.
+func refSubArrayRows(s *Sampler, rng *rand.Rand) Pattern {
+	n := s.rates.SubArrayRows
+	if n <= 0 || n >= s.cfg.RowsPerBank {
+		return AllPattern()
+	}
+	start := uint32(rng.Intn(s.cfg.RowsPerBank/n)) * uint32(n)
+	return RangePattern(start, start+uint32(n))
 }
 
 // refSortByTime is the swapping insertion sort.
@@ -117,23 +152,25 @@ func scaleClassRates(r Rates, k float64) Rates {
 // TestSamplerMatchesReference draws, for each of 10,000 seeds per rate
 // set, a whole lifetime and then one suffix window from each of its
 // arrival times, as multilevel splitting does (internal/rare), with the
-// sampler and with the by-value reference from identically seeded RNGs.
-// The faults must be equal, prefix included, and so must the RNG's next
-// value, which differs if a draw consumed different randomness.
+// sampler and with the reference from identically seeded RNGs. The
+// faults must be equal, prefix included, and so must the RNG's next
+// value, which differs if a draw consumed different randomness. The last
+// rate set runs on oddConfig, whose ranges are not powers of two.
 func TestSamplerMatchesReference(t *testing.T) {
 	const seeds = 10000
-	cfg := stack.DefaultConfig()
 	for _, tc := range []struct {
 		name  string
+		cfg   stack.Config
 		rates Rates
 	}{
-		{"table1", Table1()},
-		{"table1+tsv1430", Table1().WithTSV(1430)},
-		{"20xtable1", scaleClassRates(Table1(), 20)},
-		{"zero", Rates{}},
+		{"table1", stack.DefaultConfig(), Table1()},
+		{"table1+tsv1430", stack.DefaultConfig(), Table1().WithTSV(1430)},
+		{"20xtable1", stack.DefaultConfig(), scaleClassRates(Table1(), 20)},
+		{"zero", stack.DefaultConfig(), Rates{}},
+		{"odd-geometry/20xtable1+tsv1430", oddConfig(), scaleClassRates(Table1(), 20).WithTSV(1430)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSampler(cfg, tc.rates)
+			s := NewSampler(tc.cfg, tc.rates)
 			gotRNG, wantRNG := rand.New(&pcgSource{}), rand.New(&pcgSource{})
 			var got, want, lifetime []Fault
 			faults, multi := 0, 0

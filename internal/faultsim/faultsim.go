@@ -509,8 +509,8 @@ func (ts *trialState) reset() {
 // one fault (e.g. escalating a bank) can spare co-resident faults too.
 func (ts *trialState) doScrub() {
 	ts.scrubs++
-	for _, f := range ts.liveTrans {
-		ts.inc.Remove(f)
+	for i := range ts.liveTrans {
+		ts.inc.Remove(ts.liveTrans[i])
 	}
 	ts.liveTrans = ts.liveTrans[:0]
 	if ts.sparer == nil {
@@ -535,12 +535,13 @@ func (ts *trialState) doScrub() {
 				drop[i] = true
 			}
 			kept := ts.livePerm[:0]
-			for j, f := range ts.livePerm {
+			for j := range ts.livePerm {
+				f := &ts.livePerm[j]
 				if drop[j] {
-					ts.inc.Remove(f)
+					ts.inc.Remove(*f)
 					continue
 				}
-				kept = append(kept, f)
+				kept = append(kept, *f)
 			}
 			ts.livePerm = kept
 			changed = true
@@ -572,29 +573,30 @@ func (ts *trialState) liveFaults() []fault.Fault {
 // past the arrival it stops at.
 func (ts *trialState) advance(faults []fault.Fault, level int) (idx int, bad bool) {
 	ts.reset()
-	for i, f := range faults {
+	for i := range faults {
+		f := &faults[i]
 		scrubIdx := int(f.Hours / ts.scrub)
 		if scrubIdx > ts.lastScrub {
 			ts.doScrub()
 			ts.lastScrub = scrubIdx
 		}
 		if ts.swapper != nil && f.Class.IsTSV() {
-			if _, repaired := ts.swapper.Apply(f); repaired {
+			if _, repaired := ts.swapper.Apply(*f); repaired {
 				continue
 			}
 			ts.tsvUnrepaired++
 		}
 		if f.Persistence == fault.Permanent {
-			ts.livePerm = append(ts.livePerm, f)
+			ts.livePerm = append(ts.livePerm, *f)
 		} else {
-			ts.liveTrans = append(ts.liveTrans, f)
+			ts.liveTrans = append(ts.liveTrans, *f)
 		}
 		if len(ts.livePerm)+len(ts.liveTrans) == level {
 			return i, false
 		}
-		bad = ts.inc.Add(f)
+		bad = ts.inc.Add(*f)
 		if ts.obs != nil {
-			ts.obs.Arrival(f, bad)
+			ts.obs.Arrival(*f, bad)
 		}
 		if bad {
 			return i, true

@@ -12,9 +12,9 @@ import (
 )
 
 // terminalLine matches the log lines a job's move to a terminal state
-// writes: done, failed or cancelled at the end of a run, and cancelled
-// while queued. Each is logged with no orchestrator lock held.
-var terminalLine = regexp.MustCompile(`^jobs: job=(\S+) (key=\S+ (done|failed|cancelled)|cancelled while queued)`)
+// writes: done, failed or cancelled. Each is logged with no orchestrator
+// lock held.
+var terminalLine = regexp.MustCompile(`^jobs: job=(\S+) key=\S+ (done|failed|cancelled)`)
 
 // TestTerminalStatusReplaysTerminalFrame: once a status read sees a
 // terminal state, a client that subscribes to the job's stream must be

@@ -68,8 +68,9 @@ func init() {
 
 // cerberusPredicate applies the on-die correction/miscorrection transform
 // and evaluates the rank-level symbol code on the result. Predicates are
-// shared across engine workers, so the transform builds a fresh slice per
-// call instead of keeping scratch state.
+// shared across engine workers, so the batch Uncorrectable builds a fresh
+// slice per call; the engine evaluates through Begin's per-worker state,
+// which reuses its buffers.
 type cerberusPredicate struct {
 	inner    *ecc.Symbol8
 	wordBits uint32
@@ -79,16 +80,33 @@ type cerberusPredicate struct {
 func (c *cerberusPredicate) Name() string { return cerberusSchemeName }
 
 func (c *cerberusPredicate) Uncorrectable(live []fault.Fault) bool {
-	out := make([]fault.Fault, 0, len(live))
+	out := c.transform(live, make([]fault.Fault, 0, len(live)))
+	if len(out) == 0 {
+		return false
+	}
+	return c.inner.Uncorrectable(out)
+}
+
+// Begin implements ecc.IncrementalPredicate with a state that allocates
+// nothing once its buffers have grown.
+func (c *cerberusPredicate) Begin() ecc.IncrementalState {
+	return &cerberusState{c: c, inner: c.inner.Begin()}
+}
+
+// transform appends to dst the rank-level damage of the live set after
+// the on-die decoder: lone bit faults dropped, bit faults that share a
+// codeword escalated to Word-class damage over it, every other fault
+// unchanged.
+func (c *cerberusPredicate) transform(live, dst []fault.Fault) []fault.Fault {
 	for i := range live {
-		f := live[i]
+		f := &live[i]
 		if f.Class != fault.Bit {
-			out = append(out, f)
+			dst = append(dst, *f)
 			continue
 		}
 		start, ok := c.codewordStart(f.Region.Col)
 		if !ok {
-			out = append(out, f) // unlocatable bit column; be conservative
+			dst = append(dst, *f) // unlocatable bit column; be conservative
 			continue
 		}
 		if !c.sharesCodeword(live, i, start) {
@@ -96,15 +114,58 @@ func (c *cerberusPredicate) Uncorrectable(live []fault.Fault) bool {
 		}
 		// Worst-case miscorrection: the decoder corrupts its whole
 		// codeword. Escalate to Word-class damage over the window.
-		g := f
+		dst = append(dst, *f)
+		g := &dst[len(dst)-1]
 		g.Class = fault.Word
 		g.Region.Col = fault.MaskPattern(^(c.wordBits - 1), start)
-		out = append(out, g)
 	}
-	if len(out) == 0 {
-		return false
+	return dst
+}
+
+// cerberusState is the per-worker incremental state. A change to one bit
+// fault can absorb or escalate another, so after each change it
+// transforms the whole live multiset again and replays the result into
+// the symbol code's own incremental state, which then holds exactly the
+// batch verdict on the transformed set.
+type cerberusState struct {
+	c     *cerberusPredicate
+	live  []fault.Fault
+	out   []fault.Fault
+	inner ecc.IncrementalState
+}
+
+func (s *cerberusState) Add(f fault.Fault) bool {
+	s.live = append(s.live, f)
+	return s.eval()
+}
+
+// Remove deletes one fault equal to f, keeping the others in order, and
+// ignores an absent one.
+func (s *cerberusState) Remove(f fault.Fault) bool {
+	for i := range s.live {
+		if s.live[i] == f {
+			s.live = append(s.live[:i], s.live[i+1:]...)
+			return s.eval()
+		}
 	}
-	return c.inner.Uncorrectable(out)
+	return s.inner.Uncorrectable()
+}
+
+func (s *cerberusState) Reset() {
+	s.live = s.live[:0]
+	s.inner.Reset()
+}
+
+func (s *cerberusState) Uncorrectable() bool { return s.inner.Uncorrectable() }
+
+// eval replays the transformed live set into the inner state.
+func (s *cerberusState) eval() bool {
+	s.out = s.c.transform(s.live, s.out[:0])
+	s.inner.Reset()
+	for i := range s.out {
+		s.inner.Add(s.out[i])
+	}
+	return s.inner.Uncorrectable()
 }
 
 // codewordStart returns the aligned start column of the on-die codeword
