@@ -98,7 +98,10 @@ determinism:
 # the decoder, which must not panic or report a wrong decode as a
 # success, and FuzzErasurePositions feeds it arbitrary erasure lists;
 # FuzzIncrementalMatchesBatch checks the incremental ECC verdict against
-# the batch oracle over a fuzzed add/remove schedule.
+# the batch oracle over a fuzzed add/remove schedule, and
+# FuzzSwapperMatchesReference checks TSV-SWAP's constant-time repair
+# against the map-based reference over fuzzed arrival sequences, repeated
+# and stray TSVs and channels outside the geometry included.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
@@ -112,6 +115,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzDecodeNeverPanicsOrLies$$' -fuzztime 10s ./internal/reedsolomon/
 	$(GO) test -run xxx -fuzz '^FuzzErasurePositions$$' -fuzztime 10s ./internal/reedsolomon/
 	$(GO) test -run xxx -fuzz '^FuzzIncrementalMatchesBatch$$' -fuzztime 10s ./internal/ecc/
+	$(GO) test -run xxx -fuzz '^FuzzSwapperMatchesReference$$' -fuzztime 10s ./internal/tsv/
 
 # The repository benchmark is its own module (benchmark/go.mod replaces
 # repro with ../), so the root `go build ./...` and `go test ./...` never
@@ -130,15 +134,16 @@ scenario-smoke:
 	$(GO) test -race -run 'TestRowhammerEndToEnd' -count=1 ./internal/scenario/
 
 # Engine performance gate: the Monte Carlo trial-loop microbenchmarks
-# (incremental vs batch evaluation, back-to-back short campaigns, whose
-# tails a single long run hides, the TSV-SWAP and sparing layers, the
-# footprint algebra and fault sampling, CRC variants, and the Figure-4
+# (incremental vs batch evaluation, back-to-back Citadel and multi-fault
+# campaigns in the shapes of the repo benchmark's two engine workloads,
+# whose tails a single long run hides, the TSV-SWAP and sparing layers,
+# the footprint algebra and fault sampling, CRC variants, and the Figure-4
 # striping study) funneled through cmd/benchjson
 # into a benchstat-compatible JSON report.
 # `jq -r '.raw[]' BENCH_faultsim.json | benchstat /dev/stdin` renders it;
 # keep two reports around to benchstat before/after a change.
 bench.out:
-	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd|BenchmarkShortCampaigns' \
+	$(GO) test -run xxx -bench 'BenchmarkTrials|BenchmarkTrialStateRun|BenchmarkParityStateAdd|BenchmarkShortCampaigns|BenchmarkCitadelCampaigns' \
 		-benchmem ./internal/faultsim/ > bench.out
 	$(GO) test -run xxx -bench 'BenchmarkSwapperApply|BenchmarkDDSOffer' -benchmem \
 		./internal/tsv/ ./internal/sparing/ >> bench.out

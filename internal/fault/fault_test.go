@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -454,5 +455,28 @@ func TestScalePerDoubling(t *testing.T) {
 	// Zero doublings is the identity.
 	if ScalePerDoubling(r, 0) != r {
 		t.Error("zero doublings changed rates")
+	}
+}
+
+// TestSortByTimeStable checks sortByTime against sort.SliceStable on
+// windows of every shape: empty, one fault, the handful a realistic
+// lifetime draws, and hundreds. Hours are drawn from a few values so that
+// ties are common: faults with equal Hours must keep their draw order.
+func TestSortByTimeStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 3, 5, 9, 40, 300} {
+		for rep := 0; rep < 50; rep++ {
+			fs := make([]Fault, n)
+			for i := range fs {
+				fs[i].TSV = i // the draw order
+				fs[i].Hours = float64(rng.Intn(n/4 + 2))
+			}
+			want := slices.Clone(fs)
+			sort.SliceStable(want, func(a, b int) bool { return want[a].Hours < want[b].Hours })
+			sortByTime(fs)
+			if !slices.Equal(fs, want) {
+				t.Fatalf("%d faults: sortByTime gave %v, sort.SliceStable %v", n, fs, want)
+			}
+		}
 	}
 }

@@ -69,6 +69,29 @@ func BenchmarkShortCampaigns(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 }
 
+// BenchmarkCitadelCampaigns runs back-to-back 40,000-trial campaigns of
+// Citadel (TSV-SWAP, 3DP and DDS) at Table I rates with 1430 FIT/die of
+// TSV faults on every CPU, the shape of the repo benchmark's
+// engine-citadel workload, as BenchmarkShortCampaigns is
+// engine-multifault's. b.N counts trials.
+func BenchmarkCitadelCampaigns(b *testing.B) {
+	const campaign = 40000
+	opt := Options{
+		Config:  stack.DefaultConfig(),
+		Rates:   fault.Table1().WithTSV(1430),
+		Workers: runtime.GOMAXPROCS(0),
+	}
+	pol := benchPolicy(opt.Config)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; done += campaign {
+		opt.Trials = min(campaign, b.N-done)
+		opt.Seed = int64(done)
+		RunContext(context.Background(), opt, pol)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
+}
+
 // BenchmarkTrialStateRun isolates the trial loop from sampling: replay a
 // fixed multi-fault lifetime through ts.run.
 func BenchmarkTrialStateRun(b *testing.B) {

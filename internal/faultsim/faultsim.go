@@ -437,24 +437,32 @@ func (r Result) String() string {
 // loop performs no heap allocation (for predicates whose incremental state
 // allocates nothing).
 type trialState struct {
-	cfg       stack.Config
-	pol       Policy
-	scrub     float64
-	swapper   *tsv.Swapper
-	sparer    Sparer
-	livePerm  []fault.Fault
-	liveTrans []fault.Fault
-	lastScrub int
-	scratch   []fault.Fault
+	scrub   float64
+	swapper *tsv.Swapper
+	sparer  Sparer
+	// resetSparer restores the sparer to its built state: its own Reset
+	// when it has one (DDS does), otherwise a rebuild. It is looked up
+	// once, when the worker's state is built.
+	resetSparer func()
+	livePerm    []fault.Fault
+	liveTrans   []fault.Fault
+	lastScrub   int
+	scratch     []fault.Fault
 	// inc maintains the correctability verdict (ecc.Begin). It mirrors
 	// livePerm+liveTrans exactly: every append pairs with inc.Add, every
 	// drop with inc.Remove.
 	inc ecc.IncrementalState
+	// dirty records that a fault entered the live set since the last
+	// reset. Only such a trial can have changed the sparer (offers come
+	// from the live set), inc or the live slices, so only after one does
+	// reset restore them; a trial whose faults were all TSV faults that
+	// TSV-SWAP repaired leaves them as built.
+	dirty bool
 	// dropScratch is doScrub's reusable drop-mark buffer (was a per-offer
 	// map allocation).
 	dropScratch []bool
-	// scrubs counts doScrub invocations across every trial run on this
-	// state; workers flush it into the run's progress counters.
+	// scrubs counts scrub passes across every trial run on this state;
+	// workers flush it into the run's progress counters.
 	scrubs int64
 	// tsvUnrepaired counts, within the current trial, TSV faults the
 	// swapper saw but could not repair (stand-by budget overflow) — a
@@ -466,49 +474,54 @@ type trialState struct {
 }
 
 func newTrialState(cfg stack.Config, pol Policy, scrub float64) *trialState {
-	ts := &trialState{cfg: cfg, pol: pol, scrub: scrub, inc: ecc.Begin(pol.Predicate)}
+	ts := &trialState{scrub: scrub, inc: ecc.Begin(pol.Predicate)}
+	if pol.UseTSVSwap {
+		if pol.TSVStandbyPool > 0 {
+			ts.swapper = tsv.NewSwapperWithPool(cfg, pol.TSVStandbyPool)
+		} else {
+			ts.swapper = tsv.NewSwapper(cfg)
+		}
+	}
+	if pol.NewSparer != nil {
+		ts.sparer = pol.NewSparer(cfg)
+		if r, ok := ts.sparer.(interface{ Reset() }); ok {
+			ts.resetSparer = r.Reset
+		} else {
+			ts.resetSparer = func() { ts.sparer = pol.NewSparer(cfg) }
+		}
+	}
 	if pol.NewObserver != nil {
 		ts.obs = pol.NewObserver(cfg)
 	}
-	ts.reset()
 	return ts
 }
 
+// reset readies the state for the next trial. The swapper lists the
+// channels a trial faulted, so its reset is free after a trial that
+// faulted none; the sparer, inc and the live slices are reset only when
+// the trial dirtied them.
 func (ts *trialState) reset() {
-	if ts.pol.UseTSVSwap {
-		if ts.swapper != nil {
-			ts.swapper.Reset()
-		} else if ts.pol.TSVStandbyPool > 0 {
-			ts.swapper = tsv.NewSwapperWithPool(ts.cfg, ts.pol.TSVStandbyPool)
-		} else {
-			ts.swapper = tsv.NewSwapper(ts.cfg)
-		}
-	} else {
-		ts.swapper = nil
+	if ts.swapper != nil {
+		ts.swapper.Reset()
 	}
-	if ts.pol.NewSparer != nil {
-		// Reuse the sparer when it supports resetting (DDS does);
-		// otherwise rebuild per trial as before.
-		if r, ok := ts.sparer.(interface{ Reset() }); ok {
-			r.Reset()
-		} else {
-			ts.sparer = ts.pol.NewSparer(ts.cfg)
-		}
-	} else {
-		ts.sparer = nil
+	ts.lastScrub = 0
+	ts.tsvUnrepaired = 0
+	if !ts.dirty {
+		return
+	}
+	ts.dirty = false
+	if ts.resetSparer != nil {
+		ts.resetSparer()
 	}
 	ts.inc.Reset()
 	ts.livePerm = ts.livePerm[:0]
 	ts.liveTrans = ts.liveTrans[:0]
-	ts.lastScrub = 0
-	ts.tsvUnrepaired = 0
 }
 
 // doScrub clears correctable transients and offers permanent faults to the
 // sparer. Offers repeat until a full pass spares nothing, because sparing
 // one fault (e.g. escalating a bank) can spare co-resident faults too.
 func (ts *trialState) doScrub() {
-	ts.scrubs++
 	for i := range ts.liveTrans {
 		ts.inc.Remove(ts.liveTrans[i])
 	}
@@ -534,16 +547,20 @@ func (ts *trialState) doScrub() {
 			if spared {
 				drop[i] = true
 			}
-			kept := ts.livePerm[:0]
+			// Compact in place; the faults before the first drop stay
+			// where they are.
+			k := 0
 			for j := range ts.livePerm {
-				f := &ts.livePerm[j]
 				if drop[j] {
-					ts.inc.Remove(*f)
+					ts.inc.Remove(ts.livePerm[j])
 					continue
 				}
-				kept = append(kept, *f)
+				if k != j {
+					ts.livePerm[k] = ts.livePerm[j]
+				}
+				k++
 			}
-			ts.livePerm = kept
+			ts.livePerm = ts.livePerm[:k]
 			changed = true
 			break // indices shifted; rescan
 		}
@@ -577,7 +594,11 @@ func (ts *trialState) advance(faults []fault.Fault, level int) (idx int, bad boo
 		f := &faults[i]
 		scrubIdx := int(f.Hours / ts.scrub)
 		if scrubIdx > ts.lastScrub {
-			ts.doScrub()
+			// A pass over an empty live set has nothing to clear or offer.
+			ts.scrubs++
+			if len(ts.livePerm)+len(ts.liveTrans) > 0 {
+				ts.doScrub()
+			}
 			ts.lastScrub = scrubIdx
 		}
 		if ts.swapper != nil && f.Class.IsTSV() {
@@ -586,6 +607,7 @@ func (ts *trialState) advance(faults []fault.Fault, level int) (idx int, bad boo
 			}
 			ts.tsvUnrepaired++
 		}
+		ts.dirty = true
 		if f.Persistence == fault.Permanent {
 			ts.livePerm = append(ts.livePerm, *f)
 		} else {

@@ -315,6 +315,51 @@ func TestScrubClearsTransients(t *testing.T) {
 	}
 }
 
+// TestResetClearsTransientOnlyTrial: a trial that ends with transient
+// faults still live dirties the state as much as one with permanent
+// faults, and a TSV-only trial after it must not hide that from the next
+// reset. Two transient bank faults in one scrub interval fail 3DP, so a
+// leftover bank fault would fail the third trial, which a fresh state
+// survives.
+func TestResetClearsTransientOnlyTrial(t *testing.T) {
+	cfg := stack.DefaultConfig()
+	pol := Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP), UseTSVSwap: true, NewSparer: ddsSparer}
+	bank := func(die, bank uint32, hours float64) fault.Fault {
+		return fault.Fault{
+			Class:       fault.Bank,
+			Persistence: fault.Transient,
+			Hours:       hours,
+			Region: fault.Region{
+				Stack: 0,
+				Die:   fault.ExactPattern(die),
+				Bank:  fault.ExactPattern(bank),
+				Row:   fault.AllPattern(),
+				Col:   fault.AllPattern(),
+			},
+		}
+	}
+	tsvOnly := fault.Fault{
+		Class:       fault.DataTSV,
+		Persistence: fault.Permanent,
+		Hours:       1,
+		TSV:         5,
+		Region: fault.Region{
+			Stack: 1,
+			Die:   fault.ExactPattern(2),
+			Bank:  fault.AllPattern(),
+			Row:   fault.AllPattern(),
+			Col:   fault.MaskPattern(uint32(cfg.DataTSVs-1), 5),
+		},
+	}
+	ts := newTrialState(cfg, pol, DefaultScrubIntervalHours)
+	for i, fs := range [][]fault.Fault{{bank(0, 0, 1)}, {tsvOnly}, {bank(1, 1, 2)}} {
+		want, _ := newTrialState(cfg, pol, DefaultScrubIntervalHours).run(fs)
+		if got, _ := ts.run(fs); got != want {
+			t.Fatalf("trial %d: reused state fails at %v, a fresh one at %v", i, got, want)
+		}
+	}
+}
+
 func TestPermanentFaultsPersistAcrossScrubs(t *testing.T) {
 	cfg := stack.DefaultConfig()
 	pol := Policy{Predicate: ecc.NewParity(cfg, parity.ThreeDP)}

@@ -2,9 +2,11 @@ package faultsim
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ecc"
@@ -266,5 +268,94 @@ func TestMetricsScrapeDuringCensusRace(t *testing.T) {
 	<-scraped
 	if c.Trials != opt.Trials {
 		t.Fatalf("census completed %d trials, want %d", c.Trials, opt.Trials)
+	}
+}
+
+// TestLazyResetMatchesFreshState checks the trial loop's lazy reset: a
+// reused trialState restores its sparer, correctability state and live
+// set only after a trial that put a fault into the live set, and skips
+// the scrub pass over an empty live set while still counting it. The run
+// mixes TSV-only lifetimes, which TSV-SWAP repairs and which leave the
+// state as built, with lifetimes whose sparing offers DDS rejects for want
+// of spare banks, so a reject count or a spared bank that outlived its
+// trial would show in a later failure's reasons. Every trial through the
+// reused state must match the same trial through a freshly built one, and
+// the forensic run must give the Breakdown, failures, reject reasons and
+// scrub tally that a reset before every trial gave (pinned below), with
+// each exemplar replaying exactly.
+func TestLazyResetMatchesFreshState(t *testing.T) {
+	opt := testOptions(8000, 8, 14300)
+	opt.Seed = 77
+	opt.Workers = 2
+	opt.Forensics = true
+	opt.MaxExemplars = 200
+	pol := citadelPolicy()
+	res := RunContext(context.Background(), opt, pol)
+
+	wantBreakdown := map[string]int{
+		"addr-tsv": 10, "bank*2": 5, "bank+data-tsv": 1, "column+bank": 2, "data-tsv": 160, "subarray+bank": 2,
+	}
+	if res.Failures != 180 || !reflect.DeepEqual(res.Breakdown, wantBreakdown) {
+		t.Fatalf("%d failures, Breakdown %v; want 180 and %v", res.Failures, res.Breakdown, wantBreakdown)
+	}
+	// Spare banks exhausted in these failing trials, with this many
+	// rejected offers each.
+	wantRejects := map[int]int{338: 12, 1904: 3, 3395: 12, 3817: 2, 3942: 2, 4144: 3, 4784: 5, 6377: 9, 7768: 2}
+	gotRejects := map[int]int{}
+	for _, ex := range res.Exemplars {
+		for _, r := range ex.Reasons {
+			if r.Code == ecc.ReasonDDSBankSpares || r.Code == ecc.ReasonDDSFootprint {
+				var n int
+				fmt.Sscanf(r.Detail, "%d", &n)
+				gotRejects[ex.Trial] += n
+			}
+		}
+	}
+	if !reflect.DeepEqual(gotRejects, wantRejects) {
+		t.Errorf("rejected offers by failing trial %v, want %v", gotRejects, wantRejects)
+	}
+
+	o := opt.withDefaults()
+	src := o.arrivals()
+	shared := newTrialState(o.Config, pol, o.ScrubIntervalHours)
+	var freshScrubs int64
+	var exemplars []Forensic
+	breakdown := map[string]int{}
+	tsvOnly := 0
+	for tr := 0; tr < o.Trials; tr++ {
+		fs := drawLifetime(newTrialRand(), src, o.Seed, tr, o.LifetimeHours, nil)
+		if len(fs) > 0 && !slices.ContainsFunc(fs, func(f fault.Fault) bool { return !f.Class.IsTSV() }) {
+			tsvOnly++
+		}
+		fresh := newTrialState(o.Config, pol, o.ScrubIntervalHours)
+		wantWhen, wantCause := fresh.run(fs)
+		gotWhen, gotCause := shared.run(fs)
+		freshScrubs += fresh.scrubs
+		if gotWhen != wantWhen || gotCause != wantCause {
+			t.Fatalf("trial %d: reused state fails at %v (%v), a fresh one at %v (%v)", tr, gotWhen, gotCause, wantWhen, wantCause)
+		}
+		if wantWhen < 0 {
+			continue
+		}
+		want := captureForensic(o, pol, fresh, tr, wantWhen, wantCause)
+		if got := captureForensic(o, pol, shared, tr, gotWhen, gotCause); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: reused state's record\n%+v\nfresh state's\n%+v", tr, got, want)
+		}
+		breakdown[want.Mode]++
+		exemplars = append(exemplars, want)
+	}
+	if tsvOnly < 200 {
+		t.Fatalf("only %d TSV-only lifetimes; the run no longer mixes them in", tsvOnly)
+	}
+	if shared.scrubs != freshScrubs || freshScrubs != 140524 {
+		t.Errorf("scrub passes: %d on the reused state, %d on fresh ones, want 140524", shared.scrubs, freshScrubs)
+	}
+	if !reflect.DeepEqual(res.Breakdown, breakdown) || !reflect.DeepEqual(res.Exemplars, exemplars) {
+		t.Errorf("run's Breakdown or exemplars differ from trial-by-trial fresh states:\n%v\n%v", res.Breakdown, breakdown)
+	}
+	for _, ex := range res.Exemplars {
+		if got, ok := ReplayTrial(opt, pol, ex.Trial); !ok || !reflect.DeepEqual(got, ex) {
+			t.Fatalf("trial %d replays as %+v (ok %v), want %+v", ex.Trial, got, ok, ex)
+		}
 	}
 }

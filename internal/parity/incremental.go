@@ -91,13 +91,13 @@ func (st *State) Len() int { return len(st.live) }
 
 // setInfo fills ri with r's regionInfo in place: a regionInfo is 120
 // bytes, and returning one by value costs a copy per add.
-func (an *Analyzer) setInfo(ri *regionInfo, r fault.Region) {
+func (an *Analyzer) setInfo(ri *regionInfo, r *fault.Region) {
 	dieDom := uint32(an.dieDomain)
 	banks := uint32(an.cfg.BanksPerDie)
 	dies := r.Die.CountBelow(dieDom)
 	bks := r.Bank.CountBelow(banks)
 	rows := r.Row.CountBelow(an.rowsPerBank)
-	ri.r = r
+	ri.r = *r
 	ri.u1, ri.u2, ri.u3 = dies*bks, bks*rows, dies*rows
 	ri.fd = firstValue(r.Die, dieDom)
 	ri.fb = firstValue(r.Bank, banks)
@@ -123,7 +123,7 @@ func (an *Analyzer) setInfo(ri *regionInfo, r fault.Region) {
 // interference component of r is peeled.
 func (st *State) Add(r fault.Region) bool {
 	st.live = append(st.live, regionInfo{})
-	st.an.setInfo(&st.live[len(st.live)-1], r)
+	st.an.setInfo(&st.live[len(st.live)-1], &r)
 	if st.bad {
 		return true
 	}
@@ -142,10 +142,13 @@ func (st *State) Add(r fault.Region) bool {
 // repaired or that have been scrubbed) and returns the updated verdict. A
 // correctable set stays correctable under removal (downward closure), so
 // re-evaluation happens only when the set was uncorrectable. Removing a
-// region not in the set is a no-op.
+// region not in the set is a no-op. Regions compare field by field, the
+// fields that differ most often first.
 func (st *State) Remove(r fault.Region) bool {
 	for i := range st.live {
-		if st.live[i].r == r {
+		l := &st.live[i].r
+		if l.Row == r.Row && l.Col == r.Col && l.Bank == r.Bank &&
+			l.Die == r.Die && l.Stack == r.Stack {
 			last := len(st.live) - 1
 			st.live[i] = st.live[last]
 			st.live = st.live[:last]
@@ -169,7 +172,7 @@ func (st *State) evalFull() bool {
 // interferes reports whether a's and b's group projections intersect in
 // some enabled dimension. This is a superset of "blockedPieces non-empty in
 // either direction", which is what component decomposition requires.
-func (st *State) interferes(a, b fault.Region) bool {
+func (st *State) interferes(a, b *fault.Region) bool {
 	if a.Stack != b.Stack {
 		return false
 	}
@@ -202,9 +205,9 @@ func (st *State) componentOf(idx int) {
 	st.comp = append(st.comp, idx)
 	st.inComp[idx] = true
 	for qi := 0; qi < len(st.comp); qi++ {
-		a := st.live[st.comp[qi]].r
+		a := &st.live[st.comp[qi]].r
 		for j := range st.live {
-			if !st.inComp[j] && st.interferes(a, st.live[j].r) {
+			if !st.inComp[j] && st.interferes(a, &st.live[j].r) {
 				st.inComp[j] = true
 				st.comp = append(st.comp, j)
 			}
@@ -251,7 +254,7 @@ func (st *State) peel(indices []int) bool {
 // lists into reused buffers. The fault's pair with itself is skipped in
 // each dimension of its selfClear, where it adds no piece.
 func (st *State) lostIn(indices []int, k int) bool {
-	a := st.live[indices[k]].r
+	a := &st.live[indices[k]].r
 	self := st.live[indices[k]].selfClear
 	dims := st.an.dimList
 	if len(dims) == 0 {
@@ -304,10 +307,10 @@ func (st *State) anyCombRec(i, n int, acc fault.Region) bool {
 
 // appendBlockedPieces is blockedPieces writing into dst, with the unit
 // counts and unit coordinates taken from b's cached regionInfo.
-func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Region, b *regionInfo) []fault.Region {
+func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a *fault.Region, b *regionInfo) []fault.Region {
 	switch d {
 	case Dim1:
-		base := a
+		base := *a
 		var ok bool
 		if base.Row, ok = a.Row.Intersect(b.r.Row); !ok {
 			return dst
@@ -320,7 +323,7 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 		}
 		return an.appendSplitNotUnit(dst, base, b.fd, b.fb)
 	case Dim2:
-		base := a
+		base := *a
 		var ok bool
 		if base.Die, ok = a.Die.Intersect(b.r.Die); !ok {
 			return dst
@@ -333,7 +336,7 @@ func (an *Analyzer) appendBlockedPieces(dst []fault.Region, d Dim, a fault.Regio
 		}
 		return an.appendSplitNotBankRow(dst, base, b.fb, b.fr)
 	case Dim3:
-		base := a
+		base := *a
 		var ok bool
 		if base.Bank, ok = a.Bank.Intersect(b.r.Bank); !ok {
 			return dst

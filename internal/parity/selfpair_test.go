@@ -87,9 +87,9 @@ func TestSelfPairSkip(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		r := random()
 		var ri regionInfo
-		an.setInfo(&ri, r)
+		an.setInfo(&ri, &r)
 		for _, d := range []Dim{Dim1, Dim2, Dim3} {
-			pieces := an.appendBlockedPieces(nil, d, r, &ri)
+			pieces := an.appendBlockedPieces(nil, d, &r, &ri)
 			if ri.selfClear&Dims(d) != 0 {
 				flagged++
 				if len(pieces) != 0 {
@@ -154,7 +154,7 @@ func TestSelfPairSkipOnSampledFaults(t *testing.T) {
 			for _, f := range faults {
 				seen[f.Class]++
 				var ri regionInfo
-				an.setInfo(&ri, f.Region)
+				an.setInfo(&ri, &f.Region)
 				for _, d := range []Dim{Dim1, Dim2, Dim3} {
 					if clear, one := ri.selfClear&Dims(d) != 0, unitCount(&ri, d) == 1; clear != one {
 						t.Fatalf("%s %v dim %d: selfClear %v with %d units\nregion %+v",

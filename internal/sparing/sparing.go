@@ -142,7 +142,7 @@ func (d *DDS) BankSpared(stackIdx, die, bank int) bool {
 
 // singleBank extracts the (die, bank) a footprint is confined to, if any.
 // A footprint on a stack outside the geometry is confined to no bank.
-func (d *DDS) singleBank(r fault.Region) (die, bank int, ok bool) {
+func (d *DDS) singleBank(r *fault.Region) (die, bank int, ok bool) {
 	dies := uint32(d.cfg.DataDies + d.cfg.ECCDies)
 	banks := uint32(d.cfg.BanksPerDie)
 	if r.Stack < 0 || r.Stack >= d.cfg.Stacks ||
@@ -167,7 +167,7 @@ func (d *DDS) singleBank(r fault.Region) (die, bank int, ok bool) {
 // The returned sparedLive slice is backed by internal scratch and only
 // valid until the next Offer call; callers must consume it immediately.
 func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedLive []int) {
-	die, bank, ok := d.singleBank(f.Region)
+	die, bank, ok := d.singleBank(&f.Region)
 	if !ok {
 		d.rejectFootprint++
 		return false, nil
@@ -194,11 +194,12 @@ func (d *DDS) Offer(f fault.Fault, live []fault.Fault) (sparedSelf bool, sparedL
 	d.brt[key.Stack] = append(d.brt[key.Stack], key)
 	// Every live fault confined to this bank rides along.
 	sparedLive = d.sparedScratch[:0]
-	for i, g := range live {
-		if g.Region.Stack != key.Stack {
+	for i := range live {
+		g := &live[i].Region
+		if g.Stack != key.Stack {
 			continue
 		}
-		gd, gb, ok := d.singleBank(g.Region)
+		gd, gb, ok := d.singleBank(g)
 		if ok && gd == key.Die && gb == key.Bank {
 			sparedLive = append(sparedLive, i)
 		}

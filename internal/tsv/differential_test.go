@@ -126,6 +126,9 @@ func (s *refSwapper) apply(f fault.Fault) (handled, repaired bool) {
 		return false, false
 	}
 	key := [2]int{f.Region.Stack, int(f.Region.Die.Val)}
+	if key[0] < 0 || key[0] >= s.cfg.Stacks || key[1] < 0 || key[1] >= s.cfg.DataDies+s.cfg.ECCDies {
+		return true, false // no such channel
+	}
 	ch := s.channels[key]
 	if ch == nil {
 		ch = newRefChannel(s.cfg, s.pool)
@@ -290,6 +293,110 @@ func TestSwapperMatchesMapReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSwapperPendingStaysPending checks the premise of Swapper's
+// constant-time rule over every organization and pool size: after each
+// Apply, no pending fault (faulty, not repaired) of any channel costs as
+// few beats as the channel has left, so no later BIST pass could repair
+// it. Arrivals repeat earlier ones and stray past the channel's TSVs.
+func TestSwapperPendingStaysPending(t *testing.T) {
+	for _, org := range stack.Organizations() {
+		for pool := 1; pool <= 8; pool++ {
+			t.Run(fmt.Sprintf("%s/pool%d", org.Name, pool), func(t *testing.T) {
+				cfg := org.Config
+				rng := rand.New(rand.NewSource(int64(200 + pool)))
+				s := NewSwapperWithPool(cfg, pool)
+				pending := 0
+				for trial := 0; trial < 200; trial++ {
+					s.Reset()
+					draw := randomTSVFault
+					if trial%2 == 1 {
+						draw = concentrated
+					}
+					var seen []fault.Fault
+					for step := rng.Intn(24); step >= 0; step-- {
+						f := draw(rng, cfg)
+						if len(seen) > 0 && rng.Intn(6) == 0 {
+							f = seen[rng.Intn(len(seen))]
+						}
+						f = stray(rng, cfg, f)
+						seen = append(seen, f)
+						s.Apply(f)
+						for _, ch := range s.channels {
+							if ch == nil {
+								continue
+							}
+							data := pendingIndices(ch.faultyData, ch.repairedData)
+							addr := pendingIndices(ch.faultyAddr, ch.repairedAddr)
+							if (len(data) > 0 && ch.dataRepairCost() <= ch.beatsFree) ||
+								(len(addr) > 0 && addrRepairCost <= ch.beatsFree) {
+								t.Fatalf("trial %d: %d beats left with data TSVs %v and address TSVs %v pending", trial, ch.beatsFree, data, addr)
+							}
+							pending += len(data) + len(addr)
+						}
+					}
+				}
+				if pending == 0 {
+					t.Fatal("no fault was ever left pending; the draws never exhaust a budget")
+				}
+			})
+		}
+	}
+}
+
+// FuzzSwapperMatchesReference drives Swapper and the map-based refSwapper
+// with one fuzzed arrival sequence. Each 5-byte record is an arrival —
+// class (data TSV, address TSV or a non-TSV pass-through), stack and die
+// one past the geometry on either side, and a TSV index in [-1, n] — or,
+// for a first byte of 0xff, a Reset of both. Apply must agree on every
+// arrival, and every channel's budget and the Reset list after it.
+func FuzzSwapperMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint8(3), []byte{0, 1, 1, 7, 0, 0, 1, 1, 7, 0, 1, 1, 1, 2, 0})
+	f.Add(uint8(1), uint8(0), []byte{0, 1, 2, 1, 0, 0, 1, 2, 2, 0, 0, 1, 2, 3, 0, 0xff, 0, 0, 0, 0, 0, 1, 2, 1, 0})
+	f.Add(uint8(2), uint8(7), []byte{1, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 255, 255, 3, 1, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, orgIdx, pool uint8, ops []byte) {
+		orgs := stack.Organizations()
+		cfg := orgs[int(orgIdx)%len(orgs)].Config
+		p := 1 + int(pool)%8
+		dies := cfg.DataDies + cfg.ECCDies
+		s := NewSwapperWithPool(cfg, p)
+		ref := &refSwapper{cfg: cfg, pool: p, channels: map[[2]int]*refChannel{}}
+		for ; len(ops) >= 5; ops = ops[5:] {
+			if ops[0] == 0xff {
+				s.Reset()
+				ref.reset()
+				continue
+			}
+			class, n := fault.DataTSV, cfg.DataTSVs
+			switch ops[0] % 4 {
+			case 1:
+				class, n = fault.AddrTSV, cfg.AddrTSVs
+			case 3:
+				class = fault.Bank
+			}
+			g := tsvFault(class, int(ops[1])%(cfg.Stacks+2)-1, int(ops[2])%(dies+2)-1,
+				(int(ops[3])|int(ops[4])<<8)%(n+2)-1)
+			gh, gr := s.Apply(g)
+			wh, wr := ref.apply(g)
+			if gh != wh || gr != wr {
+				t.Fatalf("Apply(%v s%d d%d tsv %d) = (%v, %v), reference (%v, %v)",
+					g.Class, g.Region.Stack, int32(g.Region.Die.Val), g.TSV, gh, gr, wh, wr)
+			}
+			faulted := 0
+			for key, rc := range ref.channels {
+				if got := s.channel(key[0], key[1]).BeatsFree(); got != rc.beatsFree {
+					t.Fatalf("channel %v BeatsFree = %d, reference %d", key, got, rc.beatsFree)
+				}
+				if len(rc.faultyData)+len(rc.faultyAddr) > 0 {
+					faulted++
+				}
+			}
+			if len(s.touched) != faulted {
+				t.Fatalf("%d channels listed for Reset, %d faulted", len(s.touched), faulted)
+			}
+		}
+	})
 }
 
 // TestSwapperOutsideGeometry pins the answer for a TSV fault on a channel

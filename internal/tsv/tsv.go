@@ -34,11 +34,16 @@ type Channel struct {
 
 	// Bitsets over TSV indices (bit i of word i/64). faulty marks injected
 	// faults; repaired marks the faulty TSVs BIST redirected through the
-	// TRR, so faulty &^ repaired is what still needs a lane.
+	// TRR, so faulty &^ repaired is what still needs a lane. All four
+	// share the backing array bits, so a reset is one clear.
+	bits                     []uint64
 	faultyData, repairedData []uint64
 	faultyAddr, repairedAddr []uint64
 
 	beatsFree int // remaining stand-by transfer beats
+	// listed marks a channel on its Swapper's touched list; Reset clears
+	// it.
+	listed bool
 }
 
 // NewChannel builds TSV-SWAP state for one channel with the paper's
@@ -55,14 +60,16 @@ func NewChannelWithPool(cfg stack.Config, n int) *Channel {
 	for i := range standby {
 		standby[i] = i * cfg.DataTSVs / n
 	}
-	dataWords, addrWords := words(cfg.DataTSVs), words(cfg.AddrTSVs)
+	dw, aw := words(cfg.DataTSVs), words(cfg.AddrTSVs)
+	bits := make([]uint64, 2*dw+2*aw)
 	return &Channel{
 		cfg:          cfg,
 		standby:      standby,
-		faultyData:   make([]uint64, dataWords),
-		repairedData: make([]uint64, dataWords),
-		faultyAddr:   make([]uint64, addrWords),
-		repairedAddr: make([]uint64, addrWords),
+		bits:         bits,
+		faultyData:   bits[:dw:dw],
+		repairedData: bits[dw : 2*dw : 2*dw],
+		faultyAddr:   bits[2*dw : 2*dw+aw : 2*dw+aw],
+		repairedAddr: bits[2*dw+aw:],
 		beatsFree:    n * cfg.BurstLength,
 	}
 }
@@ -78,26 +85,9 @@ func hasBit(set []uint64, i int) bool {
 // Reset restores the channel to its freshly-built state, keeping its
 // bitsets so the Monte Carlo engine can reuse channels across trials.
 func (c *Channel) Reset() {
-	clear(c.faultyData)
-	clear(c.repairedData)
-	clear(c.faultyAddr)
-	clear(c.repairedAddr)
+	clear(c.bits)
 	c.beatsFree = len(c.standby) * c.cfg.BurstLength
-}
-
-// hasFaults reports whether any TSV fault was injected since the last Reset.
-func (c *Channel) hasFaults() bool {
-	for _, w := range c.faultyData {
-		if w != 0 {
-			return true
-		}
-	}
-	for _, w := range c.faultyAddr {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
+	c.listed = false
 }
 
 // Standby returns the stand-by data TSV indices.
@@ -337,34 +327,51 @@ func (s *Swapper) Reset() {
 // runs detection/BIST, and reports whether the fault was repaired. Non-TSV
 // faults are ignored (returned as unrepaired=false, handled=false). A TSV
 // fault outside the geometry — no such channel or TSV — is handled and
-// stays unrepaired.
+// stays unrepaired. Apply only forwards the fields inject reads, so it
+// inlines.
 func (s *Swapper) Apply(f fault.Fault) (handled, repaired bool) {
-	if !f.Class.IsTSV() {
+	return s.inject(f.Class, f.Region.Stack, f.Region.Die.Val, f.TSV)
+}
+
+// inject is Detector.OnCRCMismatch's flow for one arrival (inject, then
+// BIST when the fixed rows read corrupt) in constant time. After every
+// inject no pending fault (faulty, not repaired) fits the beats left: a
+// RunBIST pass ends with nothing pending or at a fault it cannot pay for,
+// either an address fault with no beat left, so nothing fits, or a data
+// fault with fewer than BurstLength beats left once every address fault
+// is repaired. Beats only shrink, so a pending fault stays pending, and
+// the pass after an arrival repairs at most the arrival itself: a TSV
+// already faulty answers from its repaired bit, and a new fault is
+// repaired exactly when its cost fits the beats left. The argument needs
+// BurstLength >= addrRepairCost, which stack.Config.Validate ensures.
+func (s *Swapper) inject(class fault.Class, stackIdx int, die uint32, t int) (handled, repaired bool) {
+	if !class.IsTSV() {
 		return false, false
 	}
-	ch := s.channel(f.Region.Stack, int(f.Region.Die.Val))
+	ch := s.channel(stackIdx, int(die))
 	if ch == nil {
 		return true, false
 	}
-	fresh := !ch.hasFaults()
-	var err error
-	switch f.Class {
-	case fault.DataTSV:
-		err = ch.InjectDataFault(f.TSV)
-	case fault.AddrTSV:
-		err = ch.InjectAddrFault(f.TSV)
+	faulty, fixed, n, cost := ch.faultyData, ch.repairedData, ch.cfg.DataTSVs, ch.dataRepairCost()
+	if class == fault.AddrTSV {
+		faulty, fixed, n, cost = ch.faultyAddr, ch.repairedAddr, ch.cfg.AddrTSVs, addrRepairCost
 	}
-	if err != nil {
+	if t < 0 || t >= n {
 		return true, false
 	}
-	if fresh {
+	w, bit := uint(t)/64, uint64(1)<<(uint(t)%64)
+	if faulty[w]&bit != 0 {
+		return true, fixed[w]&bit != 0
+	}
+	faulty[w] |= bit
+	if !ch.listed {
+		ch.listed = true
 		s.touched = append(s.touched, ch)
 	}
-	// The detection flow of Detector.OnCRCMismatch, inlined so the hot path
-	// does not allocate a Detector per event: corrupt fixed rows implicate
-	// the TSVs and trigger BIST.
-	if ch.HasCorruptedBits() || ch.HasUnreachableAddr() {
-		ch.RunBIST()
+	if ch.beatsFree < cost {
+		return true, false
 	}
-	return true, ch.Repaired(f)
+	ch.beatsFree -= cost
+	fixed[w] |= bit
+	return true, true
 }
