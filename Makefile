@@ -98,10 +98,13 @@ determinism:
 # the decoder, which must not panic or report a wrong decode as a
 # success, and FuzzErasurePositions feeds it arbitrary erasure lists;
 # FuzzIncrementalMatchesBatch checks the incremental ECC verdict against
-# the batch oracle over a fuzzed add/remove schedule, and
+# the batch oracle over a fuzzed add/remove schedule,
 # FuzzSwapperMatchesReference checks TSV-SWAP's constant-time repair
 # against the map-based reference over fuzzed arrival sequences, repeated
-# and stray TSVs and channels outside the geometry included.
+# and stray TSVs and channels outside the geometry included, and
+# FuzzControllerTSVMatchesSwapper checks that the functional controller,
+# reading a corrupted line after each fuzzed arrival, repairs exactly the
+# TSVs that constant-time repair does.
 fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzPatternAlgebra$$' -fuzztime 10s ./internal/fault/
 	$(GO) test -run xxx -fuzz '^FuzzNextMatchMinimal$$' -fuzztime 10s ./internal/fault/
@@ -116,6 +119,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz '^FuzzErasurePositions$$' -fuzztime 10s ./internal/reedsolomon/
 	$(GO) test -run xxx -fuzz '^FuzzIncrementalMatchesBatch$$' -fuzztime 10s ./internal/ecc/
 	$(GO) test -run xxx -fuzz '^FuzzSwapperMatchesReference$$' -fuzztime 10s ./internal/tsv/
+	$(GO) test -run xxx -fuzz '^FuzzControllerTSVMatchesSwapper$$' -fuzztime 10s ./internal/core/
 
 # The repository benchmark is its own module (benchmark/go.mod replaces
 # repro with ../), so the root `go build ./...` and `go test ./...` never

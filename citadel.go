@@ -237,10 +237,10 @@ func (o ReliabilityOptions) withDefaults() ReliabilityOptions {
 		o.Rates = Table1Rates()
 	}
 	if o.Trials == 0 {
-		o.Trials = 100000
+		o.Trials = faultsim.DefaultTrials
 	}
 	if o.LifetimeYears == 0 {
-		o.LifetimeYears = 7
+		o.LifetimeYears = fault.LifetimeHours / fault.HoursPerYear
 	}
 	if o.ScrubIntervalHours == 0 {
 		o.ScrubIntervalHours = faultsim.DefaultScrubIntervalHours

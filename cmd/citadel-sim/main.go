@@ -67,6 +67,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
@@ -121,11 +122,11 @@ func main() {
 	// onto the library's options on every path.
 	var spec jobs.ReliabilitySpec
 	flag.StringVar(&spec.Scheme, "scheme", "Citadel", "protection scheme (see -list)")
-	flag.IntVar(&spec.Trials, "trials", 100000, "Monte Carlo trials")
+	flag.IntVar(&spec.Trials, "trials", faultsim.DefaultTrials, "Monte Carlo trials")
 	flag.Float64Var(&spec.TSVFIT, "tsv-fit", 0, "TSV failure rate per die (FIT)")
 	flag.BoolVar(&spec.TSVSwap, "tsvswap", false, "force TSV-SWAP on")
-	flag.Float64Var(&spec.LifetimeYears, "years", 7, "lifetime in years")
-	flag.Float64Var(&spec.ScrubHours, "scrub", 12, "scrub interval in hours")
+	flag.Float64Var(&spec.LifetimeYears, "years", fault.LifetimeHours/fault.HoursPerYear, "lifetime in years")
+	flag.Float64Var(&spec.ScrubHours, "scrub", faultsim.DefaultScrubIntervalHours, "scrub interval in hours")
 	flag.Int64Var(&spec.Seed, "seed", 1, "random seed")
 	flag.IntVar(&spec.TargetFailures, "target-failures", 0, "adaptive mode: add trials until this many failures")
 	flag.IntVar(&spec.MaxTrials, "max-trials", 0, "adaptive mode: trial cap (default 10x -trials; requires -target-failures)")
@@ -289,12 +290,17 @@ func main() {
 // to the end of the lifetime: a lifetime that is not a whole number of
 // years ends in a partial year, whose row covers the whole lifetime.
 // years is the -years flag, where 0 stands for the default lifetime. The
-// header names the lifetime, which the result line does not.
+// header names the lifetime, which the result line does not. A result
+// whose importance weights underflowed has no year table: its line says
+// it is unresolved.
 func printResult(res citadel.Result, years float64) {
 	fmt.Println(res)
 	printScenarioStats(res.ScenarioStats)
 	if res.Trials == 0 {
 		os.Exit(1)
+	}
+	if res.WeightsUnderflowed() {
+		return
 	}
 	if years == 0 {
 		years = fault.LifetimeHours / fault.HoursPerYear

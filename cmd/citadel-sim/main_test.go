@@ -82,6 +82,21 @@ func TestYearTableCoversLifetime(t *testing.T) {
 	}
 }
 
+// TestUnderflowedISPrintsNoYearTable: importance sampling at a bias large
+// enough that every failing trial's weight underflows prints the result
+// as unresolved, naming its ESS, with no interval and no year table. Bias
+// 5000 used to print "P(fail) = 0 ± 0" and bias 1000 "3.03e-287 ±
+// 3e-287", each over a year table of the same number.
+func TestUnderflowedISPrintsNoYearTable(t *testing.T) {
+	for _, bias := range []string{"1000", "5000"} {
+		out := runSim(t, "-scheme", "3DP", "-rare-event", "-bias-factor", bias, "-trials", "200")
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if len(lines) != 1 || !strings.Contains(lines[0], "P(fail) unresolved") || !strings.Contains(lines[0], "ESS 0") || strings.Contains(lines[0], "±") {
+			t.Errorf("bias %s printed %q, want one unresolved result line naming ESS 0 with no interval", bias, out)
+		}
+	}
+}
+
 // TestNegativeTrialsExitTwo: a negative -trials, -target-failures or
 // -max-trials is a usage error (exit 2), in adaptive mode too, and so is
 // a -max-trials without -target-failures, in direct and durable mode, and

@@ -1,7 +1,11 @@
 // TSV-SWAP demo: break data and address TSVs at runtime and watch the
 // controller detect the corruption through CRC-32, implicate the TSVs via
 // the fixed-row probe, and redirect traffic to stand-by TSVs — all without
-// manufacturer-provided spares (paper section V).
+// manufacturer-provided spares (paper section V). The controller runs
+// internal/tsv's TSV-SWAP, the one the Monte Carlo engine uses: four
+// stand-by TSVs give each channel 8 transfer beats, a data TSV costs 2
+// and an address TSV 1, and a channel whose budget is spent keeps its
+// faulty TSVs.
 package main
 
 import (

@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/crc"
 	"repro/internal/fault"
+	"repro/internal/sparing"
 	"repro/internal/stack"
+	"repro/internal/tsv"
 )
 
 // ErrDataLoss is returned when a line cannot be reconstructed through any
@@ -60,22 +62,24 @@ type Controller struct {
 	dim2 map[[2]int][]byte // (stack,die)      -> parity row
 	dim3 map[[2]int][]byte // (stack,bankIdx)  -> parity row
 
-	// DDS state.
+	// DDS state, with sparing.DDS's budgets: sparing.MaxSpareRowsPerBank
+	// rows per bank, then one of sparing.SpareBanks banks per stack.
 	rrt          map[rowID]int  // faulty row -> spare row index in fine bank
-	brt          map[bankID]int // faulty bank -> spare bank slot (0 or 1)
+	brt          map[bankID]int // faulty bank -> spare bank slot
 	rowsPerBank  map[bankID]int // spared-row count per bank
 	nextSpareRow map[int]int    // per-stack allocation cursor in fine bank
-	maxSpareRows int
-	spareBanks   int
 
 	stats Stats
 }
 
-// Spare-area layout within the metadata die (paper §VII-C): the last three
-// banks hold the two coarse spare banks and the fine-grained row bank.
-func (c *Controller) spareBankCoarse(slot int) int { return c.cfg.BanksPerDie - 3 + slot }
-func (c *Controller) spareBankFine() int           { return c.cfg.BanksPerDie - 1 }
-func (c *Controller) metaDie() int                 { return c.cfg.DataDies }
+// Spare-area layout within the metadata die (paper §VII-C): the last
+// sparing.SpareBanks+1 banks hold the coarse spare banks and the
+// fine-grained row bank.
+func (c *Controller) spareBankCoarse(slot int) int {
+	return c.spareBankFine() - sparing.SpareBanks + slot
+}
+func (c *Controller) spareBankFine() int { return c.cfg.BanksPerDie - 1 }
+func (c *Controller) metaDie() int       { return c.cfg.DataDies }
 
 // NewController builds a Citadel controller over a fresh stack.
 func NewController(cfg stack.Config) (*Controller, error) {
@@ -85,8 +89,8 @@ func NewController(cfg stack.Config) (*Controller, error) {
 	if cfg.ECCDies < 1 {
 		return nil, errors.New("core: Citadel needs a metadata die (ECCDies >= 1)")
 	}
-	if cfg.BanksPerDie < 4 {
-		return nil, errors.New("core: metadata die needs >= 4 banks (3 for sparing)")
+	if cfg.BanksPerDie < sparing.SpareBanks+2 {
+		return nil, fmt.Errorf("core: metadata die needs >= %d banks (%d for sparing)", sparing.SpareBanks+2, sparing.SpareBanks+1)
 	}
 	return &Controller{
 		cfg:          cfg,
@@ -99,8 +103,6 @@ func NewController(cfg stack.Config) (*Controller, error) {
 		brt:          make(map[bankID]int),
 		rowsPerBank:  make(map[bankID]int),
 		nextSpareRow: make(map[int]int),
-		maxSpareRows: 4,
-		spareBanks:   2,
 	}, nil
 }
 
@@ -203,21 +205,15 @@ func (c *Controller) Write(idx int64, data []byte) error {
 }
 
 // swapBits extracts the line bits carried by the stand-by TSVs (paper
-// Figure 6: the 8-bit "swap data" field). When TSV-SWAP redirects a
-// stand-by TSV to carry a faulty TSV's traffic, the stand-by's own bits
-// are served from this replica instead of the wire.
+// Figure 6: the 8-bit "swap data" field), the first 8 of
+// tsv.Channel.SwapDataBits, which is the same for every channel. When
+// TSV-SWAP redirects a stand-by TSV to carry a faulty TSV's traffic, the
+// stand-by's own bits are served from this replica instead of the wire.
 func (c *Controller) swapBits(data []byte) uint8 {
 	var out uint8
-	n := 4 // stand-by pool size
-	for i := 0; i < n; i++ {
-		t := i * c.cfg.DataTSVs / n
-		for beat, bit := range c.cfg.BitsOnTSV(t) {
-			if beat >= 2 {
-				break // 8 bits total: 2 beats x 4 stand-by TSVs
-			}
-			if data[bit/8]>>(uint(bit)%8)&1 == 1 {
-				out |= 1 << uint(i*2+beat)
-			}
+	for i, bit := range c.mem.channels[0].SwapDataBits() {
+		if i < metaSwapBits && data[bit/8]>>(bit%8)&1 == 1 {
+			out |= 1 << i
 		}
 	}
 	return out
@@ -306,10 +302,11 @@ func (c *Controller) Read(idx int64) ([]byte, error) {
 	}
 	c.stats.CRCMismatches++
 
-	// Step 1: TSV detection and swap (paper §V-C). The fixed-row probe is
-	// modeled by asking the stack whether unrepaired TSV faults exist on
-	// this channel; if so, BIST identifies and the TRR redirects them.
-	if c.repairTSVs(co.Stack, co.Die) {
+	// Step 1: TSV detection and swap (paper §V-C). The fixed-row probe
+	// implicates the channel's TSVs when unrepaired TSV faults exist on it;
+	// BIST then redirects what the stand-by beats pay for.
+	if _, n := tsv.NewDetector(c.mem.channel(co.Stack, co.Die)).OnCRCMismatch(); n > 0 {
+		c.stats.TSVRepairs += uint64(n)
 		raw, err = c.readResolved(co)
 		if err == nil && crc.Verify(uint64(idx), raw, md.CRC32) {
 			return raw, nil
@@ -335,34 +332,6 @@ func (c *Controller) Read(idx int64) ([]byte, error) {
 		_ = c.mem.writeAny(loc, data)
 	}
 	return data, nil
-}
-
-// repairTSVs runs BIST + TSV-SWAP for a channel; reports whether any
-// repair happened. The swap budget is the stand-by pool's transfer beats.
-func (c *Controller) repairTSVs(stk, die int) bool {
-	budget := 4 * c.cfg.BurstLength // 4 stand-by TSVs
-	repaired := false
-	for i := range c.mem.faults {
-		f := &c.mem.faults[i]
-		if !f.Class.IsTSV() || c.mem.tsvRepaired[i] {
-			continue
-		}
-		if f.Region.Stack != stk || !f.Region.Die.Contains(uint32(die)) {
-			continue
-		}
-		cost := 1
-		if f.Class == fault.DataTSV {
-			cost = c.cfg.BurstLength
-		}
-		if budget < cost {
-			continue
-		}
-		budget -= cost
-		c.mem.MarkRepaired(i)
-		c.stats.TSVRepairs++
-		repaired = true
-	}
-	return repaired
 }
 
 // reconstruct attempts recovery through each dimension in turn, returning
@@ -458,7 +427,7 @@ func (c *Controller) reconstructDim3(co stack.Coord) []byte {
 // into the metadata die's spare area and installs the recovered data.
 func (c *Controller) spare(co stack.Coord, idx int64, data []byte) {
 	b := bankID{co.Stack, co.Die, co.Bank}
-	if c.rowsPerBank[b] < c.maxSpareRows {
+	if c.rowsPerBank[b] < sparing.MaxSpareRowsPerBank {
 		// Fine-grained: remap this row.
 		spareRow := c.nextSpareRow[co.Stack]
 		c.nextSpareRow[co.Stack]++
@@ -485,7 +454,7 @@ func (c *Controller) spare(co stack.Coord, idx int64, data []byte) {
 		return
 	}
 	// Coarse-grained: escalate to a spare bank.
-	if len(c.brtForStack(co.Stack)) >= c.spareBanks {
+	if len(c.brtForStack(co.Stack)) >= sparing.SpareBanks {
 		return // spare banks exhausted
 	}
 	slot := len(c.brtForStack(co.Stack))

@@ -5,6 +5,13 @@
 // tables. It executes the paper's full read path (Figure 6): CRC check →
 // TSV probe/BIST/swap → 3DP reconstruction → DDS sparing.
 //
+// TSV-SWAP is internal/tsv's, the state and repair rule the Monte Carlo
+// engine's tsv.Swapper uses: each channel is a tsv.Channel, and a CRC
+// mismatch runs tsv.Detector's fixed-row probe and BIST on the channel
+// read. BIST runs when a read detects a fault, not when the fault
+// arrives, so when every TSV arrival is followed by a read it corrupts,
+// the controller repairs exactly the TSVs Swapper.Apply repairs.
+//
 // The model is exact but eager: 3DP reconstruction reads whole parity
 // groups, so use small geometries (see TinyConfig) for tests and examples.
 // The Monte Carlo reliability engine (internal/faultsim) uses the symbolic
@@ -17,6 +24,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/stack"
+	"repro/internal/tsv"
 )
 
 // TinyConfig returns a geometry small enough for exhaustive functional
@@ -51,42 +59,58 @@ func keyOf(co stack.Coord) lineKey {
 // corrupted data, faulty data TSVs flip their bit positions on every
 // transfer, and faulty address TSVs redirect reads of half the rows to the
 // aliased row (returning valid-looking but wrong data, which only the
-// address-seeded CRC can catch).
+// address-seeded CRC can catch), until TSV-SWAP redirects them.
 type SimStack struct {
 	cfg  stack.Config
 	data map[lineKey][]byte
 
 	faults []fault.Fault
-
-	// tsvRepaired marks repaired TSV faults by index in faults (set by the
-	// controller after TSV-SWAP) so their corruption stops.
-	tsvRepaired map[int]bool
+	// channels holds the TSV health and TSV-SWAP state of every channel,
+	// metadata dies included, at index stack*(DataDies+ECCDies)+die.
+	channels []*tsv.Channel
 }
 
 // NewSimStack builds an all-zero stack.
 func NewSimStack(cfg stack.Config) *SimStack {
-	return &SimStack{
-		cfg:         cfg,
-		data:        make(map[lineKey][]byte),
-		tsvRepaired: make(map[int]bool),
+	channels := make([]*tsv.Channel, cfg.Stacks*(cfg.DataDies+cfg.ECCDies))
+	for i := range channels {
+		channels[i] = tsv.NewChannel(cfg)
 	}
+	return &SimStack{cfg: cfg, data: make(map[lineKey][]byte), channels: channels}
+}
+
+// channel returns the TSV-SWAP state of one channel, or nil for a
+// (stack, die) outside the geometry.
+func (s *SimStack) channel(stackIdx, die int) *tsv.Channel {
+	dies := s.cfg.DataDies + s.cfg.ECCDies
+	if stackIdx < 0 || stackIdx >= s.cfg.Stacks || die < 0 || die >= dies {
+		return nil
+	}
+	return s.channels[stackIdx*dies+die]
 }
 
 // Config returns the geometry.
 func (s *SimStack) Config() stack.Config { return s.cfg }
 
-// Inject adds a fault to the physical state and returns its index, which
-// can later be marked repaired (for TSV faults).
-func (s *SimStack) Inject(f fault.Fault) int {
+// Inject adds a fault to the physical state. A TSV fault also marks its
+// TSV faulty in the channel its footprint names, (Region.Stack,
+// Region.Die.Val), the channel tsv.Swapper.Apply picks.
+func (s *SimStack) Inject(f fault.Fault) {
 	s.faults = append(s.faults, f)
-	return len(s.faults) - 1
+	if ch := s.channel(f.Region.Stack, int(f.Region.Die.Val)); ch != nil {
+		// A TSV index outside the channel marks nothing and so is never
+		// repaired, as Swapper.Apply answers for it.
+		switch f.Class {
+		case fault.DataTSV:
+			_ = ch.InjectDataFault(f.TSV)
+		case fault.AddrTSV:
+			_ = ch.InjectAddrFault(f.TSV)
+		}
+	}
 }
 
 // Faults returns the injected faults.
 func (s *SimStack) Faults() []fault.Fault { return s.faults }
-
-// MarkRepaired stops a TSV fault's corruption (TSV-SWAP redirected it).
-func (s *SimStack) MarkRepaired(idx int) { s.tsvRepaired[idx] = true }
 
 // WriteRaw stores a line without any fault effects (writes drive the cells;
 // faulty cells simply won't hold the data, which reads model).
@@ -108,14 +132,13 @@ func (s *SimStack) ReadRaw(co stack.Coord) ([]byte, error) {
 	if !s.cfg.Valid(co) {
 		return nil, fmt.Errorf("core: invalid coordinate %v", co)
 	}
+	ch := s.channel(co.Stack, co.Die)
 	// Address-TSV faults alias the row address before the array is read.
 	effective := co
 	for i := range s.faults {
 		f := &s.faults[i]
-		if f.Class != fault.AddrTSV || s.tsvRepaired[i] {
-			continue
-		}
-		if f.Region.Stack != co.Stack || !f.Region.Die.Contains(uint32(co.Die)) {
+		if f.Class != fault.AddrTSV || f.Region.Stack != co.Stack ||
+			!f.Region.Die.Contains(uint32(co.Die)) || ch.Repaired(*f) {
 			continue
 		}
 		// The broken address bit is stuck: rows in the unreachable half
@@ -158,18 +181,10 @@ func (s *SimStack) ReadRaw(co stack.Coord) ([]byte, error) {
 			}
 		}
 	}
-	// Data-TSV faults flip their bit positions on every transfer.
-	for i := range s.faults {
-		f := &s.faults[i]
-		if f.Class != fault.DataTSV || s.tsvRepaired[i] {
-			continue
-		}
-		if f.Region.Stack != co.Stack || !f.Region.Die.Contains(uint32(co.Die)) {
-			continue
-		}
-		for _, bit := range s.cfg.BitsOnTSV(f.TSV) {
-			out[bit/8] ^= 1 << (bit % 8)
-		}
+	// Faulty data TSVs not yet redirected flip their bit positions on
+	// every transfer.
+	for _, bit := range ch.CorruptedBits() {
+		out[bit/8] ^= 1 << (bit % 8)
 	}
 	return out, nil
 }
@@ -179,20 +194,13 @@ func (s *SimStack) ReadRaw(co stack.Coord) ([]byte, error) {
 // It returns the number of faults removed.
 func (s *SimStack) ClearTransientFaults() int {
 	kept := s.faults[:0]
-	repairedKept := make(map[int]bool)
-	removed := 0
-	for i, f := range s.faults {
-		if f.Persistence == fault.Transient && !f.Class.IsTSV() {
-			removed++
-			continue
+	for _, f := range s.faults {
+		if f.Persistence != fault.Transient || f.Class.IsTSV() {
+			kept = append(kept, f)
 		}
-		if s.tsvRepaired[i] {
-			repairedKept[len(kept)] = true
-		}
-		kept = append(kept, f)
 	}
+	removed := len(s.faults) - len(kept)
 	s.faults = kept
-	s.tsvRepaired = repairedKept
 	return removed
 }
 

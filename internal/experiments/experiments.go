@@ -13,6 +13,7 @@ import (
 	"time"
 
 	citadel "repro"
+	"repro/internal/faultsim"
 	"repro/internal/obs"
 	"repro/internal/workload"
 )
@@ -85,7 +86,7 @@ func (o Options) context() context.Context {
 // DefaultOptions balances fidelity and runtime (a few minutes for all
 // experiments). Increase Trials toward 10^6 for publication-grade curves.
 func DefaultOptions() Options {
-	return Options{Trials: 100000, Requests: 60000, Seed: 42}
+	return Options{Trials: faultsim.DefaultTrials, Requests: 60000, Seed: 42}
 }
 
 // All lists every experiment ID in paper order.

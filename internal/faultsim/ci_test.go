@@ -55,6 +55,30 @@ func TestResultStringNamesNoLifetime(t *testing.T) {
 	}
 }
 
+// TestUnderflowedWeightsPrintUnresolved: a weighted result with failures
+// and ESS 0 lost its weights to float underflow, so String prints no
+// estimate or interval. A 3DP run at bias 5000 used to print
+// "P(fail) = 0 ± 0" and one at bias 1000 "3.03e-287 ± 3e-287".
+func TestUnderflowedWeightsPrintUnresolved(t *testing.T) {
+	for _, r := range []Result{
+		{Policy: "3DP", Trials: 200, Failures: 200, Weighted: true},
+		{Policy: "3DP", Trials: 200, Failures: 200, Weighted: true, FailWeight: 6.06e-285},
+	} {
+		if s := r.String(); !strings.Contains(s, "P(fail) unresolved") || !strings.Contains(s, "ESS 0") || strings.Contains(s, "±") {
+			t.Errorf("String() = %q, want an unresolved result naming ESS 0 with no interval", s)
+		}
+	}
+	for _, r := range []Result{
+		{Policy: "x", Trials: 1000, Failures: 3, Weighted: true, FailWeight: 1e-160, FailWeightSq: 1e-320},
+		{Policy: "x", Trials: 1000, Weighted: true},
+		{Policy: "x", Trials: 1000, Failures: 3},
+	} {
+		if s := r.String(); strings.Contains(s, "unresolved") {
+			t.Errorf("String() = %q for a resolved result %+v", s, r)
+		}
+	}
+}
+
 // TestWilsonCIPins pins the Wilson score interval against hand-computed
 // values: one failure in a thousand trials, and agreement with the old
 // normal approximation in the regime where that approximation was fine.

@@ -27,6 +27,9 @@ import (
 // DefaultScrubIntervalHours is the paper's 12-hour scrub interval.
 const DefaultScrubIntervalHours = 12
 
+// DefaultTrials is the Monte Carlo trial count a run without one takes.
+const DefaultTrials = 100000
+
 // cancelCheckInterval is the size of the trial blocks execute hands out.
 // A worker checks ctx and flushes its progress once per block, so
 // cancellation latency is bounded by one block of trials per worker; a
@@ -218,7 +221,7 @@ func (o Options) withDefaults() Options {
 		o.ScrubIntervalHours = DefaultScrubIntervalHours
 	}
 	if o.Trials == 0 {
-		o.Trials = 100000
+		o.Trials = DefaultTrials
 	}
 	if o.TargetFailures > 0 && o.MaxTrials == 0 {
 		o.MaxTrials = 10 * o.Trials
@@ -391,6 +394,13 @@ func (r Result) ESS() float64 {
 	return r.FailWeight * r.FailWeight / r.FailWeightSq
 }
 
+// WeightsUnderflowed reports whether a weighted result has failing trials
+// but an ESS of 0. For positive weights (Σw)² ≥ Σw², so that happens only
+// when the failing trials' weights underflowed float64 (a large bias
+// factor makes each weight the product of many small likelihood ratios),
+// and the result then says nothing about P(fail).
+func (r Result) WeightsUnderflowed() bool { return r.Weighted && r.Failures > 0 && r.ESS() == 0 }
+
 // EffectiveTrials returns how many naive Monte Carlo trials would be
 // needed to match this result's variance on Probability — the speedup
 // metric of the rare-event engine. For plain results it equals Trials.
@@ -409,8 +419,9 @@ func (r Result) EffectiveTrials() float64 {
 
 // String renders the result in one line. Zero-failure runs print the
 // rule-of-three upper bound rather than a misleading "0 ± 0"; weighted
-// runs are tagged IS and carry their effective sample size. A Result does
-// not record its lifetime, so the line names none: P(fail) is over the
+// runs are tagged IS and carry their effective sample size, and one whose
+// weights underflowed prints no estimate or interval. A Result does not
+// record its lifetime, so the line names none: P(fail) is over the
 // lifetime the run simulated.
 func (r Result) String() string {
 	var s string
@@ -418,6 +429,9 @@ func (r Result) String() string {
 	case r.Trials > 0 && r.Failures == 0:
 		s = fmt.Sprintf("%s: P(fail) = 0 (< %.2g at 95%%) (0/%d trials)",
 			r.Policy, r.CI95(), r.Trials)
+	case r.WeightsUnderflowed():
+		s = fmt.Sprintf("%s: P(fail) unresolved (IS, %d/%d trials, ESS 0: the failing trials' weights underflowed)",
+			r.Policy, r.Failures, r.Trials)
 	case r.Weighted:
 		s = fmt.Sprintf("%s: P(fail) = %.3g ± %.2g (IS, %d/%d trials, ESS %.1f)",
 			r.Policy, r.Probability(), r.CI95(), r.Failures, r.Trials, r.ESS())

@@ -8,6 +8,8 @@ import (
 
 	citadel "repro"
 	"repro/internal/experiments"
+	"repro/internal/fault"
+	"repro/internal/faultsim"
 	"repro/internal/obs/trace"
 	"repro/internal/scenario"
 	"repro/internal/store"
@@ -183,13 +185,13 @@ func (s Spec) Normalize() Spec {
 	case s.Reliability != nil:
 		r := *s.Reliability
 		if r.Trials <= 0 {
-			r.Trials = 100000
+			r.Trials = faultsim.DefaultTrials
 		}
 		if r.LifetimeYears == 0 {
-			r.LifetimeYears = 7
+			r.LifetimeYears = fault.LifetimeHours / fault.HoursPerYear
 		}
 		if r.ScrubHours == 0 {
-			r.ScrubHours = 12
+			r.ScrubHours = faultsim.DefaultScrubIntervalHours
 		}
 		if r.CheckpointTrials <= 0 {
 			r.CheckpointTrials = DefaultCheckpointTrials
@@ -222,7 +224,7 @@ func (s Spec) Normalize() Spec {
 	case s.Experiment != nil:
 		e := *s.Experiment
 		if e.Trials <= 0 {
-			e.Trials = 100000
+			e.Trials = faultsim.DefaultTrials
 		}
 		if e.Requests <= 0 {
 			e.Requests = 60000

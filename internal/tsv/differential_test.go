@@ -225,16 +225,16 @@ func TestChannelMatchesMapReference(t *testing.T) {
 								t.Fatalf("trial %d step %d: RunBIST = %d, reference %d", trial, step, got, want)
 							}
 						}
-						if got, want := ch.BeatsFree(), ref.beatsFree; got != want {
-							t.Fatalf("trial %d step %d: BeatsFree = %d, reference %d", trial, step, got, want)
+						if got, want := ch.beatsFree, ref.beatsFree; got != want {
+							t.Fatalf("trial %d step %d: beats free = %d, reference %d", trial, step, got, want)
 						}
 						if got, want := ch.CorruptedBits(), ref.corrupted(); !slices.Equal(got, want) {
 							t.Fatalf("trial %d step %d: CorruptedBits = %v, reference %v", trial, step, got, want)
 						}
-						if got, want := ch.UnreachableAddrBits(), ref.unreachable(); !slices.Equal(got, want) {
-							t.Fatalf("trial %d step %d: UnreachableAddrBits = %v, reference %v", trial, step, got, want)
+						if got, want := unreachableAddrBits(ch), ref.unreachable(); !slices.Equal(got, want) {
+							t.Fatalf("trial %d step %d: unreachable address TSVs = %v, reference %v", trial, step, got, want)
 						}
-						if ch.HasCorruptedBits() != (len(ref.corrupted()) > 0) || ch.HasUnreachableAddr() != (len(ref.unreachable()) > 0) {
+						if anyPending(ch.faultyData, ch.repairedData) != (len(ref.corrupted()) > 0) || anyPending(ch.faultyAddr, ch.repairedAddr) != (len(ref.unreachable()) > 0) {
 							t.Fatalf("trial %d step %d: emptiness tests disagree with the lists", trial, step)
 						}
 						for _, g := range injected {
@@ -278,8 +278,8 @@ func TestSwapperMatchesMapReference(t *testing.T) {
 					}
 					faulted := 0
 					for key, rc := range ref.channels {
-						if got := s.channel(key[0], key[1]).BeatsFree(); got != rc.beatsFree {
-							t.Fatalf("trial %d: channel %v BeatsFree = %d, reference %d", trial, key, got, rc.beatsFree)
+						if got := s.channel(key[0], key[1]).beatsFree; got != rc.beatsFree {
+							t.Fatalf("trial %d: channel %v beats free = %d, reference %d", trial, key, got, rc.beatsFree)
 						}
 						if len(rc.faultyData)+len(rc.faultyAddr) > 0 {
 							faulted++
@@ -385,8 +385,8 @@ func FuzzSwapperMatchesReference(f *testing.F) {
 			}
 			faulted := 0
 			for key, rc := range ref.channels {
-				if got := s.channel(key[0], key[1]).BeatsFree(); got != rc.beatsFree {
-					t.Fatalf("channel %v BeatsFree = %d, reference %d", key, got, rc.beatsFree)
+				if got := s.channel(key[0], key[1]).beatsFree; got != rc.beatsFree {
+					t.Fatalf("channel %v beats free = %d, reference %d", key, got, rc.beatsFree)
 				}
 				if len(rc.faultyData)+len(rc.faultyAddr) > 0 {
 					faulted++

@@ -90,9 +90,6 @@ func (c *Channel) Reset() {
 	c.listed = false
 }
 
-// Standby returns the stand-by data TSV indices.
-func (c *Channel) Standby() []int { return append([]int(nil), c.standby...) }
-
 // SwapDataBits returns the line bit positions replicated in metadata: the
 // bits carried by the stand-by TSVs (8 bits for the default config, matching
 // the 8-bit swap-data field of Citadel's metadata).
@@ -103,9 +100,6 @@ func (c *Channel) SwapDataBits() []int {
 	}
 	return bitsOut
 }
-
-// BeatsFree returns the remaining repair budget in transfer beats.
-func (c *Channel) BeatsFree() int { return c.beatsFree }
 
 // InjectDataFault marks a data TSV faulty. It returns an error for an
 // out-of-range index.
@@ -193,13 +187,6 @@ func (c *Channel) CorruptedBits() []int {
 	return out
 }
 
-// UnreachableAddrBits returns, in ascending order, the address-TSV indices
-// whose faults remain unrepaired; each makes half of the channel's rows
-// unreachable.
-func (c *Channel) UnreachableAddrBits() []int {
-	return pendingIndices(c.faultyAddr, c.repairedAddr)
-}
-
 // pendingIndices lists the indices set in faulty but not in repaired, in
 // ascending order.
 func pendingIndices(faulty, repaired []uint64) []int {
@@ -223,55 +210,27 @@ func anyPending(faulty, repaired []uint64) bool {
 	return false
 }
 
-// HasCorruptedBits reports whether any unrepaired faulty data TSV remains —
-// the emptiness test of CorruptedBits without building the bit list (the
-// simulator asks this on every TSV event).
-func (c *Channel) HasCorruptedBits() bool { return anyPending(c.faultyData, c.repairedData) }
-
-// HasUnreachableAddr reports whether any unrepaired faulty address TSV
-// remains — the emptiness test of UnreachableAddrBits without allocating.
-func (c *Channel) HasUnreachableAddr() bool { return anyPending(c.faultyAddr, c.repairedAddr) }
-
 // Detector models Citadel's TSV-fault detection flow (paper §V-C.2): two
-// fixed rows per die hold known data at bit-inverse addresses. A CRC
-// mismatch on a demand read triggers a read of the fixed rows; a mismatch
-// there points at TSV (rather than cell) faults and triggers BIST.
-type Detector struct {
-	ch *Channel
-	// FixedRowsCorrupt is set by the functional model when a read of the
-	// fixed rows returns unexpected data.
-	FixedRowsCorrupt bool
-}
+// fixed rows per die, at the all-zeros and all-ones row addresses, hold
+// known data. A CRC mismatch on a demand read triggers a read of the fixed
+// rows; a mismatch there points at TSV (rather than cell) faults and
+// triggers BIST.
+type Detector struct{ ch *Channel }
 
 // NewDetector builds a detector for a channel.
 func NewDetector(ch *Channel) *Detector { return &Detector{ch: ch} }
 
-// FixedRowAddresses returns the two probe row addresses: all-zeros and
-// all-ones within the row address space, each bit the inverse of the other.
-func (d *Detector) FixedRowAddresses() (int, int) {
-	return 0, d.ch.cfg.RowsPerBank - 1
-}
-
-// CheckFixedRows simulates reading the fixed rows: they appear corrupt when
-// any unrepaired data-TSV fault corrupts their bits, or when an unrepaired
-// address-TSV fault makes one of them unreachable.
-func (d *Detector) CheckFixedRows() bool {
-	if d.ch.HasCorruptedBits() || d.ch.HasUnreachableAddr() {
-		d.FixedRowsCorrupt = true
-		return true
-	}
-	d.FixedRowsCorrupt = false
-	return false
-}
-
-// OnCRCMismatch drives the detection flow: probe the fixed rows, and when
-// they implicate the TSVs, run BIST to repair. It reports whether a TSV
-// fault was found and how many repairs were made.
+// OnCRCMismatch drives the detection flow: probe the fixed rows, which
+// read corrupt when an unrepaired data-TSV fault flips their bits or an
+// unrepaired address-TSV fault makes one unreachable, and when they
+// implicate the TSVs, run BIST to repair. It reports whether a TSV fault
+// was found and how many repairs were made.
 func (d *Detector) OnCRCMismatch() (tsvFault bool, repairs int) {
-	if !d.CheckFixedRows() {
+	c := d.ch
+	if !anyPending(c.faultyData, c.repairedData) && !anyPending(c.faultyAddr, c.repairedAddr) {
 		return false, 0
 	}
-	return true, d.ch.RunBIST()
+	return true, c.RunBIST()
 }
 
 // Swapper applies TSV-SWAP across a whole system for the reliability

@@ -14,10 +14,14 @@ func newTestChannel(t *testing.T) *Channel {
 	return NewChannel(stack.DefaultConfig())
 }
 
+// unreachableAddrBits lists, ascending, the address TSVs whose faults
+// remain unrepaired; each makes half of the channel's rows unreachable.
+func unreachableAddrBits(ch *Channel) []int { return pendingIndices(ch.faultyAddr, ch.repairedAddr) }
+
 func TestStandbyPool(t *testing.T) {
 	ch := newTestChannel(t)
 	want := []int{0, 64, 128, 192}
-	got := ch.Standby()
+	got := ch.standby
 	if len(got) != len(want) {
 		t.Fatalf("standby pool size %d, want %d", len(got), len(want))
 	}
@@ -64,11 +68,11 @@ func TestRepairAddrTSV(t *testing.T) {
 	if err := ch.InjectAddrFault(0); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(ch.UnreachableAddrBits()); n != 1 {
+	if n := len(unreachableAddrBits(ch)); n != 1 {
 		t.Fatalf("unrepaired addr faults = %d, want 1", n)
 	}
 	ch.RunBIST()
-	if n := len(ch.UnreachableAddrBits()); n != 0 {
+	if n := len(unreachableAddrBits(ch)); n != 0 {
 		t.Errorf("addr fault not repaired")
 	}
 }
@@ -91,7 +95,7 @@ func TestRepairBudget(t *testing.T) {
 	if got := ch.RunBIST(); got != 0 {
 		t.Fatalf("repaired %d beyond budget, want 0", got)
 	}
-	if n := len(ch.UnreachableAddrBits()); n != 1 {
+	if n := len(unreachableAddrBits(ch)); n != 1 {
 		t.Errorf("unrepaired addr faults = %d, want 1", n)
 	}
 }
@@ -107,8 +111,8 @@ func TestDataRepairCostsBurstBeats(t *testing.T) {
 	if got := ch.RunBIST(); got != 4 {
 		t.Fatalf("repaired %d data faults, want 4", got)
 	}
-	if ch.BeatsFree() != 0 {
-		t.Errorf("beats free = %d, want 0", ch.BeatsFree())
+	if ch.beatsFree != 0 {
+		t.Errorf("beats free = %d, want 0", ch.beatsFree)
 	}
 	if err := ch.InjectDataFault(50); err != nil {
 		t.Fatal(err)
@@ -133,7 +137,7 @@ func TestAddrFaultsPrioritized(t *testing.T) {
 		}
 	}
 	ch.RunBIST()
-	if n := len(ch.UnreachableAddrBits()); n != 0 {
+	if n := len(unreachableAddrBits(ch)); n != 0 {
 		t.Errorf("addr faults unrepaired = %d, want 0 (priority)", n)
 	}
 	// 8-2 = 6 beats left for data: 3 of 4 repaired.
@@ -158,10 +162,6 @@ func TestInjectValidation(t *testing.T) {
 func TestDetectorFlow(t *testing.T) {
 	ch := newTestChannel(t)
 	det := NewDetector(ch)
-	lo, hi := det.FixedRowAddresses()
-	if lo != 0 || hi != 65535 {
-		t.Errorf("fixed rows = %d,%d want 0,65535", lo, hi)
-	}
 	// Healthy channel: CRC mismatch does not implicate TSVs.
 	if tsvFault, _ := det.OnCRCMismatch(); tsvFault {
 		t.Error("healthy channel flagged TSV fault")
@@ -221,8 +221,8 @@ func TestSwapperApply(t *testing.T) {
 	}
 }
 
-// TestFaultListsAscending pins the order of CorruptedBits and
-// UnreachableAddrBits: ascending, and the same on every call, whatever
+// TestFaultListsAscending pins the order of CorruptedBits and of the
+// pending address TSVs: ascending, and the same on every call, whatever
 // order the faults arrived in.
 func TestFaultListsAscending(t *testing.T) {
 	ch := NewChannelWithPool(stack.DefaultConfig(), 1)
@@ -245,8 +245,8 @@ func TestFaultListsAscending(t *testing.T) {
 		if got := ch.CorruptedBits(); !slices.Equal(got, wantBits) {
 			t.Fatalf("call %d: CorruptedBits = %v, want %v", i, got, wantBits)
 		}
-		if got := ch.UnreachableAddrBits(); !slices.Equal(got, []int{20}) {
-			t.Fatalf("call %d: UnreachableAddrBits = %v, want [20]", i, got)
+		if got := unreachableAddrBits(ch); !slices.Equal(got, []int{20}) {
+			t.Fatalf("call %d: unreachable address TSVs = %v, want [20]", i, got)
 		}
 	}
 }
